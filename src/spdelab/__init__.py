@@ -41,7 +41,7 @@ from .solver import (
     stochastic_convolution_modewise,
     stochastic_convolution_pathwise,
 )
-from .spectral import Field, GridSpec, OperatorField
+from .spectral import Field, GridSpec
 from .symbols import SymbolSpec, builtin_symbol
 from .verify import (
     apriori_estimate_check,
@@ -64,7 +64,6 @@ __all__ = [
     "HypothesisViolationError",
     "KernelValidityError",
     "MultiplierReport",
-    "OperatorField",
     "QSpec",
     "RatioReport",
     "SPDEProblem",

@@ -18,7 +18,7 @@ from .malliavin import (
     constant_functional,
     linear_functional,
 )
-from .spectral import Field, GridSpec
+from .spectral import Field, GridSpec, spatial_fft
 from .symbols import (
     builtin_symbol,
     coordinate_symbol,
@@ -212,8 +212,5 @@ def bessel_field_battery(grid: GridSpec, m=1, count=16, seed=0, band_frac=0.5):
         coef = (gen.standard_normal((m, grid.n_points))
                 + 1j * gen.standard_normal((m, grid.n_points))) / np.sqrt(2.0)
         coef[:, ~keep] = 0.0
-        vals = np.fft.ifftn(coef.reshape((m,) + grid.shape),
-                            axes=tuple(range(1, 1 + grid.d)),
-                            norm="ortho").reshape(m, -1)
-        fields.append(Field(grid, m, vals))
+        fields.append(Field(grid, m, spatial_fft(coef, grid, inverse=True)))
     return fields

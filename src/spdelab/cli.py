@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +30,12 @@ from .covariance import builtin_kernel
 from .errors import SchemaError, SpdelabError
 from .gaussian import QSpec
 from .malliavin import skorohod_moment_check
-from .reports import RatioReport, _plain
+from .reports import _plain
 from .solver import SPDEProblem, ensemble_summary_rows, solve
 from .spectral import Field, GridSpec
 from .symbols import builtin_symbol, check_marcinkiewicz, check_mihlin
 from .verify import (
-    apriori_estimate_check,
+    apriori_refinement,
     bessel_equivalence_check,
     g_operator_check,
     kernel_envelope_check,
@@ -142,29 +143,51 @@ def _map_jobs(fn, items):
 # ---------------------------------------------------------------------------
 # config -> objects
 
-
-def _make_symbol(cfg, default=None):
-    if cfg is None:
-        cfg = default
-    if isinstance(cfg, dict):
-        cfg = dict(cfg)
-        name = cfg.pop("name")
-        return builtin_symbol(name, **cfg)
-    return builtin_symbol(cfg)
+_PHI_1D = {"name": "power", "gamma": 2.0, "d": 1}
+_PSI_1D = {"name": "heat", "gamma": 2.0, "d": 1}
 
 
-def _make_kernel(cfg):
-    if isinstance(cfg, dict):
-        cfg = dict(cfg)
-        name = cfg.pop("name")
-        return builtin_kernel(name, **cfg)
-    return builtin_kernel(cfg)
+@contextmanager
+def _schema_errors(what):
+    """Report a bad value met while building `what` from config as SchemaError."""
+    try:
+        yield
+    except (KeyError, ValueError, TypeError) as exc:
+        raise SchemaError(f"bad {what}: {exc}") from None
+
+
+def _build(ctor, cfg, default=None):
+    """ctor(name, **kw) from a config "name" or {"name": ..., **kw}."""
+    cfg = default if cfg is None else cfg
+    with _schema_errors(repr(cfg)):
+        if isinstance(cfg, dict):
+            kw = dict(cfg)
+            return ctor(kw.pop("name"), **kw)
+        return ctor(cfg)
+
+
+def _param(params, key, default, kind=float, least=None):
+    """params[key] (or default) converted by `kind`, optionally >= least."""
+    with _schema_errors(f"param {key!r}"):
+        val = kind(params.get(key, default))
+        if least is not None and val < least:
+            raise ValueError(f"must be >= {least}, got {val}")
+    return val
+
+
+def _levels(params):
+    """The (n, n_t) refinement levels of the operator and a-priori checks."""
+    with _schema_errors("param 'levels'"):
+        return [(int(n), int(n_t)) for n, n_t in
+                params.get("levels", [[32, 16], [64, 32], [128, 64]])]
 
 
 def _make_grid(cfg, default_n=32, default_d=1):
     cfg = dict(cfg or {})
-    return GridSpec(d=int(cfg.get("d", default_d)), n=int(cfg.get("n", default_n)),
-                    L=float(cfg.get("L", 2.0 * np.pi)))
+    with _schema_errors(f"grid {cfg}"):
+        return GridSpec(d=int(cfg.get("d", default_d)),
+                        n=int(cfg.get("n", default_n)),
+                        L=float(cfg.get("L", 2.0 * np.pi)))
 
 
 def _u0_field(kind, grid, m):
@@ -200,29 +223,37 @@ def _forcing_arrays(params, grid, times, m, J):
 
 
 def _build_problem(params, n=None, n_t=None):
-    grid = _make_grid(params.get("grid"), default_n=32)
+    grid_cfg = dict(params.get("grid") or {})
     if n is not None:
-        grid = GridSpec(d=grid.d, n=int(n), L=grid.L)
-    psi = _make_symbol(params.get("psi"), default={"name": "heat", "d": grid.d})
+        grid_cfg["n"] = n
+    grid = _make_grid(grid_cfg, default_n=32)
+    psi = _build(builtin_symbol, params.get("psi"), {"name": "heat", "d": grid.d})
     phi_cfg = params.get("phi")
-    phi = _make_symbol(phi_cfg) if phi_cfg is not None else None
-    kernel = _make_kernel(params.get("kernel", "wiener"))
-    T = float(params.get("T", 1.0))
-    nt = int(n_t if n_t is not None else params.get("n_t", 16))
-    times = np.linspace(0.0, T, nt + 1)
-    m = int(params.get("m", 1))
-    lambdas = tuple(params.get("lambdas", (1.0, 0.5)))
-    q = QSpec(lambdas)
+    phi = _build(builtin_symbol, phi_cfg) if phi_cfg is not None else None
+    kernel = _build(builtin_kernel, params.get("kernel", "wiener"))
+    T = _param(params, "T", 1.0)
+    nt = n_t if n_t is not None else _param(params, "n_t", 16, int, least=1)
+    times = np.linspace(0.0, T, int(nt) + 1)
+    m = _param(params, "m", 1, int, least=1)
+    with _schema_errors("param 'lambdas'"):
+        q = QSpec(tuple(params.get("lambdas", (1.0, 0.5))))
     u0 = _u0_field(params.get("u0", "bump"), grid, m)
     f, g = _forcing_arrays(params, grid, times, m, q.J)
-    return SPDEProblem(
-        psi=psi, u0=u0, kernel=kernel, q=q, times=times, f=f, g=g, phi=phi,
-        p=float(params.get("p", 2.0)), q_exp=float(params.get("q_exp", 2.0)),
-        quad_refine=int(params.get("quad_refine", 8)))
+    p, q_exp = _param(params, "p", 2.0), _param(params, "q_exp", 2.0)
+    quad_refine = _param(params, "quad_refine", 8, int, least=1)
+    with _schema_errors("problem"):
+        return SPDEProblem(psi=psi, u0=u0, kernel=kernel, q=q, times=times,
+                           f=f, g=g, phi=phi, p=p, q_exp=q_exp,
+                           quad_refine=quad_refine)
 
 
 # ---------------------------------------------------------------------------
 # command runners: each returns (passed, report_dict, table_rows, trace)
+
+
+def _ratio_result(rep, xlabel):
+    rows = [{"level": lev, "ratio": r} for (lev, r) in rep.refinement_trace]
+    return rep.passed, rep.to_dict(), rows, (xlabel, "ratio", rep.refinement_trace)
 
 
 def _run_kernels(cfg: RunConfig):
@@ -240,7 +271,7 @@ def _run_kernels(cfg: RunConfig):
 
 def _run_simulate(cfg: RunConfig):
     pb = _build_problem(cfg.params)
-    ens = solve(pb, int(cfg.params.get("n_samples", 32)), cfg.seed,
+    ens = solve(pb, _param(cfg.params, "n_samples", 32, int, least=1), cfg.seed,
                 estimator=cfg.params.get("estimator", "modewise"))
     rows = [{"t": t, "mean_l2": mf, "total_variance": tv, "mean_sup": ms}
             for (t, mf, tv, ms) in ensemble_summary_rows(ens)]
@@ -253,10 +284,11 @@ def _run_simulate(cfg: RunConfig):
 
 def _run_verify_skorohod(cfg: RunConfig):
     p = cfg.params
-    cases = battery.skorohod_battery(J=int(p.get("J", 2)), m=int(p.get("m", 2)),
-                                     T=float(p.get("T", 1.0)))
-    n = int(p.get("n_samples", 100_000))
-    lam = tuple(1.0 for _ in range(int(p.get("J", 2))))
+    J = _param(p, "J", 2, int, least=1)
+    cases = battery.skorohod_battery(J=J, m=_param(p, "m", 2, int, least=1),
+                                     T=_param(p, "T", 1.0))
+    n = _param(p, "n_samples", 100_000, int, least=1)
+    lam = (1.0,) * J
 
     def job(case):
         name, proc, kern = case
@@ -271,59 +303,56 @@ def _run_verify_skorohod(cfg: RunConfig):
 
 def _run_verify_maximal(cfg: RunConfig):
     p = cfg.params
+    J = _param(p, "J", 2, int, least=1)
     procs = dict(battery.elementary_battery(
-        J=int(p.get("J", 2)), m=int(p.get("m", 2)), T=float(p.get("T", 1.0))))
+        J=J, m=_param(p, "m", 2, int, least=1), T=_param(p, "T", 1.0)))
     pname = p.get("process", "linear-exact")
     if pname not in procs:
         raise SchemaError(f"unknown process {pname!r}; have {sorted(procs)}")
-    kern = _make_kernel(p.get("kernel", "wiener"))
-    lam = tuple(1.0 for _ in range(int(p.get("J", 2))))
+    kern = _build(builtin_kernel, p.get("kernel", "wiener"))
     rep = maximal_inequality_check(
-        procs[pname], kern, QSpec(lam), float(p.get("p", 2.0)),
-        float(p.get("q_exp", 2.0)), int(p.get("n_samples", 4096)), cfg.seed,
-        sup_levels=tuple(p.get("sup_levels", (64, 128, 256))),
+        procs[pname], kern, QSpec((1.0,) * J), _param(p, "p", 2.0),
+        _param(p, "q_exp", 2.0), _param(p, "n_samples", 4096, int, least=1),
+        cfg.seed, sup_levels=tuple(p.get("sup_levels", (64, 128, 256))),
         name=f"maximal[{pname}/{kern.name}]")
-    rows = [{"level": lev, "ratio": r} for (lev, r) in rep.refinement_trace]
-    return rep.passed, rep.to_dict(), rows, ("level", "ratio", rep.refinement_trace)
+    return _ratio_result(rep, "level")
 
 
 def _run_verify_lp(cfg: RunConfig):
     p = cfg.params
-    phi = _make_symbol(p.get("phi"), default={"name": "power", "gamma": 2.0, "d": 1})
-    psi = _make_symbol(p.get("psi"), default={"name": "heat", "gamma": 2.0, "d": 1})
-    a, b = float(p.get("a", 0.0)), float(p.get("b", 1.0))
-    box = float(p.get("box", 2.0 * np.pi))
+    phi = _build(builtin_symbol, p.get("phi"), _PHI_1D)
+    psi = _build(builtin_symbol, p.get("psi"), _PSI_1D)
+    a, b = _param(p, "a", 0.0), _param(p, "b", 1.0)
+    box = _param(p, "box", 2.0 * np.pi)
     forcing = p.get("forcing", "product")
     if forcing not in ("product", "mixed"):
         raise SchemaError(f"unknown forcing {forcing!r}")
     maker = battery.lp_forcing if forcing == "product" else battery.lp_forcing_mixed
-    f_fn = maker(a=a, b=b, box=box, m=int(p.get("m", 1)))
+    f_fn = maker(a=a, b=b, box=box, m=_param(p, "m", 1, int, least=1))
     rep = lp_inequality_check(
-        phi, psi, f_fn, float(p.get("p", 2.0)), float(p.get("q_exp", 2.0)),
-        float(p.get("r_exp", 2.0)),
-        levels=[tuple(lv) for lv in p.get("levels", [[32, 16], [64, 32], [128, 64]])],
-        a=a, b=b, box=box, n_theta=int(p.get("n_theta", 1)))
-    rows = [{"level": lev, "ratio": r} for (lev, r) in rep.refinement_trace]
-    return rep.passed, rep.to_dict(), rows, ("grid n", "ratio", rep.refinement_trace)
+        phi, psi, f_fn, _param(p, "p", 2.0), _param(p, "q_exp", 2.0),
+        _param(p, "r_exp", 2.0), levels=_levels(p), a=a, b=b, box=box,
+        n_theta=_param(p, "n_theta", 1, int, least=1))
+    return _ratio_result(rep, "grid n")
 
 
 def _run_verify_bessel(cfg: RunConfig):
     p = cfg.params
     grid = _make_grid(p.get("grid"), default_n=64)
-    phi = _make_symbol(p.get("phi"), default={"name": "power", "gamma": 2.0,
-                                              "d": grid.d})
+    phi = _build(builtin_symbol, p.get("phi"), dict(_PHI_1D, d=grid.d))
     fields = battery.bessel_field_battery(
-        grid, m=int(p.get("m", 1)), count=int(p.get("count", 16)),
-        seed=cfg.seed, band_frac=float(p.get("band_frac", 0.5)))
-    rep = bessel_equivalence_check(phi, float(p.get("alpha", 2.0)),
-                                   float(p.get("p", 2.0)), fields)
+        grid, m=_param(p, "m", 1, int, least=1),
+        count=_param(p, "count", 16, int, least=1), seed=cfg.seed,
+        band_frac=_param(p, "band_frac", 0.5))
+    rep = bessel_equivalence_check(phi, _param(p, "alpha", 2.0),
+                                   _param(p, "p", 2.0), fields)
     rows = [{"field": i, "ratio": r} for i, r in enumerate(rep["ratios"])]
     return rep["passed"], rep, rows, None
 
 
 def _run_verify_multiplier(cfg: RunConfig):
-    d = int(cfg.params.get("d", 1))
-    mih, marc, failing = battery.multiplier_battery(d=d)
+    mih, marc, failing = battery.multiplier_battery(
+        d=_param(cfg.params, "d", 1, int, least=1))
     rows, reports = [], []
     ok = True
     for name, sym in mih:
@@ -354,13 +383,12 @@ def _run_verify_kernelenv(cfg: RunConfig):
     grid_cfg = dict(p.get("grid") or {})
     grid_cfg.setdefault("L", 4.0 * np.pi)
     grid = _make_grid(grid_cfg, default_n=256)
-    phi = _make_symbol(p.get("phi"), default={"name": "power", "gamma": 2.0,
-                                              "d": grid.d})
-    psi = _make_symbol(p.get("psi"), default={"name": "heat", "gamma": 2.0,
-                                              "d": grid.d})
-    rep = kernel_envelope_check(phi, psi, [float(t) for t in
-                                           p.get("t_minus_s", (0.1, 0.2, 0.4))],
-                                grid, var_tol=float(p.get("var_tol", 0.2)))
+    phi = _build(builtin_symbol, p.get("phi"), dict(_PHI_1D, d=grid.d))
+    psi = _build(builtin_symbol, p.get("psi"), dict(_PSI_1D, d=grid.d))
+    with _schema_errors("param 't_minus_s'"):
+        taus = [float(t) for t in p.get("t_minus_s", (0.1, 0.2, 0.4))]
+    rep = kernel_envelope_check(phi, psi, taus, grid,
+                                var_tol=_param(p, "var_tol", 0.2))
     rows = [{"tau": tau, "C_kernel": ck, "C_grad": cg, "C_ds": cs,
              "sup_kernel": sk}
             for tau, ck, cg, cs, sk in zip(rep["taus"], rep["C_kernel"],
@@ -372,41 +400,25 @@ def _run_verify_kernelenv(cfg: RunConfig):
 
 def _run_verify_goperator(cfg: RunConfig):
     p = cfg.params
-    phi = _make_symbol(p.get("phi"), default={"name": "power", "gamma": 2.0, "d": 1})
-    psi = _make_symbol(p.get("psi"), default={"name": "heat", "gamma": 2.0, "d": 1})
-    a, b = float(p.get("a", 0.0)), float(p.get("b", 1.0))
-    box = float(p.get("box", 2.0 * np.pi))
+    phi = _build(builtin_symbol, p.get("phi"), _PHI_1D)
+    psi = _build(builtin_symbol, p.get("psi"), _PSI_1D)
+    a, b = _param(p, "a", 0.0), _param(p, "b", 1.0)
+    box = _param(p, "box", 2.0 * np.pi)
     rep = g_operator_check(
-        phi, psi, battery.g_operator_forcings(a=a, b=b, box=box,
-                                              m=int(p.get("m", 1))),
-        float(p.get("p", 2.0)),
-        levels=[tuple(lv) for lv in p.get("levels", [[32, 16], [64, 32], [128, 64]])],
-        a=a, b=b, box=box)
-    rows = [{"level": lev, "ratio": r} for (lev, r) in rep.refinement_trace]
-    return rep.passed, rep.to_dict(), rows, ("grid n", "ratio", rep.refinement_trace)
+        phi, psi, battery.g_operator_forcings(
+            a=a, b=b, box=box, m=_param(p, "m", 1, int, least=1)),
+        _param(p, "p", 2.0), levels=_levels(p), a=a, b=b, box=box)
+    return _ratio_result(rep, "grid n")
 
 
 def _run_verify_apriori(cfg: RunConfig):
-    p = cfg.params
-    levels = [tuple(lv) for lv in p.get("levels", [[32, 16], [64, 32], [128, 64]])]
-    n_samples = int(p.get("n_samples", 48))
-    est = p.get("estimator", "pathwise")
-    if "phi" not in p:
-        p = dict(p)
-        p["phi"] = {"name": "power", "gamma": 2.0, "d": 1}
-
-    trace = []
-    last = None
-    for n, n_t in levels:
-        pb = _build_problem(p, n=n, n_t=n_t)
-        rep = apriori_estimate_check(pb, n_samples, cfg.seed, estimator=est)
-        trace.append((float(n), rep.ratio))
-        last = rep
-    rep = RatioReport.make(last.name, last.lhs, last.rhs_components,
-                           refinement_trace=trace, seed=cfg.seed,
-                           n_samples=n_samples, details=last.details)
-    rows = [{"level": lev, "ratio": r} for (lev, r) in rep.refinement_trace]
-    return rep.passed, rep.to_dict(), rows, ("grid n", "ratio", rep.refinement_trace)
+    p = dict(cfg.params)
+    p.setdefault("phi", _PHI_1D)
+    rep = apriori_refinement(
+        lambda n, n_t: _build_problem(p, n=n, n_t=n_t), _levels(p),
+        _param(p, "n_samples", 48, int, least=1), cfg.seed,
+        estimator=p.get("estimator", "pathwise"))
+    return _ratio_result(rep, "grid n")
 
 
 _RUNNERS = {

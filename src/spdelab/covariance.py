@@ -262,14 +262,23 @@ def gram_matrix(kernel: CovarianceKernel, times) -> np.ndarray:
     return np.asarray(kernel.R(T, S), dtype=float)
 
 
+def cross_increments(kernel: CovarianceKernel, a, b) -> np.ndarray:
+    """Rectangle increments of R between the cells of partitions a and b.
+
+    Entry (i, j) is the inner product of the indicators of (a_i, a_{i+1}]
+    and (b_j, b_{j+1}]; the result has shape (len(a) - 1, len(b) - 1).
+    """
+    T, S = np.meshgrid(a, b, indexing="ij")
+    R = np.asarray(kernel.R(T, S), dtype=float)
+    return R[1:, 1:] - R[1:, :-1] - R[:-1, 1:] + R[:-1, :-1]
+
+
 def increment_gram(kernel: CovarianceKernel, times) -> np.ndarray:
     """Gram of the cell indicators of the partition `times` (M+1 nodes)."""
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    T, S = np.meshgrid(times, times, indexing="ij")
-    R = np.asarray(kernel.R(T, S), dtype=float)
-    return R[1:, 1:] - R[1:, :-1] - R[:-1, 1:] + R[:-1, :-1]
+    return cross_increments(kernel, times, times)
 
 
 def cholesky_psd(mat: np.ndarray) -> np.ndarray:
@@ -345,22 +354,6 @@ def apply_KR_cells(kernel: CovarianceKernel, edges, cell_values) -> np.ndarray:
         return (diff_a - diff_b) @ vals
 
     raise KernelValidityError(f"kernel {kernel.name!r} has no density route for K_R")
-
-
-def apply_KR(kernel: CovarianceKernel, times, values) -> np.ndarray:
-    """K_R applied to a function sampled at nodes, returned at the nodes.
-
-    The sampled function is treated as piecewise constant on the cells
-    with the average of the endpoint samples as the cell value.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.shape != values.shape:
-        raise ValueError("times and values must have matching shape")
-    cells = 0.5 * (values[1:] + values[:-1])
-    if kernel.kr_kind == "identity":
-        return values.copy()
-    return apply_KR_cells(kernel, times, cells)
 
 
 def function_lp_norm(times, values, p) -> float:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .covariance import (CovarianceKernel, cholesky_psd, gram_matrix,
-                         increment_gram, rectangle_increment)
+from .covariance import (CovarianceKernel, cholesky_psd, cross_increments,
+                         gram_matrix)
 from .errors import AlignmentError, KernelValidityError
 
 TIME_TOL = 1e-9
@@ -158,10 +158,7 @@ def sample_paths(kernel: CovarianceKernel, times, q: QSpec, n_samples, seed) -> 
 def inner_H_U0(phi: StepFunction, psi: StepFunction, kernel: CovarianceKernel) -> float:
     """RKHS inner product of two U_0-valued step functions (exact)."""
     C = phi.coeffs @ psi.coeffs.T
-    bp, bq = phi.breakpoints, psi.breakpoints
-    T, S = np.meshgrid(bp, bq, indexing="ij")
-    R = np.asarray(kernel.R(T, S), dtype=float)
-    inc = R[1:, 1:] - R[1:, :-1] - R[:-1, 1:] + R[:-1, :-1]
+    inc = cross_increments(kernel, phi.breakpoints, psi.breakpoints)
     return float(np.sum(C * inc))
 
 
@@ -180,10 +177,7 @@ def abs_inner_H_U0(phi: StepFunction, psi: StepFunction, kernel) -> float:
     """
     a = np.sqrt(np.sum(phi.coeffs ** 2, axis=1))
     b = np.sqrt(np.sum(psi.coeffs ** 2, axis=1))
-    bp, bq = phi.breakpoints, psi.breakpoints
-    T, S = np.meshgrid(bp, bq, indexing="ij")
-    R = np.asarray(kernel.R(T, S), dtype=float)
-    inc = R[1:, 1:] - R[1:, :-1] - R[:-1, 1:] + R[:-1, :-1]
+    inc = cross_increments(kernel, phi.breakpoints, psi.breakpoints)
     return float(np.outer(a, b).ravel() @ inc.ravel())
 
 
@@ -207,16 +201,10 @@ class TwoParamStep:
             raise ValueError("coefficient block shape mismatch")
 
 
-def _increments(kernel, breaks_a, breaks_b):
-    T, S = np.meshgrid(breaks_a, breaks_b, indexing="ij")
-    R = np.asarray(kernel.R(T, S), dtype=float)
-    return R[1:, 1:] - R[1:, :-1] - R[:-1, 1:] + R[:-1, :-1]
-
-
 def tensor_inner(Phi: TwoParamStep, Psi: TwoParamStep, kernel) -> float:
     """Inner product on the two-parameter RKHS tensor square (exact)."""
-    inc_a = _increments(kernel, Phi.breaks_a, Psi.breaks_a)
-    inc_b = _increments(kernel, Phi.breaks_b, Psi.breaks_b)
+    inc_a = cross_increments(kernel, Phi.breaks_a, Psi.breaks_a)
+    inc_b = cross_increments(kernel, Phi.breaks_b, Psi.breaks_b)
     return float(np.einsum("abv,cdv,ac,bd->", Phi.coeffs, Psi.coeffs, inc_a, inc_b,
                            optimize=True))
 
@@ -224,8 +212,8 @@ def tensor_inner(Phi: TwoParamStep, Psi: TwoParamStep, kernel) -> float:
 def tensor_abs_inner(Phi: TwoParamStep, Psi: TwoParamStep, kernel) -> float:
     na = np.sqrt(np.sum(Phi.coeffs ** 2, axis=-1))
     nb = np.sqrt(np.sum(Psi.coeffs ** 2, axis=-1))
-    inc_a = _increments(kernel, Phi.breaks_a, Psi.breaks_a)
-    inc_b = _increments(kernel, Phi.breaks_b, Psi.breaks_b)
+    inc_a = cross_increments(kernel, Phi.breaks_a, Psi.breaks_a)
+    inc_b = cross_increments(kernel, Phi.breaks_b, Psi.breaks_b)
     return float(np.einsum("ab,cd,ac,bd->", na, nb, inc_a, inc_b, optimize=True))
 
 

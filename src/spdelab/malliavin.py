@@ -345,12 +345,8 @@ def skorohod_moment_check(u: ElementaryProcess, kernel, q: QSpec, n_samples,
     """E ||delta(u)||^2 versus E ||u||^2_{K x H} + E <Du, S(Du)>, paired."""
     design = JointDesign(u, kernel, q)
     delta = design.draw(int(n_samples), seed)
-    Fv, dv, b = design.functional_values(delta)
-    dsamp = np.zeros((delta.shape[0], u.m))
-    for i, (_, k, _) in enumerate(design.process.terms):
-        scal = b[:, i] * Fv[:, i] - dv[:, i] * design.ip_H_phi[i, i]
-        dsamp += scal[:, None] * k[None, :]
-    A = np.sum(dsamp ** 2, axis=1)
+    Fv, dv, _ = design.functional_values(delta)
+    A = np.sum(design.skorohod(delta) ** 2, axis=1)
     B = design.h_norm_sq_u(Fv)
     C = design.trace_swap_term(dv)
     diff = A - B - C
@@ -372,14 +368,9 @@ def skorohod_moment_check(u: ElementaryProcess, kernel, q: QSpec, n_samples,
     )
 
 
-def d1p_norm(u: ElementaryProcess, kernel, p, r_exp, n_samples, seed,
+def d1p_norm(u: ElementaryProcess, kernel, p, n_samples, seed,
              q: QSpec | None = None) -> float:
-    """(E ||u||^p_{|H|} + E ||D u||^p_{|H| x |H|})^(1/p) by Monte Carlo.
-
-    r_exp is accepted for signature compatibility with the mixed-norm
-    variant; the |H| norms themselves do not depend on it.
-    """
-    del r_exp
+    """(E ||u||^p_{|H|} + E ||D u||^p_{|H| x |H|})^(1/p) by Monte Carlo."""
     if q is None:
         q = QSpec((1.0,) * u.terms[0][2].J)
     design = JointDesign(u, kernel, q)

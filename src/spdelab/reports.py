@@ -36,7 +36,7 @@ def _plain(x):
 class MultiplierReport:
     """Outcome of one multiplier-condition scan.
 
-    condition_name is one of marcinkiewicz, mihlin, hormander, class_M,
+    condition_name is one of marcinkiewicz, mihlin, class_M,
     class_S. worst_location is (multi-index or coordinate subset, xi).
     """
 

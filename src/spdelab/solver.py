@@ -26,8 +26,8 @@ from . import rng as _rng
 from .covariance import CovarianceKernel, cholesky_psd, increment_gram
 from .errors import AlignmentError, HypothesisViolationError
 from .gaussian import PathSample, QSpec, sample_paths
-from .spectral import (Field, GridSpec, symbol_cumulative_integrals,
-                       symbol_on_grid)
+from .spectral import (Field, GridSpec, spatial_fft,
+                       symbol_cumulative_integrals, symbol_on_grid)
 from .symbols import SymbolSpec
 
 TIME_TOL = 1e-9
@@ -124,22 +124,13 @@ class SolutionEnsemble:
 # deterministic parts
 
 
-def _spatial_fft(arr, grid, inverse=False):
-    """Unitary FFT over the trailing spatial axis of a (..., n_points) array."""
-    lead = arr.shape[:-1]
-    resh = arr.reshape(lead + grid.shape)
-    axes = tuple(range(len(lead), len(lead) + grid.d))
-    fn = np.fft.ifftn if inverse else np.fft.fftn
-    return fn(resh, axes=axes, norm="ortho").reshape(lead + (grid.n_points,))
-
-
 def deterministic_homogeneous(problem: SPDEProblem) -> np.ndarray:
     """T(t_i, 0) u0 for every solution time; (n_times, m, n_points)."""
     grid = problem.grid
     cums = symbol_cumulative_integrals(problem.psi, problem.times, grid)
-    u0_hat = _spatial_fft(problem.u0.values, grid)
+    u0_hat = spatial_fft(problem.u0.values, grid)
     out_hat = np.exp(cums[:, None, :]) * u0_hat[None, :, :]
-    return _spatial_fft(out_hat, grid, inverse=True)
+    return spatial_fft(out_hat, grid, inverse=True)
 
 
 def deterministic_forced(problem: SPDEProblem) -> np.ndarray:
@@ -148,7 +139,7 @@ def deterministic_forced(problem: SPDEProblem) -> np.ndarray:
     out_hat = np.zeros((problem.n_times, problem.m, grid.n_points), dtype=complex)
     if problem.f is not None:
         cums = symbol_cumulative_integrals(problem.psi, problem.times, grid)
-        f_hat = _spatial_fft(problem.f, grid)
+        f_hat = spatial_fft(problem.f, grid)
         t = problem.times
         for i in range(1, problem.n_times):
             w = np.zeros(i + 1)
@@ -159,7 +150,7 @@ def deterministic_forced(problem: SPDEProblem) -> np.ndarray:
             # exp(cum_i - cum_k) keeps Re <= 0, safe from overflow
             mult = np.exp(cums[i][None, :] - cums[:i + 1])
             out_hat[i] = np.einsum("k,kp,kcp->cp", w, mult, f_hat[:i + 1])
-    return _spatial_fft(out_hat, grid, inverse=True)
+    return spatial_fft(out_hat, grid, inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +198,7 @@ def _integrand_multipliers(problem, q_grid, mid_idx, sol_idx):
 
 def _g_spectral_subcells(problem):
     """g-hat repeated onto subcells: (C, m, J, n_points)."""
-    g_hat = _spatial_fft(problem.g, problem.grid)
+    g_hat = spatial_fft(problem.g, problem.grid)
     return np.repeat(g_hat, problem.quad_refine, axis=0)
 
 
@@ -239,7 +230,7 @@ def stochastic_convolution_modewise(problem: SPDEProblem, n_samples, seed,
             out_hat[:, 1:, :, k] = acc.T.reshape(n_samples, n_t - 1, m)
     if spectral:
         return out_hat
-    return _spatial_fft(out_hat, grid, inverse=True)
+    return spatial_fft(out_hat, grid, inverse=True)
 
 
 def stochastic_convolution_pathwise(problem: SPDEProblem, paths: PathSample,
@@ -268,7 +259,7 @@ def stochastic_convolution_pathwise(problem: SPDEProblem, paths: PathSample,
                                            optimize=True)
     if spectral:
         return out_hat
-    return _spatial_fft(out_hat, grid, inverse=True)
+    return spatial_fft(out_hat, grid, inverse=True)
 
 
 def refined_path_times(problem: SPDEProblem):
@@ -312,8 +303,8 @@ def mode_residual(ensemble: SolutionEnsemble, k_index: int) -> dict:
     if pb.g is not None and ensemble.paths is None:
         raise ValueError("mode residual needs a pathwise ensemble")
     grid = pb.grid
-    uhat = _spatial_fft(ensemble.samples, grid)[:, :, :, k_index]   # (n, n_t, m)
-    u0k = _spatial_fft(pb.u0.values, grid)[:, k_index]              # (m,)
+    uhat = spatial_fft(ensemble.samples, grid)[:, :, :, k_index]    # (n, n_t, m)
+    u0k = spatial_fft(pb.u0.values, grid)[:, k_index]               # (m,)
     psik = symbol_on_grid(pb.psi, 0.0, grid)[k_index]
     t = pb.times
     dt = np.diff(t)
@@ -321,7 +312,7 @@ def mode_residual(ensemble: SolutionEnsemble, k_index: int) -> dict:
     ipsi[:, 1:] = np.cumsum(psik * uhat[:, :-1] * dt[None, :, None], axis=1)
     i_f = np.zeros((pb.n_times, pb.m), dtype=complex)
     if pb.f is not None:
-        fk = _spatial_fft(pb.f, grid)[:, :, k_index]
+        fk = spatial_fft(pb.f, grid)[:, :, k_index]
         mids = 0.5 * (fk[1:] + fk[:-1]) * dt[:, None]
         i_f[1:] = np.cumsum(mids, axis=0)
     M = np.zeros_like(uhat)

@@ -31,7 +31,6 @@ class GridSpec:
     d: int
     n: int
     L: float
-    dt_quad: float | None = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -52,9 +51,6 @@ class GridSpec:
     @property
     def shape(self):
         return (self.n,) * self.d
-
-    def axis_freqs(self):
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.L / self.n)
 
     def freq_grid(self):
         """Frequencies as a flat (n^d, d) array in C-order fft layout."""
@@ -108,50 +104,39 @@ class Field:
             vals = vals[None, :]
         return cls(grid, m, vals)
 
-    def reshaped(self):
-        return self.values.reshape((self.m,) + self.grid.shape)
-
     def copy(self):
         return Field(self.grid, self.m, self.values.copy())
-
-
-@dataclass
-class OperatorField:
-    """A K-tensor-U_0 valued function: an m x J matrix per grid point."""
-
-    grid: GridSpec
-    m: int
-    J: int
-    values: np.ndarray  # complex, shape (m, J, n^d)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        expect = (self.m, self.J, self.grid.n_points)
-        if self.values.shape != expect:
-            raise ValueError(f"operator field values must have shape {expect}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("operator field must be finite")
-
-    @classmethod
-    def zeros(cls, grid, m=1, J=1):
-        return cls(grid, m, J, np.zeros((m, J, grid.n_points), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
 # transforms and multipliers
 
 
+def spatial_fft(arr, grid: GridSpec, inverse=False) -> np.ndarray:
+    """Unitary DFT over the trailing (n_points,) axis; Parseval is exact."""
+    lead = arr.shape[:-1]
+    axes = tuple(range(len(lead), len(lead) + grid.d))
+    fn = np.fft.ifftn if inverse else np.fft.fftn
+    out = fn(arr.reshape(lead + grid.shape), axes=axes, norm="ortho")
+    return out.reshape(lead + (grid.n_points,))
+
+
+def multiplier_kernel(mult, grid: GridSpec) -> np.ndarray:
+    """Convolution kernel (flat, (n_points,)) of the Fourier multiplier mult.
+
+    Scaled so that the grid Riemann sum of the kernel is mult at xi = 0.
+    """
+    vals = np.fft.ifftn(mult.reshape(grid.shape)) * (grid.n / grid.L) ** grid.d
+    return vals.reshape(-1)
+
+
 def forward_transform(field: Field) -> Field:
-    """Unitary DFT over the spatial axes (discrete Parseval is exact)."""
-    spec = np.fft.fftn(field.reshaped(), axes=tuple(range(1, field.grid.d + 1)),
-                       norm="ortho")
-    return Field(field.grid, field.m, spec.reshape(field.m, -1))
+    return Field(field.grid, field.m, spatial_fft(field.values, field.grid))
 
 
 def inverse_transform(field: Field) -> Field:
-    vals = np.fft.ifftn(field.reshaped(), axes=tuple(range(1, field.grid.d + 1)),
-                        norm="ortho")
-    return Field(field.grid, field.m, vals.reshape(field.m, -1))
+    return Field(field.grid, field.m,
+                 spatial_fft(field.values, field.grid, inverse=True))
 
 
 def symbol_on_grid(sym: SymbolSpec, t, grid: GridSpec) -> np.ndarray:
@@ -168,12 +153,8 @@ def symbol_on_grid(sym: SymbolSpec, t, grid: GridSpec) -> np.ndarray:
 
 
 def apply_multiplier(field: Field, mult: np.ndarray) -> Field:
-    shape = (field.m,) + field.grid.shape
-    axes = tuple(range(1, field.grid.d + 1))
-    spec = np.fft.fftn(field.values.reshape(shape), axes=axes, norm="ortho")
-    spec *= mult.reshape((1,) + field.grid.shape)
-    out = np.fft.ifftn(spec, axes=axes, norm="ortho")
-    return Field(field.grid, field.m, out.reshape(field.m, -1))
+    spec = spatial_fft(field.values, field.grid) * mult
+    return Field(field.grid, field.m, spatial_fft(spec, field.grid, inverse=True))
 
 
 def apply_pseudo_diff(sym: SymbolSpec, t, field: Field) -> Field:
@@ -213,11 +194,11 @@ def _simpson_weights(n_sub):
     return w / 3.0
 
 
-def symbol_time_integral(psi: SymbolSpec, t, s, grid: GridSpec, dt_quad=None):
+def symbol_time_integral(psi: SymbolSpec, t, s, grid: GridSpec):
     """int_s^t psi(r, xi) dr at every grid frequency.
 
-    Exact (t-s) * psi for time-independent symbols; composite Simpson with
-    step dt_quad (default (t-s)/64) otherwise.
+    Exact (t-s) * psi for time-independent symbols; composite Simpson on
+    64 subintervals otherwise.
     """
     if t < s:
         raise ValueError("need t >= s")
@@ -225,11 +206,7 @@ def symbol_time_integral(psi: SymbolSpec, t, s, grid: GridSpec, dt_quad=None):
         return np.zeros(grid.n_points, dtype=complex)
     if not psi.time_dependent:
         return (t - s) * symbol_on_grid(psi, 0.0, grid)
-    dt_quad = dt_quad or grid.dt_quad
-    if dt_quad is None:
-        n_sub = 64
-    else:
-        n_sub = max(2, 2 * int(np.ceil((t - s) / dt_quad / 2.0)))
+    n_sub = 64
     nodes = s + (t - s) * np.arange(n_sub + 1) / n_sub
     w = _simpson_weights(n_sub) * ((t - s) / n_sub)
     acc = np.zeros(grid.n_points, dtype=complex)
@@ -238,20 +215,20 @@ def symbol_time_integral(psi: SymbolSpec, t, s, grid: GridSpec, dt_quad=None):
     return acc
 
 
-def evolution_multiplier(psi: SymbolSpec, t, s, grid: GridSpec, dt_quad=None):
-    return np.exp(symbol_time_integral(psi, t, s, grid, dt_quad))
+def evolution_multiplier(psi: SymbolSpec, t, s, grid: GridSpec):
+    return np.exp(symbol_time_integral(psi, t, s, grid))
 
 
-def evolution_apply(psi: SymbolSpec, t, s, field: Field, dt_quad=None) -> Field:
+def evolution_apply(psi: SymbolSpec, t, s, field: Field) -> Field:
     """Apply the evolution operator from time s to time t >= s."""
     if t < s:
         raise ValueError("evolution requires t >= s")
     if t == s:
         return field.copy()
-    return apply_multiplier(field, evolution_multiplier(psi, t, s, field.grid, dt_quad))
+    return apply_multiplier(field, evolution_multiplier(psi, t, s, field.grid))
 
 
-def symbol_cumulative_integrals(psi: SymbolSpec, times, grid: GridSpec, dt_quad=None):
+def symbol_cumulative_integrals(psi: SymbolSpec, times, grid: GridSpec):
     """Cumulative integrals int_0^{t_i} psi(r, xi) dr for a sorted time list.
 
     Shared Simpson nodes per cell, so exp of differences satisfies the
@@ -260,7 +237,7 @@ def symbol_cumulative_integrals(psi: SymbolSpec, times, grid: GridSpec, dt_quad=
     times = np.asarray(times, dtype=float)
     out = np.zeros((len(times), grid.n_points), dtype=complex)
     for i in range(1, len(times)):
-        cell = symbol_time_integral(psi, times[i], times[i - 1], grid, dt_quad)
+        cell = symbol_time_integral(psi, times[i], times[i - 1], grid)
         out[i] = out[i - 1] + cell
     return out
 
@@ -274,8 +251,7 @@ def kernel_p_psi(psi: SymbolSpec, t, s, grid: GridSpec) -> Field:
     if t <= s:
         raise ValueError("kernel requires t > s")
     mult = evolution_multiplier(psi, t, s, grid)
-    vals = np.fft.ifftn(mult.reshape(grid.shape)) * (grid.n / grid.L) ** grid.d
-    return Field(grid, 1, vals.reshape(1, -1))
+    return Field(grid, 1, multiplier_kernel(mult, grid)[None, :])
 
 
 # ---------------------------------------------------------------------------

@@ -474,55 +474,6 @@ def check_mihlin(m: SymbolSpec, xi_samples=None, cap=DEFAULT_CAP,
                  "per_level_sup": per_level.tolist()})
 
 
-def check_hormander(m: SymbolSpec, lo=DEFAULT_DYADIC_LO, hi=DEFAULT_DYADIC_HI,
-                    nodes=24, cap=DEFAULT_CAP):
-    """Hormander-condition scan over dyadic annuli (d = 1 or 2).
-
-    Computes sup_R R^{-d+2|a|} int_{R<|xi|<2R} |d^a m|^2 dxi by quadrature
-    and applies the same finiteness-plus-stability verdict as the Mihlin
-    checker.
-    """
-    if m.d > 2:
-        raise NotImplementedError("annulus quadrature implemented for d <= 2")
-    radii = 2.0 ** np.arange(lo, hi + 1, dtype=float)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
-    depth = m.d // 2 + 1
-
-    def f(p):
-        return m.eval(0.0, p)
-
-    worst = -np.inf
-    worst_loc = ((0,) * m.d, np.zeros(m.d))
-    per_level = np.zeros(len(radii))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for li, R in enumerate(radii):
-            rr = R * (1.5 + 0.5 * gl_x)
-            wr = 0.5 * R * gl_w
-            if m.d == 1:
-                pts = np.concatenate([rr, -rr])[:, None]
-                wts = np.concatenate([wr, wr])
-            else:
-                ang = np.pi / nodes + np.arange(nodes) * 2.0 * np.pi / nodes
-                ca, sa = np.cos(ang), np.sin(ang)
-                pts = np.stack([np.outer(rr, ca), np.outer(rr, sa)], -1).reshape(-1, 2)
-                wts = np.outer(wr * rr, np.full(nodes, 2.0 * np.pi / nodes)).ravel()
-            for alpha in _multi_indices(m.d, depth):
-                der2 = np.abs(fd_partial(f, pts, alpha)) ** 2
-                integ = float(np.sum(np.nan_to_num(der2, nan=np.inf) * wts))
-                val = R ** (-m.d + 2 * sum(alpha)) * integ
-                per_level[li] = max(per_level[li], val)
-                if val > worst:
-                    worst, worst_loc = val, (alpha, pts[int(np.argmax(der2))])
-
-    stable = _cumulative_stable(per_level)
-    passed = bool(np.isfinite(worst) and worst <= cap and stable)
-    return MultiplierReport(
-        condition_name="hormander", worst_constant=worst,
-        worst_location=(worst_loc[0], np.asarray(worst_loc[1]).tolist()),
-        passed=passed, samples_used=len(radii) * (2 * nodes if m.d == 1 else nodes * nodes),
-        details={"stable": bool(stable), "per_level_sup": per_level.tolist()})
-
-
 def check_marcinkiewicz(m: SymbolSpec, rectangle_budget=4096,
                         lo=DEFAULT_DYADIC_LO, hi=DEFAULT_DYADIC_HI,
                         nodes_per_axis=12, cap=DEFAULT_CAP):
@@ -611,24 +562,24 @@ def empirical_multiplier_norm(m: SymbolSpec, p, trials, grid, seed):
     resampled.
     """
     from . import rng as _rng
-    from .spectral import Field, apply_multiplier, lp_norm, symbol_on_grid
+    from .spectral import (Field, apply_multiplier, lp_norm, spatial_fft,
+                           symbol_on_grid)
 
     if p <= 1:
         raise ValueError("p must exceed 1")
     gen = _rng.substream(seed, _rng.MULT_NORM)
     mult = symbol_on_grid(m, 0.0, grid)
-    n, d = grid.n, grid.d
-    shape = (n,) * d
-    keep = np.abs(np.fft.fftfreq(n, 1.0 / n)) <= n // 4
+    keep = np.abs(np.fft.fftfreq(grid.n, 1.0 / grid.n)) <= grid.n // 4
     mask = keep
-    for _ in range(d - 1):
+    for _ in range(grid.d - 1):
         mask = np.multiply.outer(mask, keep)
+    mask = mask.ravel()
     best = 0.0
     done = 0
     while done < trials:
-        raw = gen.standard_normal(shape)
-        fv = np.fft.ifftn(np.fft.fftn(raw) * mask).real.reshape(1, -1)
-        f = Field(grid, 1, fv.astype(complex))
+        raw = gen.standard_normal((1, grid.n_points))
+        fv = spatial_fft(spatial_fft(raw, grid) * mask, grid, inverse=True)
+        f = Field(grid, 1, fv.real.astype(complex))
         denom = lp_norm(f, p)
         if denom < 1e-12:
             continue

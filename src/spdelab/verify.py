@@ -17,10 +17,14 @@ from .gaussian import QSpec
 from .malliavin import ElementaryProcess, JointDesign, mixed_norm_terms
 from .reports import RatioReport
 from .solver import SPDEProblem, solve
-from .spectral import GridSpec, symbol_cumulative_integrals, symbol_on_grid
+from .spectral import (GridSpec, apply_multiplier, bessel_norm, lp_norm,
+                       multiplier_kernel, spatial_fft,
+                       symbol_cumulative_integrals, symbol_on_grid,
+                       symbol_time_integral)
 from .symbols import SymbolSpec
 
 _DU_CHUNK = 1 << 24   # float budget for the (n, P, P) derivative-norm arrays
+_DRAW_BLOCK = 2048    # draws per RNG substream block; fixes the sample stream
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -32,7 +36,7 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 def maximal_inequality_check(u: ElementaryProcess, kernel: CovarianceKernel,
                              q: QSpec, p, q_exp, n_samples, seed,
                              sup_levels=(64, 128, 256), r_exp=None,
-                             block=2048, name=None) -> RatioReport:
+                             name=None) -> RatioReport:
     """E sup_t ||int_0^t u dbeta||^p against the two mixed-norm rhs terms.
 
     The running integral is evaluated at the nodes of the canonical
@@ -54,8 +58,8 @@ def maximal_inequality_check(u: ElementaryProcess, kernel: CovarianceKernel,
         t1_acc = 0.0
         t2_acc = 0.0
         n_acc = 0
-        for bi, lo in enumerate(range(0, int(n_samples), block)):
-            nb = min(block, int(n_samples) - lo)
+        for bi, lo in enumerate(range(0, int(n_samples), _DRAW_BLOCK)):
+            nb = min(_DRAW_BLOCK, int(n_samples) - lo)
             delta = design.draw(nb, seed, block=bi)
             run = design.running_skorohod(delta)
             sup = np.max(np.sum(run ** 2, axis=2), axis=1) ** (p / 2.0)
@@ -129,10 +133,7 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
         dt = (b - a) / n_t
         X = grid.x_grid()
         fv = _sample_time_slices(f_fn, mids, X, theta)
-        shape = fv.shape[:-1] + grid.shape
-        axes = tuple(range(3, 3 + grid.d))
-        f_hat = np.fft.fftn(fv.reshape(shape), axes=axes,
-                            norm="ortho").reshape(fv.shape)
+        f_hat = spatial_fft(fv, grid)
         phim = np.real(symbol_on_grid(phi, 0.0, grid))
         cums = symbol_cumulative_integrals(psi, mids, grid)
         lhs = 0.0
@@ -140,9 +141,7 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
             inner = np.zeros(grid.n_points)
             for isr in range(it):
                 mult = phim * np.exp(cums[it] - cums[isr])
-                lf = np.fft.ifftn((mult * f_hat[isr]).reshape(shape[1:]),
-                                  axes=tuple(range(2, 2 + grid.d)),
-                                  norm="ortho").reshape(f_hat[isr].shape)
+                lf = spatial_fft(mult * f_hat[isr], grid, inverse=True)
                 hn2 = np.sum(np.abs(lf) ** 2, axis=1)          # (th, n_pts)
                 th_int = np.sum(w_th * hn2 ** (r_exp / 2.0),
                                 axis=0) ** (q_exp / r_exp)
@@ -171,8 +170,6 @@ def bessel_equivalence_check(phi: SymbolSpec, alpha, p, fields) -> dict:
     For each field, ratio = ||(1+L_phi)^{a/2} u||_p / (||u||_p +
     ||L_phi^{a/2} u||_p); reports the min (C1_hat) and max (C2_hat).
     """
-    from .spectral import apply_multiplier, bessel_norm, lp_norm
-
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     ratios = []
@@ -229,10 +226,7 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
         level_ratio = 0.0
         for f_fn in f_fns:
             fv = _sample_time_slices(f_fn, mids, X, np.array([0.5]))[:, 0]
-            shape = (n_t,) + (fv.shape[1],) + grid.shape
-            axes = tuple(range(2, 2 + grid.d))
-            f_hat = np.fft.fftn(fv.reshape(shape), axes=axes,
-                                norm="ortho").reshape(fv.shape)
+            f_hat = spatial_fft(fv, grid)
             lhs_p = 0.0
             rhs_p = 0.0
             for it in range(n_t):
@@ -248,9 +242,7 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
                         phim / psim_safe * (np.exp((t - hi) * psim)
                                             - np.exp((t - lo) * psim)))
                     acc += coef * f_hat[ic]
-                gf = np.fft.ifftn(acc.reshape(shape[1:]),
-                                  axes=tuple(range(1, 1 + grid.d)),
-                                  norm="ortho").reshape(acc.shape)
+                gf = spatial_fft(acc, grid, inverse=True)
                 lhs_p += dt * float(np.sum(np.sum(np.abs(gf) ** 2, axis=0)
                                            ** (p / 2.0))) * grid.cell_volume
                 rhs_p += dt * float(np.sum(np.sum(np.abs(fv[it]) ** 2, axis=0)
@@ -274,20 +266,15 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
 def envelope_fields(phi: SymbolSpec, psi: SymbolSpec, tau, grid: GridSpec,
                     fd_frac=0.01):
     """(|L_phi p|, |grad L_phi p|, |d/ds L_phi p|, periodic |x|) on the grid."""
-    from .spectral import symbol_time_integral
-
     def lphi_kernel(t, s):
         mult = np.real(symbol_on_grid(phi, 0.0, grid)).astype(complex) \
             * np.exp(symbol_time_integral(psi, t, s, grid))
-        vals = np.fft.ifftn(mult.reshape(grid.shape)) * (grid.n / grid.L) ** grid.d
-        return vals.reshape(-1), mult
+        return multiplier_kernel(mult, grid), mult
 
     k_vals, mult = lphi_kernel(tau, 0.0)
     freq = grid.freq_grid()
-    grads = np.stack([
-        (np.fft.ifftn((1j * freq[:, ax] * mult).reshape(grid.shape))
-         * (grid.n / grid.L) ** grid.d).reshape(-1)
-        for ax in range(grid.d)])
+    grads = np.stack([multiplier_kernel(1j * freq[:, ax] * mult, grid)
+                      for ax in range(grid.d)])
     h = fd_frac * tau
     k_plus, _ = lphi_kernel(tau - h, 0.0)     # s -> s + h
     k_minus, _ = lphi_kernel(tau + h, 0.0)
@@ -361,10 +348,7 @@ def _bessel_mult(phi, grid, alpha):
 
 def _lp_of_hat(values_hat, grid, p, comp_axes):
     """L^p norm from spectral values: ifft then Riemann; (... batch dims)."""
-    lead = values_hat.shape[:-1]
-    axes = tuple(range(len(lead), len(lead) + grid.d))
-    vals = np.fft.ifftn(values_hat.reshape(lead + grid.shape), axes=axes,
-                        norm="ortho").reshape(lead + (grid.n_points,))
+    vals = spatial_fft(values_hat, grid, inverse=True)
     ptw = np.sqrt(np.sum(np.abs(vals) ** 2, axis=comp_axes))
     return (np.sum(ptw ** p, axis=-1) * grid.cell_volume) ** (1.0 / p)
 
@@ -389,10 +373,7 @@ def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
     alpha_0 = s_ratio * (1.0 - 1.0 / p)
 
     ens = solve(pb, int(n_samples), seed, estimator=estimator)
-    u_hat = np.fft.fftn(
-        ens.samples.reshape(ens.samples.shape[:-1] + grid.shape),
-        axes=tuple(range(3, 3 + grid.d)), norm="ortho",
-    ).reshape(ens.samples.shape)
+    u_hat = spatial_fft(ens.samples, grid)
 
     # E int_0^T ||u||^p at order alpha_u (trapezoid in t, mean over draws)
     mu = _bessel_mult(pb.phi, grid, alpha_u)
@@ -407,9 +388,7 @@ def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
     else:
         du_hat = psim[None, None, None, :] * u_hat
     if pb.f is not None:
-        f_hat = np.fft.fftn(pb.f.reshape(pb.f.shape[:-1] + grid.shape),
-                            axes=tuple(range(2, 2 + grid.d)),
-                            norm="ortho").reshape(pb.f.shape)
+        f_hat = spatial_fft(pb.f, grid)
         du_hat = du_hat + f_hat[None]
     norms_du = _lp_of_hat(du_hat, grid, p, comp_axes=2)
     term_du = float(np.mean(_trapz(norms_du ** p, pb.times, axis=1))) ** (1.0 / p)
@@ -417,17 +396,13 @@ def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
     # Su = g at order alpha_g; deterministic g => exact step-in-time integral
     if pb.g is not None:
         mg = _bessel_mult(pb.phi, grid, alpha_g)
-        g_hat = np.fft.fftn(pb.g.reshape(pb.g.shape[:-1] + grid.shape),
-                            axes=tuple(range(3, 3 + grid.d)),
-                            norm="ortho").reshape(pb.g.shape)
+        g_hat = spatial_fft(pb.g, grid)
         norms_g = _lp_of_hat(g_hat * mg, grid, p, comp_axes=(1, 2))  # (n_t-1,)
         term_g = float(np.sum(norms_g ** p * np.diff(pb.times))) ** (1.0 / p)
     else:
         term_g = 0.0
 
-    u0_hat = np.fft.fftn(pb.u0.values.reshape((pb.m,) + grid.shape),
-                         axes=tuple(range(1, 1 + grid.d)),
-                         norm="ortho").reshape(pb.m, -1)
+    u0_hat = spatial_fft(pb.u0.values, grid)
     m0 = _bessel_mult(pb.phi, grid, alpha_0)
     term_0 = float(_lp_of_hat((u0_hat * m0)[None], grid, p, comp_axes=1)[0])
 

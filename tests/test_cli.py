@@ -70,6 +70,22 @@ def test_unknown_u0_kind_exits_2(tmp_path):
                      "--out", str(tmp_path / "r")]) == 2
 
 
+@pytest.mark.parametrize("params", [
+    {"psi": "nosuch"},
+    {"n_samples": "abc"},
+    {"grid": {"n": 30}},
+    {"kernel": {"name": "fbm", "H": 0.3}},
+    {"n_samples": 0, "g": "constant"},
+])
+def test_bad_simulate_param_exits_2(tmp_path, capsys, params):
+    cfg = _write_cfg(tmp_path, "bad.json", {"params": params})
+    assert cli.main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+    assert not (tmp_path / "r" / "simulate.csv").exists()
+
+
 def test_seed_override_changes_hash_out_does_not(tmp_path):
     cfg = _write_cfg(tmp_path, "cfg.json", {"seed": 5, "output_dir": "a"})
     base = cli.load_config("kernels", path=cfg)

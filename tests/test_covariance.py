@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from spdelab.battery import kernel_battery
 from spdelab.covariance import (
     apply_KR_cells,
     builtin_kernel,
     check_R2,
     cholesky_psd,
+    cross_increments,
     gram_matrix,
     increment_gram,
     rectangle_increment,
@@ -53,6 +55,19 @@ def test_bessel_density_closed_form_and_mass():
         assert k.density(u, 0.0) == pytest.approx(
             oracles.bessel_density_closed(0.5, u), rel=1e-8)
     assert oracles.bessel_mass_quad(0.5) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("kernel", kernel_battery(), ids=lambda k: k.name)
+def test_cross_increments_match_rectangle_increment(kernel):
+    # two different partitions: every entry is one rectangle increment
+    a = np.array([0.0, 0.2, 0.55, 1.0])
+    b = np.array([0.1, 0.3, 0.7, 0.9, 1.2])
+    got = cross_increments(kernel, a, b)
+    assert got.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            want = rectangle_increment(kernel, (a[i], a[i + 1]), (b[j], b[j + 1]))
+            assert got[i, j] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_wiener_increment_gram_diagonal():

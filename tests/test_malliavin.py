@@ -269,7 +269,7 @@ def test_d1p_norm_deterministic_wiener():
     u = ElementaryProcess([(constant_functional(phi, 1.0), k, phi)])
     # |H|-norm of a deterministic k phi under wiener is |k| ||phi||_{L^2}
     want = 2.0 * phi.l_r_norm(2.0)
-    got = d1p_norm(u, WIENER, p=2.0, r_exp=2.0, n_samples=64, seed=1)
+    got = d1p_norm(u, WIENER, p=2.0, n_samples=64, seed=1)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -287,5 +287,5 @@ def test_d1p_norm_abs_pairing_fbm():
                          - R(bp[a], bp[b + 1]) + R(bp[a], bp[b]))
     mags = np.array([1.0, 2.0])
     want = float(mags @ inc @ mags) ** 0.5
-    got = d1p_norm(u, FBM, p=2.0, r_exp=2.0, n_samples=64, seed=1)
+    got = d1p_norm(u, FBM, p=2.0, n_samples=64, seed=1)
     assert got == pytest.approx(want, rel=1e-10)

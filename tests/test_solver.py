@@ -152,10 +152,10 @@ def test_estimators_match_ito_mode_variance():
     pb = _problem(times=times, u0=Field.zeros(GRID), g=g)
     want = oracles.ito_mode_variance(-float(k * k), 1.0, 0.5)
     n = 4000
-    from spdelab.solver import _spatial_fft
+    from spdelab.spectral import spatial_fft
     for est in ("modewise", "pathwise"):
         ens = solve(pb, n, seed=7, estimator=est)
-        uhat = _spatial_fft(ens.samples, GRID)
+        uhat = spatial_fft(ens.samples, GRID)
         # physical mode amplitude: undo the unitary-FFT sqrt(n) factor
         mode = uhat[:, -1, 0, k] / np.sqrt(GRID.n)
         var = float(np.mean(np.abs(mode) ** 2))

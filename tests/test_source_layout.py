@@ -1,0 +1,31 @@
+"""Each numerical primitive has exactly one implementation in the package.
+
+The unitary DFT lives in ``spectral`` (``spatial_fft``, plus the
+unnormalized ``multiplier_kernel``); rectangle increments of R live in
+``covariance.cross_increments``.  A new copy elsewhere fails here.
+"""
+
+import re
+from pathlib import Path
+
+import spdelab
+
+SOURCES = {p.name: p.read_text(encoding="utf-8")
+           for p in sorted(Path(spdelab.__file__).parent.glob("*.py"))}
+
+
+def test_fftn_only_in_spectral():
+    hits = sorted({name for name, text in SOURCES.items()
+                   if re.search(r"np\.fft\.i?fftn\b", text)})
+    assert hits == ["spectral.py"]
+
+
+def test_rectangle_increment_only_in_cross_increments():
+    pattern = re.compile(r"\[1:,\s*1:\]\s*-\s*\w+\[1:,\s*:-1\]")
+    hits = [(name, m.start()) for name, text in SOURCES.items()
+            for m in pattern.finditer(text)]
+    assert [name for name, _ in hits] == ["covariance.py"]
+    text = SOURCES["covariance.py"]
+    start = text.index("def cross_increments(")
+    end = text.index("\ndef ", start + 1)
+    assert start < hits[0][1] < end

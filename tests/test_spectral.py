@@ -21,6 +21,7 @@ from spdelab.spectral import (
     inverse_transform,
     kernel_p_psi,
     lp_norm,
+    spatial_fft,
     symbol_cumulative_integrals,
     symbol_on_grid,
     symbol_time_integral,
@@ -52,6 +53,20 @@ def test_parseval_roundtrip(seed, d):
     assert np.allclose(back.values, f.values, atol=1e-12)
     assert np.sum(np.abs(spec.values) ** 2) == pytest.approx(
         np.sum(np.abs(f.values) ** 2))
+
+
+def test_spatial_fft_over_trailing_axis():
+    # batch axes lead, the d = 2 grid is the flattened trailing axis
+    grid = GridSpec(d=2, n=8, L=3.0)
+    gen = np.random.default_rng(1)
+    arr = gen.standard_normal((2, 3, grid.n_points)) \
+        + 1j * gen.standard_normal((2, 3, grid.n_points))
+    want = np.fft.fftn(arr.reshape(2, 3, 8, 8), axes=(2, 3), norm="ortho")
+    spec = spatial_fft(arr, grid)
+    assert spec.shape == arr.shape
+    assert np.array_equal(spec, want.reshape(2, 3, -1))
+    back = spatial_fft(spec, grid, inverse=True)
+    assert np.allclose(back, arr, atol=1e-13)
 
 
 def test_symbol_at_zero_rule():
