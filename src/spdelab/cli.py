@@ -32,7 +32,7 @@ from .gaussian import QSpec
 from .malliavin import skorohod_moment_check
 from .reports import _plain
 from .solver import SPDEProblem, ensemble_summary_rows, solve
-from .spectral import Field, GridSpec
+from .spectral import Field, GridSpec, check_grid_size
 from .symbols import builtin_symbol, check_marcinkiewicz, check_mihlin
 from .verify import (
     apriori_refinement,
@@ -178,8 +178,26 @@ def _param(params, key, default, kind=float, least=None):
 def _levels(params):
     """The (n, n_t) refinement levels of the operator and a-priori checks."""
     with _schema_errors("param 'levels'"):
-        return [(int(n), int(n_t)) for n, n_t in
-                params.get("levels", [[32, 16], [64, 32], [128, 64]])]
+        levels = [(int(n), int(n_t)) for n, n_t in
+                  params.get("levels", [[32, 16], [64, 32], [128, 64]])]
+        if not levels:
+            raise ValueError("need at least one level")
+        for n, n_t in levels:
+            check_grid_size(n)
+            if n_t < 1:
+                raise ValueError(f"n_t must be >= 1, got {n_t}")
+        return levels
+
+
+def _sup_levels(params):
+    """The sup-level refinements of verify-maximal: a non-empty integer list."""
+    levels = params.get("sup_levels", [64, 128, 256])
+    if not (isinstance(levels, list) and levels and all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= 1
+            for v in levels)):
+        raise SchemaError("param 'sup_levels' must be a non-empty list of "
+                          f"integers >= 1, got {levels!r}")
+    return tuple(levels)
 
 
 def _make_grid(cfg, default_n=32, default_d=1):
@@ -214,6 +232,9 @@ def _forcing_arrays(params, grid, times, m, J):
         raise SchemaError(f"unknown f kind {f_kind!r}")
     g = None
     if g_kind == "constant":
+        if J < 1:
+            raise SchemaError("g 'constant' needs at least one noise mode "
+                              "(param 'lambdas' is empty)")
         fac = 1.0 / (1.0 + np.arange(J))
         g = np.tile(bump[None, None, None, :], (len(times) - 1, m, J, 1)) \
             * fac[None, None, :, None]
@@ -313,7 +334,7 @@ def _run_verify_maximal(cfg: RunConfig):
     rep = maximal_inequality_check(
         procs[pname], kern, QSpec((1.0,) * J), _param(p, "p", 2.0),
         _param(p, "q_exp", 2.0), _param(p, "n_samples", 4096, int, least=1),
-        cfg.seed, sup_levels=tuple(p.get("sup_levels", (64, 128, 256))),
+        cfg.seed, sup_levels=_sup_levels(p),
         name=f"maximal[{pname}/{kern.name}]")
     return _ratio_result(rep, "level")
 

@@ -147,8 +147,14 @@ class JointDesign:
 
     Drawing all of beta(phi_i) and beta(h_{i,l}) from the same increment
     vector keeps their correlations exact, which the Skorohod formula needs.
-    The design also exposes the per-cell refined coefficients used by the
-    running-integral and mixed-norm machinery.
+
+    Two partitions are kept.  The fine one (`partition`, with `inc_gram`,
+    `phi_ref`, `H_ref`: every breakpoint plus `extra_times`) carries the
+    draws and the running integral; it exists only so that the running sup
+    is taken at the extra times.  The mixed norms live on the process's own
+    partition (the `coarse_*` attributes: its breakpoints plus 0 and T), on
+    which every integrand is constant, so they are exact there and do not
+    grow with the fine one.
     """
 
     def __init__(self, process: ElementaryProcess, kernel: CovarianceKernel,
@@ -165,17 +171,25 @@ class JointDesign:
             fns.extend(F.directions)
         extra = tuple(extra_times) + (0.0, process.T)
         self.partition = canonical_partition(fns, extra_times=extra)
-        self.cells = np.diff(self.partition)
         self.inc_gram = increment_gram(kernel, self.partition)
         self.chol = cholesky_psd(self.inc_gram)
-        self.P = len(self.cells)
-        self.phi_ref = [phi.refine(self.partition) for _, _, phi in process.terms]
-        self.H_ref = [sum_step(F.directions, self.partition).coeffs
-                      for F, _, _ in process.terms]
+        self.P = len(self.partition) - 1
+        self.phi_ref, self.H_ref = self._refined(self.partition)     # (I, P, J)
+        coarse = canonical_partition(fns, extra_times=(0.0, process.T))
+        self.coarse_widths = np.diff(coarse)
+        self.coarse_gram = increment_gram(kernel, coarse)
+        self.coarse_phi, self.coarse_H = self._refined(coarse)       # (I, Pc, J)
         self.K = np.stack([k for _, k, _ in process.terms])        # (I, m)
         self.k_gram = self.K @ self.K.T
         self.ip_phi_phi = self._ip_matrix(self.phi_ref, self.phi_ref)
         self.ip_H_phi = self._ip_matrix(self.H_ref, self.phi_ref)
+
+    def _refined(self, partition):
+        """phi_i and H_i = sum_l h_{i,l} refined on `partition`, stacked over i."""
+        terms = self.process.terms
+        return (np.stack([phi.refine(partition) for _, _, phi in terms]),
+                np.stack([sum_step(F.directions, partition).coeffs
+                          for F, _, _ in terms]))
 
     def _ip_matrix(self, A, B):
         out = np.empty((len(A), len(B)))
@@ -246,18 +260,21 @@ class JointDesign:
     # -- per-draw norms ----------------------------------------------------
 
     def u_cell_norms(self, Fv):
-        """(n, P): the K-tensor-U_0 norm of u on each cell, per draw."""
-        sq = np.einsum("ni,nj,ij,ipk,jpk->np", Fv, Fv, self.k_gram,
-                       np.stack(self.phi_ref), np.stack(self.phi_ref),
+        """(n, Pc): the K-tensor-U_0 norm of u per draw, on each cell of the
+        process's own partition, where u is constant in time (the fine
+        `partition` serves only the running sup)."""
+        Phi = self.coarse_phi
+        sq = np.einsum("ni,nj,ij,ipk,jpk->np", Fv, Fv, self.k_gram, Phi, Phi,
                        optimize=True)
         return np.sqrt(np.maximum(sq, 0.0))
 
     def du_cell_norms(self, dv):
-        """(n, Ptheta, Ps): norms of D_theta u_s on cell pairs, per draw."""
-        H = np.stack(self.H_ref)          # (I, P, J)
-        Phi = np.stack(self.phi_ref)      # (I, P, J)
-        A = np.einsum("ipj,kpj->ikp", H, H)      # (I, I, Ptheta)
-        B = np.einsum("ipj,kpj->ikp", Phi, Phi)  # (I, I, Ps)
+        """(n, Pc_theta, Pc_s): norms of D_theta u_s per draw, on cell pairs
+        of the process's own partition, where D_theta u_s is constant (the
+        fine `partition` serves only the running sup)."""
+        H, Phi = self.coarse_H, self.coarse_phi
+        A = np.einsum("ipj,kpj->ikp", H, H)      # (I, I, Pc_theta)
+        B = np.einsum("ipj,kpj->ikp", Phi, Phi)  # (I, I, Pc_s)
         sq = np.einsum("ni,nk,ik,ikp,ikq->npq", dv, dv, self.k_gram, A, B,
                        optimize=True)
         return np.sqrt(np.maximum(sq, 0.0))
@@ -265,14 +282,14 @@ class JointDesign:
     def abs_h_norm_u(self, Fv):
         """(n,): the |H|-norm of u per draw (rectangle sum on cell norms)."""
         M = self.u_cell_norms(Fv)
-        sq = np.einsum("np,nq,pq->n", M, M, self.inc_gram, optimize=True)
+        sq = np.einsum("np,nq,pq->n", M, M, self.coarse_gram, optimize=True)
         return np.sqrt(np.maximum(sq, 0.0))
 
     def abs_hh_norm_du(self, dv):
         """(n,): the |H| tensor |H| norm of D^beta u per draw."""
         N = self.du_cell_norms(dv)
-        sq = np.einsum("npq,nrs,pr,qs->n", N, N, self.inc_gram, self.inc_gram,
-                       optimize=True)
+        G = self.coarse_gram
+        sq = np.einsum("npq,nrs,pr,qs->n", N, N, G, G, optimize=True)
         return np.sqrt(np.maximum(sq, 0.0))
 
     def h_norm_sq_u(self, Fv):
@@ -386,16 +403,16 @@ def mixed_norm_terms(design: JointDesign, delta, p, q_exp, r_exp):
 
     Returns (E (int ||u||^q ds)^{p/q},
              E (int (int ||D_theta u_s||^r dtheta)^{q/r} ds)^{p/q});
-    time integrals are exact piecewise sums over the canonical partition.
+    time integrals are exact piecewise sums over the process's own partition.
     """
     Fv, dv, _ = design.functional_values(delta)
-    cells = design.cells
-    M = design.u_cell_norms(Fv)                       # (n, P)
+    cells = design.coarse_widths
+    M = design.u_cell_norms(Fv)                       # (n, Pc)
     term1 = np.mean(np.sum(M ** q_exp * cells[None, :], axis=1) ** (p / q_exp))
     if not np.any(dv):
-        # deterministic integrand: no derivative term, skip the (n, P, P) work
+        # deterministic integrand: D u = 0, so the second term is exactly 0
         return float(term1), 0.0
-    N = design.du_cell_norms(dv)                      # (n, Pth, Ps)
+    N = design.du_cell_norms(dv)                      # (n, Pc_theta, Pc_s)
     inner = np.sum(N ** r_exp * cells[None, :, None], axis=1) ** (q_exp / r_exp)
     term2 = np.mean(np.sum(inner * cells[None, :], axis=1) ** (p / q_exp))
     return float(term1), float(term2)

@@ -24,6 +24,12 @@ from .errors import SymbolDomainError
 from .symbols import SymbolSpec
 
 
+def check_grid_size(n):
+    """Raise ValueError unless n, points per grid axis, is a power of two >= 4."""
+    if n < 4 or (n & (n - 1)) != 0:
+        raise ValueError("n must be a power of two, at least 4")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic grid: d axes, n points per axis (power of two), period L."""
@@ -35,8 +41,7 @@ class GridSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.n < 4 or (self.n & (self.n - 1)) != 0:
-            raise ValueError("n must be a power of two, at least 4")
+        check_grid_size(self.n)
         if not self.L > 0:
             raise ValueError("L must be positive")
 

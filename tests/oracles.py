@@ -93,6 +93,54 @@ def ito_mode_variance(psi_k, ghat_sq, t):
 
 
 # ---------------------------------------------------------------------------
+# Malliavin mixed norms, dense on the fine partition
+#
+# The library evaluates these on the process's own partition; here every
+# cell of design.partition (breakpoints plus the sup-level times) is kept.
+
+
+def u_cell_norms_fine(design, Fv):
+    """(n, P): ||u_s|| per draw on every fine cell."""
+    Phi = np.stack(design.phi_ref)
+    sq = np.einsum("ni,nj,ij,ipk,jpk->np", Fv, Fv, design.k_gram, Phi, Phi,
+                   optimize=True)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def du_cell_norms_fine(design, dv):
+    """(n, P, P): ||D_theta u_s|| per draw on every fine cell pair."""
+    H = np.stack(design.H_ref)
+    Phi = np.stack(design.phi_ref)
+    A = np.einsum("ipj,kpj->ikp", H, H)
+    B = np.einsum("ipj,kpj->ikp", Phi, Phi)
+    sq = np.einsum("ni,nk,ik,ikp,ikq->npq", dv, dv, design.k_gram, A, B,
+                   optimize=True)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def mixed_norm_terms_fine(design, delta, p, q_exp, r_exp):
+    """The two maximal-inequality rhs terms as Riemann sums on fine cells."""
+    Fv, dv, _ = design.functional_values(delta)
+    cells = np.diff(design.partition)
+    M = u_cell_norms_fine(design, Fv)
+    term1 = np.mean(np.sum(M ** q_exp * cells, axis=1) ** (p / q_exp))
+    N = du_cell_norms_fine(design, dv)
+    inner = np.sum(N ** r_exp * cells[None, :, None], axis=1) ** (q_exp / r_exp)
+    term2 = np.mean(np.sum(inner * cells, axis=1) ** (p / q_exp))
+    return float(term1), float(term2)
+
+
+def abs_norms_fine(design, Fv, dv):
+    """(|H| norm of u, |H| x |H| norm of D u) per draw, on fine cell pairs."""
+    M = u_cell_norms_fine(design, Fv)
+    N = du_cell_norms_fine(design, dv)
+    G = design.inc_gram
+    su = np.einsum("np,nq,pq->n", M, M, G, optimize=True)
+    sd = np.einsum("npq,nrs,pr,qs->n", N, N, G, G, optimize=True)
+    return np.sqrt(np.maximum(su, 0.0)), np.sqrt(np.maximum(sd, 0.0))
+
+
+# ---------------------------------------------------------------------------
 # Gaussian moment constants (standard normal Z, derived by Isserlis)
 #
 # E Z^4 = 3, E Z^6 = 15, E Z^8 = 105

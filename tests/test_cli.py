@@ -86,6 +86,33 @@ def test_bad_simulate_param_exits_2(tmp_path, capsys, params):
     assert not (tmp_path / "r" / "simulate.csv").exists()
 
 
+def _assert_rejected(tmp_path, capsys, command, params):
+    cfg = _write_cfg(tmp_path, "bad.json", {"params": params})
+    assert cli.main([command, "--config", cfg,
+                     "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+    assert not (tmp_path / "r" / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("levels", [[], [0], ["a"], 64, [-4]])
+def test_bad_sup_levels_exit_2(tmp_path, capsys, levels):
+    _assert_rejected(tmp_path, capsys, "verify-maximal",
+                     {"n_samples": 10, "sup_levels": levels})
+
+
+@pytest.mark.parametrize("levels", [[[30, 16]], [[32, 0]], []])
+@pytest.mark.parametrize("command", ["verify-lp", "verify-goperator",
+                                     "verify-apriori"])
+def test_bad_levels_exit_2(tmp_path, capsys, command, levels):
+    _assert_rejected(tmp_path, capsys, command, {"levels": levels})
+
+
+def test_noise_without_modes_exits_2(tmp_path, capsys):
+    _assert_rejected(tmp_path, capsys, "simulate",
+                     {"lambdas": [], "g": "constant"})
+
+
 def test_seed_override_changes_hash_out_does_not(tmp_path):
     cfg = _write_cfg(tmp_path, "cfg.json", {"seed": 5, "output_dir": "a"})
     base = cli.load_config("kernels", path=cfg)

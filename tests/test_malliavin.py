@@ -263,6 +263,47 @@ def test_mixed_norm_terms_deterministic():
     assert t1 == pytest.approx(want, rel=1e-12)
 
 
+def _sup_level_design(proc, kernel, level=64):
+    q = QSpec((1.0,) * proc.terms[0][2].J)
+    return JointDesign(proc, kernel, q,
+                       extra_times=np.linspace(0.0, proc.T, level + 1))
+
+
+@pytest.mark.parametrize("case", skorohod_battery(), ids=lambda c: c[0])
+def test_mixed_norm_terms_match_fine_oracle(case):
+    _, proc, kernel = case
+    design = _sup_level_design(proc, kernel)
+    delta = design.draw(200, seed=11)
+    r = float(kernel.r_exp)
+    got = mixed_norm_terms(design, delta, 4.0, 2.0, r)
+    want = oracles.mixed_norm_terms_fine(design, delta, 4.0, 2.0, r)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("case", skorohod_battery(), ids=lambda c: c[0])
+def test_abs_norms_ignore_extra_times(case):
+    _, proc, kernel = case
+    plain = JointDesign(proc, kernel, QSpec((1.0,) * proc.terms[0][2].J))
+    fine = _sup_level_design(proc, kernel)
+    Fv, dv, _ = plain.functional_values(plain.draw(100, seed=13))
+    want_u, want_du = oracles.abs_norms_fine(fine, Fv, dv)
+    for design in (plain, fine):
+        assert np.allclose(design.abs_h_norm_u(Fv), want_u,
+                           rtol=1e-12, atol=0.0)
+        assert np.allclose(design.abs_hh_norm_du(dv), want_du,
+                           rtol=1e-12, atol=0.0)
+
+
+def test_du_cell_norms_do_not_grow_with_level():
+    _, proc, kernel = skorohod_battery()[1]          # linear-exact/wiener
+    shapes = set()
+    for level in (16, 64, 256):
+        design = _sup_level_design(proc, kernel, level)
+        _, dv, _ = design.functional_values(design.draw(4, seed=1))
+        shapes.add(design.du_cell_norms(dv).shape[1:])
+    assert len(shapes) == 1
+
+
 def test_d1p_norm_deterministic_wiener():
     phi = _phi()
     k = np.array([2.0])
