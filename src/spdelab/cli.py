@@ -7,8 +7,9 @@ is embedded in every artifact so results stay attributable.  Reruns with
 the same config and seed write byte-identical CSV/JSON (plots are
 content-deterministic but excluded from the byte guarantee).  Exit code:
 0 all checks passed, 1 a check failed (report still written), 2 bad
-config.  ``SPDELAB_THREADS`` (or ``TOOL_THREADS``) caps battery-level
-parallelism; artifact writes stay serialized in the main thread.
+config, including a config that violates a check's hypotheses or a
+symbol's class.  ``SPDELAB_THREADS`` caps battery-level parallelism;
+artifact writes stay serialized in the main thread.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 
 from . import battery
 from .covariance import builtin_kernel
-from .errors import SchemaError, SpdelabError
+from .errors import (HypothesisViolationError, SchemaError, SpdelabError,
+                     SymbolClassError)
 from .gaussian import QSpec
 from .malliavin import skorohod_moment_check
 from .reports import _plain
@@ -125,11 +127,8 @@ def load_config(command, path=None, seed=None, out=None) -> RunConfig:
 
 
 def _threads():
-    for var in ("SPDELAB_THREADS", "TOOL_THREADS"):
-        val = os.environ.get(var)
-        if val:
-            return max(1, int(val))
-    return None
+    val = os.environ.get("SPDELAB_THREADS")
+    return max(1, int(val)) if val else None
 
 
 def _map_jobs(fn, items):
@@ -175,14 +174,20 @@ def _param(params, key, default, kind=float, least=None):
     return val
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _levels(params):
     """The (n, n_t) refinement levels of the operator and a-priori checks."""
     with _schema_errors("param 'levels'"):
-        levels = [(int(n), int(n_t)) for n, n_t in
+        levels = [(n, n_t) for n, n_t in
                   params.get("levels", [[32, 16], [64, 32], [128, 64]])]
         if not levels:
             raise ValueError("need at least one level")
         for n, n_t in levels:
+            if not (_is_int(n) and _is_int(n_t)):
+                raise ValueError(f"levels must be integer pairs, got {[n, n_t]}")
             check_grid_size(n)
             if n_t < 1:
                 raise ValueError(f"n_t must be >= 1, got {n_t}")
@@ -192,9 +197,8 @@ def _levels(params):
 def _sup_levels(params):
     """The sup-level refinements of verify-maximal: a non-empty integer list."""
     levels = params.get("sup_levels", [64, 128, 256])
-    if not (isinstance(levels, list) and levels and all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 1
-            for v in levels)):
+    if not (isinstance(levels, list) and levels
+            and all(_is_int(v) and v >= 1 for v in levels)):
         raise SchemaError("param 'sup_levels' must be a non-empty list of "
                           f"integers >= 1, got {levels!r}")
     return tuple(levels)
@@ -294,13 +298,15 @@ def _run_simulate(cfg: RunConfig):
     pb = _build_problem(cfg.params)
     ens = solve(pb, _param(cfg.params, "n_samples", 32, int, least=1), cfg.seed,
                 estimator=cfg.params.get("estimator", "modewise"))
+    summary = ensemble_summary_rows(ens)
     rows = [{"t": t, "mean_l2": mf, "total_variance": tv, "mean_sup": ms}
-            for (t, mf, tv, ms) in ensemble_summary_rows(ens)]
+            for (t, mf, tv, ms) in summary]
     report = {"estimator": ens.estimator, "n_samples": ens.n_samples,
               "n_times": pb.n_times, "grid_n": pb.grid.n, "m": pb.m,
               "kernel": pb.kernel.name, "rows": rows}
     trace = [(r["t"], r["total_variance"]) for r in rows]
-    return True, report, rows, ("t", "total variance", trace)
+    passed = bool(np.all(np.isfinite(summary)))
+    return passed, report, rows, ("t", "total variance", trace)
 
 
 def _run_verify_skorohod(cfg: RunConfig):
@@ -423,6 +429,9 @@ def _run_verify_goperator(cfg: RunConfig):
     p = cfg.params
     phi = _build(builtin_symbol, p.get("phi"), _PHI_1D)
     psi = _build(builtin_symbol, p.get("psi"), _PSI_1D)
+    if psi.time_dependent:
+        raise SchemaError("verify-goperator needs a time-independent psi, "
+                          f"got {psi.name!r}")
     a, b = _param(p, "a", 0.0), _param(p, "b", 1.0)
     box = _param(p, "box", 2.0 * np.pi)
     rep = g_operator_check(
@@ -586,7 +595,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(config)
-    except SchemaError as exc:
+    except (SchemaError, HypothesisViolationError, SymbolClassError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SpdelabError as exc:

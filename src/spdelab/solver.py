@@ -24,7 +24,8 @@ import numpy as np
 
 from . import rng as _rng
 from .covariance import CovarianceKernel, cholesky_psd, increment_gram
-from .errors import AlignmentError, HypothesisViolationError
+from .errors import (AlignmentError, HypothesisViolationError,
+                     SymbolClassError)
 from .gaussian import PathSample, QSpec, sample_paths
 from .spectral import (Field, GridSpec, spatial_fft,
                        symbol_cumulative_integrals, symbol_on_grid)
@@ -39,7 +40,9 @@ class SPDEProblem:
 
     f holds node values on the solution grid, shape (n_times, m, n_points);
     g holds cell values (constant on (t_c, t_{c+1}]), shape
-    (n_times-1, m, J, n_points).  Either may be None.
+    (n_times-1, m, J, n_points).  Either may be None.  psi must keep
+    Re psi <= 0 on the grid at every solution time (the class-S sign),
+    else SymbolClassError.
     """
 
     psi: SymbolSpec
@@ -81,6 +84,12 @@ class SPDEProblem:
                 raise ValueError(f"g must have shape {want}")
         if self.quad_refine < 1:
             raise ValueError("quad_refine must be >= 1")
+        # class S needs Re psi <= 0; a growing mode gives inf/NaN downstream
+        for t in self.times if self.psi.time_dependent else self.times[:1]:
+            if np.any(np.real(symbol_on_grid(self.psi, t, self.grid)) > 0):
+                raise SymbolClassError(
+                    f"psi {self.psi.name!r} has Re psi > 0 on the grid at "
+                    f"t={t}; class S needs Re psi <= 0")
 
     @property
     def grid(self) -> GridSpec:

@@ -24,8 +24,15 @@ from .spectral import (GridSpec, apply_multiplier, bessel_norm, lp_norm,
 from .symbols import SymbolSpec
 
 _DRAW_BLOCK = 2048    # draws per RNG substream block; fixes the sample stream
+_LP_BLOCK = 8192      # complex values per square-function transform; bounds memory
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
+
+
+def _lp_power(vals, grid, p, comp_axes):
+    """Riemann sum of |v(x)|^p over the trailing grid axis, |.| over comp_axes."""
+    return np.sum(np.sum(np.abs(vals) ** 2, axis=comp_axes) ** (p / 2.0),
+                  axis=-1) * grid.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +123,11 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
     rhs: int_t [ int (int ||f||^p dx)^{r/p} dtheta ]^{p/r}.
     Midpoint rule in t and s (s strictly below t), counting measure with
     weight 1/n_theta in theta; n_theta = 1 collapses to the scalar form.
+
+    For each t the earlier cells s go through one inverse transform per
+    block of `_LP_BLOCK` complex values, and the s-sum runs in order of s.
+    The blocks bound the transient arrays, which would otherwise grow with
+    n_t times the field size.
     """
     if not (q_exp >= max(2.0, r_exp)) or not (p >= q_exp):
         raise HypothesisViolationError(
@@ -134,21 +146,25 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
         f_hat = spatial_fft(fv, grid)
         phim = np.real(symbol_on_grid(phi, 0.0, grid))
         cums = symbol_cumulative_integrals(psi, mids, grid)
+        rows = max(1, _LP_BLOCK // f_hat[0].size)
         lhs = 0.0
         for it in range(1, n_t):
             inner = np.zeros(grid.n_points)
-            for isr in range(it):
-                mult = phim * np.exp(cums[it] - cums[isr])
-                lf = spatial_fft(mult * f_hat[isr], grid, inverse=True)
-                hn2 = np.sum(np.abs(lf) ** 2, axis=1)          # (th, n_pts)
+            for lo in range(0, it, rows):
+                s = slice(lo, min(lo + rows, it))
+                mult = phim * np.exp(cums[it] - cums[s])         # (block, n_pts)
+                lf = spatial_fft(mult[:, None, None] * f_hat[s], grid,
+                                 inverse=True)
+                hn2 = np.sum(np.abs(lf) ** 2, axis=2)        # (block, th, n_pts)
                 th_int = np.sum(w_th * hn2 ** (r_exp / 2.0),
-                                axis=0) ** (q_exp / r_exp)
-                inner += dt * (mids[it] - mids[isr]) ** wpow * th_int
+                                axis=1) ** (q_exp / r_exp)
+                terms = (dt * (mids[it] - mids[s]) ** wpow)[:, None] * th_int
+                # a reduction over rows adds them one by one, in order of s
+                inner = np.sum(np.vstack((inner, terms)), axis=0)
             lhs += dt * float(np.sum(inner ** (p / q_exp))) * grid.cell_volume
         rhs = 0.0
-        for ic in range(n_t):
-            xn = np.sum(np.sum(np.abs(fv[ic]) ** 2, axis=1) ** (p / 2.0),
-                        axis=-1) * grid.cell_volume                    # (th,)
+        for f_cell in fv:
+            xn = _lp_power(f_cell, grid, p, comp_axes=1)                # (th,)
             rhs += dt * float(np.sum(w_th * xn ** (r_exp / p))) ** (p / r_exp)
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
         trace.append((float(n), float(ratio)))
@@ -194,6 +210,13 @@ def bessel_equivalence_check(phi: SymbolSpec, alpha, p, fields) -> dict:
 # the G operator
 
 
+def _phi_exp_integral(h, phim, psim):
+    """int_0^h phi e^{u psi} du per mode, exact; phi h where psi = 0."""
+    small = np.abs(psim) < 1e-14
+    return np.where(small, phim * h,
+                    phim * np.expm1(h * psim) / np.where(small, 1.0, psim))
+
+
 def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
                      levels=((32, 16), (64, 32), (128, 64)),
                      a=0.0, b=1.0, box=2 * np.pi, name=None) -> RatioReport:
@@ -201,7 +224,15 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
 
     Requires matching symbol orders.  The s-integral is exact per cell for
     piecewise-constant-in-time f (time-independent psi), which avoids the
-    stiffness of naive quadrature on high modes.
+    stiffness of naive quadrature on high modes.  With cell edges e_c,
+    midpoints m_k = e_k + dt/2 and w(h) = int_0^h phi e^{u psi} du, cell
+    c < k contributes phi/psi (e^{(m_k - e_c) psi} - e^{(m_k - e_{c+1}) psi})
+    and m_k - e_{c+1} = m_{k-1} - e_c on a uniform grid, so the cell sum
+    telescopes.  With F_k = sum_{c<=k} e^{(m_k - e_c) psi} f_c,
+        F_k = e^{dt psi} F_{k-1} + e^{dt psi/2} f_k,
+        (G f)_k = phi/psi (F_k - F_{k-1} - f_k) = w(dt) F_{k-1} + w(dt/2) f_k,
+    exactly, including psi = 0 modes, where w(h) = phi h.  One step per
+    time cell replaces the sum over the earlier cells.
     """
     if abs(phi.gamma - psi.gamma) > 1e-12:
         raise HypothesisViolationError("operator check needs gamma_phi == gamma_psi")
@@ -217,36 +248,24 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
         mids = 0.5 * (edges[:-1] + edges[1:])
         dt = (b - a) / n_t
         X = grid.x_grid()
-        phim = np.real(symbol_on_grid(phi, 0.0, grid)).astype(complex)
+        phim = np.real(symbol_on_grid(phi, 0.0, grid))
         psim = symbol_on_grid(psi, 0.0, grid)
-        small = np.abs(psim) < 1e-14
-        psim_safe = np.where(small, 1.0, psim)
+        decay, half = np.exp(dt * psim), np.exp(0.5 * dt * psim)
+        carry = _phi_exp_integral(dt, phim, psim)
+        own = _phi_exp_integral(0.5 * dt, phim, psim)
         level_ratio = 0.0
         for f_fn in f_fns:
             fv = _sample_time_slices(f_fn, mids, X, np.array([0.5]))[:, 0]
             f_hat = spatial_fft(fv, grid)
-            lhs_p = 0.0
-            rhs_p = 0.0
-            for it in range(n_t):
-                t = mids[it]
-                acc = np.zeros_like(f_hat[0])
-                for ic in range(it + 1):
-                    hi = min(edges[ic + 1], t)
-                    lo = edges[ic]
-                    # int_lo^hi phi e^{(t-s)psi} ds, exact in s
-                    coef = np.where(
-                        small,
-                        phim * (hi - lo),
-                        phim / psim_safe * (np.exp((t - hi) * psim)
-                                            - np.exp((t - lo) * psim)))
-                    acc += coef * f_hat[ic]
-                gf = spatial_fft(acc, grid, inverse=True)
-                lhs_p += dt * float(np.sum(np.sum(np.abs(gf) ** 2, axis=0)
-                                           ** (p / 2.0))) * grid.cell_volume
-                rhs_p += dt * float(np.sum(np.sum(np.abs(fv[it]) ** 2, axis=0)
-                                           ** (p / 2.0))) * grid.cell_volume
-            lhs = lhs_p ** (1.0 / p)
-            rhs = rhs_p ** (1.0 / p)
+            F = np.zeros_like(f_hat[0])                             # F_{k-1}
+            lhs_p = rhs_p = 0.0
+            for k in range(n_t):
+                gf = spatial_fft(carry * F + own * f_hat[k], grid, inverse=True)
+                F = decay * F + half * f_hat[k]
+                lhs_p += dt * _lp_power(gf, grid, p, comp_axes=0)
+                rhs_p += dt * _lp_power(fv[k], grid, p, comp_axes=0)
+            lhs = float(lhs_p) ** (1.0 / p)
+            rhs = float(rhs_p) ** (1.0 / p)
             r = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
             if r >= level_ratio:
                 level_ratio = r
@@ -347,8 +366,7 @@ def _bessel_mult(phi, grid, alpha):
 def _lp_of_hat(values_hat, grid, p, comp_axes):
     """L^p norm from spectral values: ifft then Riemann; (... batch dims)."""
     vals = spatial_fft(values_hat, grid, inverse=True)
-    ptw = np.sqrt(np.sum(np.abs(vals) ** 2, axis=comp_axes))
-    return (np.sum(ptw ** p, axis=-1) * grid.cell_volume) ** (1.0 / p)
+    return _lp_power(vals, grid, p, comp_axes) ** (1.0 / p)
 
 
 def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,

@@ -9,6 +9,10 @@ rather than tautology.
 import numpy as np
 from scipy import integrate, special
 
+from spdelab.spectral import (GridSpec, spatial_fft, symbol_cumulative_integrals,
+                              symbol_on_grid)
+from spdelab.verify import _sample_time_slices, _theta_grid
+
 # ---------------------------------------------------------------------------
 # covariance kernels
 
@@ -138,6 +142,95 @@ def abs_norms_fine(design, Fv, dv):
     su = np.einsum("np,nq,pq->n", M, M, G, optimize=True)
     sd = np.einsum("npq,nrs,pr,qs->n", N, N, G, G, optimize=True)
     return np.sqrt(np.maximum(su, 0.0)), np.sqrt(np.maximum(sd, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# operator checks, summed pair by pair
+#
+# The library folds the s-sums into a recurrence (G) and batched transforms
+# (square function); here every (t, s) pair gets its own multiplier, its
+# own exact cell integral and its own inverse transform.
+
+
+def lp_square_function_pairs(phi, psi, f_fn, p, q_exp, r_exp, levels,
+                             a=0.0, b=1.0, box=2 * np.pi, n_theta=1):
+    """[(lhs, rhs)] per level of the square-function check, pair by pair."""
+    wpow = q_exp * phi.gamma / psi.gamma - 1.0
+    theta, w_th = _theta_grid(n_theta)
+    out = []
+    for n, n_t in levels:
+        grid = GridSpec(d=phi.d, n=int(n), L=box)
+        edges = np.linspace(a, b, int(n_t) + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        dt = (b - a) / n_t
+        fv = _sample_time_slices(f_fn, mids, grid.x_grid(), theta)
+        f_hat = spatial_fft(fv, grid)
+        phim = np.real(symbol_on_grid(phi, 0.0, grid))
+        cums = symbol_cumulative_integrals(psi, mids, grid)
+        lhs = 0.0
+        for it in range(1, n_t):
+            inner = np.zeros(grid.n_points)
+            for isr in range(it):
+                mult = phim * np.exp(cums[it] - cums[isr])
+                lf = spatial_fft(mult * f_hat[isr], grid, inverse=True)
+                hn2 = np.sum(np.abs(lf) ** 2, axis=1)          # (th, n_pts)
+                th_int = np.sum(w_th * hn2 ** (r_exp / 2.0),
+                                axis=0) ** (q_exp / r_exp)
+                inner += dt * (mids[it] - mids[isr]) ** wpow * th_int
+            lhs += dt * float(np.sum(inner ** (p / q_exp))) * grid.cell_volume
+        rhs = 0.0
+        for ic in range(n_t):
+            xn = np.sum(np.sum(np.abs(fv[ic]) ** 2, axis=1) ** (p / 2.0),
+                        axis=-1) * grid.cell_volume                    # (th,)
+            rhs += dt * float(np.sum(w_th * xn ** (r_exp / p))) ** (p / r_exp)
+        out.append((lhs, rhs))
+    return out
+
+
+def g_operator_pairs(phi, psi, f_fns, p, levels, a=0.0, b=1.0,
+                     box=2 * np.pi):
+    """[[(||G f||_p, ||f||_p) per forcing] per level], cell by cell.
+
+    (G f)(t) sums the exact integral of phi e^{(t-s) psi} over each time
+    cell up to t, clipped at t, against the cell value of f.
+    """
+    out = []
+    for n, n_t in levels:
+        grid = GridSpec(d=phi.d, n=int(n), L=box)
+        edges = np.linspace(a, b, int(n_t) + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        dt = (b - a) / n_t
+        phim = np.real(symbol_on_grid(phi, 0.0, grid)).astype(complex)
+        psim = symbol_on_grid(psi, 0.0, grid)
+        small = np.abs(psim) < 1e-14
+        psim_safe = np.where(small, 1.0, psim)
+        row = []
+        for f_fn in f_fns:
+            fv = _sample_time_slices(f_fn, mids, grid.x_grid(),
+                                     np.array([0.5]))[:, 0]
+            f_hat = spatial_fft(fv, grid)
+            lhs_p = 0.0
+            rhs_p = 0.0
+            for it in range(n_t):
+                t = mids[it]
+                acc = np.zeros_like(f_hat[0])
+                for ic in range(it + 1):
+                    hi = min(edges[ic + 1], t)
+                    lo = edges[ic]
+                    coef = np.where(
+                        small,
+                        phim * (hi - lo),
+                        phim / psim_safe * (np.exp((t - lo) * psim)
+                                            - np.exp((t - hi) * psim)))
+                    acc += coef * f_hat[ic]
+                gf = spatial_fft(acc, grid, inverse=True)
+                lhs_p += dt * float(np.sum(np.sum(np.abs(gf) ** 2, axis=0)
+                                           ** (p / 2.0))) * grid.cell_volume
+                rhs_p += dt * float(np.sum(np.sum(np.abs(fv[it]) ** 2, axis=0)
+                                           ** (p / 2.0))) * grid.cell_volume
+            row.append((lhs_p ** (1.0 / p), rhs_p ** (1.0 / p)))
+        out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -101,11 +101,42 @@ def test_bad_sup_levels_exit_2(tmp_path, capsys, levels):
                      {"n_samples": 10, "sup_levels": levels})
 
 
-@pytest.mark.parametrize("levels", [[[30, 16]], [[32, 0]], []])
+@pytest.mark.parametrize("levels", [[[30, 16]], [[32, 0]], [],
+                                    [[32.7, 16]], [[32, 16.5]]])
 @pytest.mark.parametrize("command", ["verify-lp", "verify-goperator",
                                      "verify-apriori"])
 def test_bad_levels_exit_2(tmp_path, capsys, command, levels):
     _assert_rejected(tmp_path, capsys, command, {"levels": levels})
+
+
+@pytest.mark.parametrize("command,params", [
+    ("verify-maximal", {"p": 1.0, "n_samples": 10}),
+    ("simulate", {"p": 1.0}),
+    ("verify-apriori", {"p": 1.0}),
+    ("verify-lp", {"q_exp": 3.0}),
+    ("verify-goperator", {"phi": {"name": "power", "gamma": 1.0}}),
+    ("verify-goperator", {"psi": {"name": "heat_osc"}}),
+])
+def test_hypothesis_violation_exits_2(tmp_path, capsys, command, params):
+    _assert_rejected(tmp_path, capsys, command, params)
+
+
+def test_wrong_sign_psi_exits_2(tmp_path, capsys):
+    _assert_rejected(tmp_path, capsys, "simulate",
+                     {"psi": {"name": "wrong_sign", "d": 1}, "g": "constant",
+                      "grid": {"n": 128}})
+
+
+def test_simulate_fails_on_non_finite_summary(tmp_path, monkeypatch):
+    def nan_rows(ens):
+        return [(float(t), np.nan, 0.0, 0.0) for t in ens.problem.times]
+
+    monkeypatch.setattr(cli, "ensemble_summary_rows", nan_rows)
+    cfg = _write_cfg(tmp_path, "sim.json",
+                     {"params": {"grid": {"n": 16}, "n_t": 4, "n_samples": 2}})
+    out = tmp_path / "runs"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert json.loads((out / "simulate.json").read_text())["passed"] is False
 
 
 def test_noise_without_modes_exits_2(tmp_path, capsys):

@@ -3,7 +3,8 @@ import pytest
 
 import oracles
 from spdelab.covariance import builtin_kernel
-from spdelab.errors import AlignmentError, HypothesisViolationError
+from spdelab.errors import (AlignmentError, HypothesisViolationError,
+                            SymbolClassError)
 from spdelab.gaussian import QSpec, sample_paths
 from spdelab.solver import (
     SPDEProblem,
@@ -16,7 +17,7 @@ from spdelab.solver import (
     stochastic_convolution_pathwise,
 )
 from spdelab.spectral import Field, GridSpec, symbol_on_grid
-from spdelab.symbols import builtin_symbol
+from spdelab.symbols import SymbolSpec, builtin_symbol
 
 WIENER = builtin_kernel("wiener")
 HEAT = builtin_symbol("heat", gamma=2.0)
@@ -63,6 +64,18 @@ def test_problem_validation():
         _problem(g=np.zeros((8, 1, 2, 32)))  # wrong J
     with pytest.raises(ValueError):
         _problem(quad_refine=0)
+
+
+def test_problem_rejects_growing_psi():
+    with pytest.raises(SymbolClassError):
+        _problem(psi=builtin_symbol("wrong_sign", gamma=2.0))
+    # negative at t = 0 but growing from t = 0.25 on: every solution time counts
+    late = SymbolSpec(
+        eval=lambda t, xi: (t - 0.25) * np.sum(xi ** 2, axis=-1) + 0j,
+        gamma=2.0, kappa=1.0, mu=1.0, n_depth=4, time_dependent=True, d=1)
+    with pytest.raises(SymbolClassError):
+        _problem(psi=late)
+    _problem(psi=late, times=np.linspace(0.0, 0.25, 5))
 
 
 # ---------------------------------------------------------------------------

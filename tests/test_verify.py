@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spdelab import battery
+import oracles
+from spdelab import battery, verify
 from spdelab.covariance import builtin_kernel
 from spdelab.errors import HypothesisViolationError
 from spdelab.gaussian import QSpec, StepFunction
@@ -11,7 +12,7 @@ from spdelab.malliavin import (
     linear_functional,
 )
 from spdelab.solver import SPDEProblem
-from spdelab.spectral import Field, GridSpec
+from spdelab.spectral import Field, GridSpec, spatial_fft
 from spdelab.symbols import builtin_symbol
 from spdelab.verify import (
     apriori_estimate_check,
@@ -155,6 +156,53 @@ def test_lp_theta_grid_runs():
     assert rep.details["n_theta"] == 4
 
 
+def _assert_matches_pairs(rep, levels, pairs):
+    """lhs, rhs and every trace ratio against per-level oracle (lhs, rhs)."""
+    assert rep.lhs == pytest.approx(pairs[-1][0], rel=1e-12)
+    assert rep.rhs_components[0] == pytest.approx(pairs[-1][1], rel=1e-12)
+    assert [lev for lev, _ in rep.refinement_trace] == \
+        [float(n) for n, _ in levels]
+    for (_, ratio), (lhs, rhs) in zip(rep.refinement_trace, pairs):
+        assert ratio == pytest.approx(lhs / rhs, rel=1e-12)
+
+
+HEAT_OSC = builtin_symbol("heat_osc", gamma=2.0)
+POWER2_2D = builtin_symbol("power", gamma=2.0, d=2)
+HEAT_2D = builtin_symbol("heat", gamma=2.0, d=2)
+
+
+@pytest.mark.parametrize("phi,psi,forcing,p,q,r,n_theta,levels", [
+    (POWER2, HEAT, battery.lp_forcing(), 2.0, 2.0, 2.0, 1, LP_LEVELS),
+    (POWER2, HEAT_OSC, battery.lp_forcing(), 4.0, 3.0, 2.0, 1, LP_LEVELS),
+    (POWER2, HEAT, battery.lp_forcing_mixed(m=2), 4.0, 2.0, 4.0 / 3.0, 1,
+     LP_LEVELS),
+    (POWER2, HEAT, battery.lp_forcing_mixed(m=2), 4.0, 2.0, 4.0 / 3.0, 4,
+     ((128, 24),)),                         # 8 cells per transform
+    (POWER2_2D, HEAT_2D, battery.lp_forcing_mixed(m=2), 2.0, 2.0, 2.0, 4,
+     ((8, 6), (16, 8))),                    # 2-D, 4 cells per transform
+])
+def test_lp_matches_pair_oracle(phi, psi, forcing, p, q, r, n_theta, levels):
+    rep = lp_inequality_check(phi, psi, forcing, p, q, r, levels=levels,
+                              n_theta=n_theta)
+    _assert_matches_pairs(rep, levels, oracles.lp_square_function_pairs(
+        phi, psi, forcing, p, q, r, levels, n_theta=n_theta))
+
+
+def test_lp_batches_transforms(monkeypatch):
+    calls = []
+
+    def counting_fft(arr, grid, inverse=False):
+        calls.append(inverse)
+        return spatial_fft(arr, grid, inverse=inverse)
+
+    monkeypatch.setattr(verify, "spatial_fft", counting_fft)
+    for n, n_t in ((32, 16), (64, 32), (128, 64)):
+        calls.clear()
+        lp_inequality_check(POWER2, HEAT, battery.lp_forcing(), 2.0, 2.0, 2.0,
+                            levels=((n, n_t),))
+        assert 0 < len(calls) < n_t * (n_t - 1) // 2
+
+
 # ---------------------------------------------------------------------------
 # Bessel equivalence
 
@@ -195,6 +243,44 @@ def test_g_operator_gates():
     with pytest.raises(ValueError):
         g_operator_check(POWER2, builtin_symbol("heat_osc", gamma=2.0),
                          _smooth_f, 2.0)
+
+
+CONST1 = builtin_symbol("constant", c=1.0)
+HEAT1 = builtin_symbol("heat", gamma=1.0)
+
+
+def _max_ratio_pairs(per_forcing):
+    """Per level, the (lhs, rhs) of the forcing with the largest ratio."""
+    return [max(row, key=lambda lr: lr[0] / lr[1]) for row in per_forcing]
+
+
+@pytest.mark.parametrize("phi,psi,m,p,levels", [
+    (POWER2, HEAT, 1, 2.0, ((32, 12), (64, 24))),
+    (POWER2, HEAT, 2, 4.0, ((32, 12), (64, 24))),
+    (POWER2_2D, HEAT_2D, 1, 4.0, ((8, 6), (16, 8))),
+    (CONST1, HEAT1, 1, 4.0, ((32, 12), (64, 24))),   # phi(0) = 1, psi(0) = 0
+])
+def test_g_operator_matches_pair_oracle(phi, psi, m, p, levels):
+    forcings = battery.g_operator_forcings(m=m)
+    rep = g_operator_check(phi, psi, forcings, p, levels=levels)
+    _assert_matches_pairs(rep, levels, _max_ratio_pairs(
+        oracles.g_operator_pairs(phi, psi, forcings, p, levels)))
+
+
+def test_g_operator_closed_form_with_mean_mode():
+    # f = 1 + cos x + cos 2x on [0, 1]: (G f)(t) = t + (1 - e^{-t}) cos x
+    # + (1 - e^{-2t})/2 cos 2x for phi = 1, psi = -|xi|, exact at midpoints
+    n, n_t = 32, 16
+    rep = g_operator_check(
+        CONST1, HEAT1,
+        lambda t, x, th: 1.0 + np.cos(x[:, 0]) + np.cos(2.0 * x[:, 0]), 4.0,
+        levels=((n, n_t),))
+    x = np.arange(n) * 2.0 * np.pi / n
+    t = (np.arange(n_t)[:, None] + 0.5) / n_t
+    gf = t + (1.0 - np.exp(-t)) * np.cos(x) \
+        + 0.5 * (1.0 - np.exp(-2.0 * t)) * np.cos(2.0 * x)
+    lhs = (np.sum(gf ** 4) * (2.0 * np.pi / n) / n_t) ** 0.25
+    assert rep.lhs == pytest.approx(lhs, rel=1e-12)
 
 
 def test_g_operator_stable():
