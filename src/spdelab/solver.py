@@ -12,8 +12,11 @@ convolution has two independent estimators:
   grid; preserves the joint real-field structure.
 
 Both estimators evaluate the integrand a(t,s) = exp(int_s^t psi) g(s) at
-the midpoints of the same refined quadrature partition, so they agree to
-Monte-Carlo error rather than to quadrature error.
+the midpoints of the same refined quadrature partition, with every exponent
+read from one table of cumulative symbol integrals on it, so they agree to
+Monte-Carlo error rather than to quadrature error.  The pathwise estimator
+and the forced part advance the solution one solution cell at a time, by
+the evolution law T(t,r) T(r,s) = T(t,s).
 """
 
 from __future__ import annotations
@@ -24,10 +27,9 @@ import numpy as np
 
 from . import rng as _rng
 from .covariance import CovarianceKernel, cholesky_psd, increment_gram
-from .errors import (AlignmentError, HypothesisViolationError,
-                     SymbolClassError)
+from .errors import AlignmentError, HypothesisViolationError
 from .gaussian import PathSample, QSpec, sample_paths
-from .spectral import (Field, GridSpec, spatial_fft,
+from .spectral import (Field, GridSpec, check_class_s_sign, spatial_fft,
                        symbol_cumulative_integrals, symbol_on_grid)
 from .symbols import SymbolSpec
 
@@ -84,12 +86,7 @@ class SPDEProblem:
                 raise ValueError(f"g must have shape {want}")
         if self.quad_refine < 1:
             raise ValueError("quad_refine must be >= 1")
-        # class S needs Re psi <= 0; a growing mode gives inf/NaN downstream
-        for t in self.times if self.psi.time_dependent else self.times[:1]:
-            if np.any(np.real(symbol_on_grid(self.psi, t, self.grid)) > 0):
-                raise SymbolClassError(
-                    f"psi {self.psi.name!r} has Re psi > 0 on the grid at "
-                    f"t={t}; class S needs Re psi <= 0")
+        check_class_s_sign(self.psi, self.times, self.grid)
 
     @property
     def grid(self) -> GridSpec:
@@ -143,22 +140,21 @@ def deterministic_homogeneous(problem: SPDEProblem) -> np.ndarray:
 
 
 def deterministic_forced(problem: SPDEProblem) -> np.ndarray:
-    """Composite-trapezoid Duhamel integral of f; (n_times, m, n_points)."""
+    """Composite-trapezoid Duhamel integral of f; (n_times, m, n_points).
+
+    One step per cell, F_{i+1} = E_i (F_i + dt_i/2 f_i) + dt_i/2 f_{i+1}
+    with E_i = exp(int_{t_i}^{t_{i+1}} psi).
+    """
     grid = problem.grid
     out_hat = np.zeros((problem.n_times, problem.m, grid.n_points), dtype=complex)
     if problem.f is not None:
         cums = symbol_cumulative_integrals(problem.psi, problem.times, grid)
         f_hat = spatial_fft(problem.f, grid)
-        t = problem.times
-        for i in range(1, problem.n_times):
-            w = np.zeros(i + 1)
-            w[0] = (t[1] - t[0]) / 2.0
-            w[i] = (t[i] - t[i - 1]) / 2.0
-            if i > 1:
-                w[1:i] = (t[2:i + 1] - t[0:i - 1]) / 2.0
-            # exp(cum_i - cum_k) keeps Re <= 0, safe from overflow
-            mult = np.exp(cums[i][None, :] - cums[:i + 1])
-            out_hat[i] = np.einsum("k,kp,kcp->cp", w, mult, f_hat[:i + 1])
+        half = np.diff(problem.times) / 2.0
+        for i in range(problem.n_times - 1):
+            step = np.exp(cums[i + 1] - cums[i])      # Re <= 0, no overflow
+            out_hat[i + 1] = (step * (out_hat[i] + half[i] * f_hat[i])
+                              + half[i] * f_hat[i + 1])
     return spatial_fft(out_hat, grid, inverse=True)
 
 
@@ -187,48 +183,31 @@ def _quad_grid(times, n_sub):
     return q_grid, edges, mid_idx, sol_idx
 
 
-def _integrand_multipliers(problem, q_grid, mid_idx, sol_idx):
-    """Masked a-factors exp(int_mid^t psi): shape (n_times-1, C, n_points).
-
-    Row i covers t_{i+1}; subcells beyond t_{i+1} are zeroed.
-    """
-    grid = problem.grid
-    cums = symbol_cumulative_integrals(problem.psi, q_grid, grid)
-    n_t = problem.n_times
-    n_sub = problem.quad_refine
-    C = (n_t - 1) * n_sub
-    expo = cums[sol_idx[1:], None, :] - cums[mid_idx][None, :, :]
-    mask = np.arange(C)[None, :] < (np.arange(1, n_t) * n_sub)[:, None]
-    # mask the exponent, not the result: masked-out entries have positive
-    # real part and would overflow before the zeroing
-    expo = np.where(mask[:, :, None], expo, -np.inf)
-    return np.exp(expo)
-
-
-def _g_spectral_subcells(problem):
-    """g-hat repeated onto subcells: (C, m, J, n_points)."""
-    g_hat = spatial_fft(problem.g, problem.grid)
-    return np.repeat(g_hat, problem.quad_refine, axis=0)
-
-
-def stochastic_convolution_modewise(problem: SPDEProblem, n_samples, seed,
-                                    spectral=False) -> np.ndarray:
+def stochastic_convolution_modewise(problem: SPDEProblem, n_samples,
+                                    seed) -> np.ndarray:
     """Exact-covariance sampler; (n_samples, n_times, m, n_points)."""
     grid = problem.grid
     n_t, m, J = problem.n_times, problem.m, problem.q.J
     out_hat = np.zeros((n_samples, n_t, m, grid.n_points), dtype=complex)
     if problem.g is not None:
-        q_grid, edges, mid_idx, sol_idx = _quad_grid(problem.times,
-                                                     problem.quad_refine)
-        Em = _integrand_multipliers(problem, q_grid, mid_idx, sol_idx)
-        g_sub = _g_spectral_subcells(problem)
+        n_sub = problem.quad_refine
+        q_grid, edges, mid_idx, sol_idx = _quad_grid(problem.times, n_sub)
+        cums = symbol_cumulative_integrals(problem.psi, q_grid, grid)
+        # mask the exponent, not the result: past t_{i+1} it has positive
+        # real part and would overflow
+        past = np.arange(len(mid_idx)) >= (np.arange(1, n_t) * n_sub)[:, None]
+        g_hat = spatial_fft(problem.g, grid)
         ginc = increment_gram(problem.kernel, edges)
         rows = (n_t - 1) * m
         for k in range(grid.n_points):
+            ck = cums[:, k]
+            expo = ck[sol_idx[1:], None] - ck[mid_idx]
+            expo[past] = -np.inf
+            Em = np.exp(expo)                     # exp(int_mid^{t_{i+1}} psi)
             acc = np.zeros((rows, n_samples), dtype=complex)
             for j in range(J):
-                A = (Em[:, None, :, k] * g_sub[None, :, :, j, k].transpose(0, 2, 1)
-                     ).reshape(rows, -1)
+                g_sub = np.repeat(g_hat[:, :, j, k], n_sub, axis=0)   # (C, m)
+                A = (Em[:, None, :] * g_sub.T[None]).reshape(rows, -1)
                 cov = A @ ginc @ A.conj().T
                 if not np.any(cov):
                     continue
@@ -237,37 +216,37 @@ def stochastic_convolution_modewise(problem: SPDEProblem, n_samples, seed,
                 z = gen.standard_normal((2, rows, n_samples))
                 acc += L @ ((z[0] + 1j * z[1]) / np.sqrt(2.0))
             out_hat[:, 1:, :, k] = acc.T.reshape(n_samples, n_t - 1, m)
-    if spectral:
-        return out_hat
     return spatial_fft(out_hat, grid, inverse=True)
 
 
-def stochastic_convolution_pathwise(problem: SPDEProblem, paths: PathSample,
-                                    spectral=False) -> np.ndarray:
-    """Riemann-sum sampler against given beta paths on the refined edges."""
+def stochastic_convolution_pathwise(problem: SPDEProblem,
+                                    paths: PathSample) -> np.ndarray:
+    """Riemann-sum sampler against given beta paths on the refined edges.
+
+    One step per cell, u_{i+1} = E_i u_i + sum_{c in cell i}
+    exp(int_{mid_c}^{t_{i+1}} psi) g_c dB_c.
+    """
     grid = problem.grid
     n_t, m = problem.n_times, problem.m
     n = paths.paths.shape[0]
     out_hat = np.zeros((n, n_t, m, grid.n_points), dtype=complex)
     if problem.g is not None:
-        q_grid, edges, mid_idx, sol_idx = _quad_grid(problem.times,
-                                                     problem.quad_refine)
+        n_sub = problem.quad_refine
+        q_grid, edges, mid_idx, sol_idx = _quad_grid(problem.times, n_sub)
         if len(paths.times) != len(edges) or \
                 np.max(np.abs(paths.times - edges)) > TIME_TOL:
             raise AlignmentError("paths must live on the refined subcell edges")
         if paths.paths.shape[1] != problem.q.J:
             raise AlignmentError("path factor count does not match QSpec")
-        Em = _integrand_multipliers(problem, q_grid, mid_idx, sol_idx)
-        g_sub = _g_spectral_subcells(problem)
-        dB = np.diff(paths.paths, axis=-1)
-        block = max(1, int(2 ** 22 // max(1, g_sub.shape[0] * grid.n_points)))
-        for lo in range(0, n, block):
-            hi = min(n, lo + block)
-            W = np.einsum("njc,cmjk->ncmk", dB[lo:hi], g_sub, optimize=True)
-            out_hat[lo:hi, 1:] = np.einsum("ick,ncmk->nimk", Em, W,
-                                           optimize=True)
-    if spectral:
-        return out_hat
+        cums = symbol_cumulative_integrals(problem.psi, q_grid, grid)
+        g_hat = spatial_fft(problem.g, grid)
+        dB = np.diff(paths.paths, axis=-1)                        # (n, J, C)
+        for i in range(n_t - 1):
+            cell = slice(i * n_sub, (i + 1) * n_sub)
+            top = cums[sol_idx[i + 1]]
+            g_loc = np.exp(top - cums[mid_idx[cell]])[:, None, None, :] * g_hat[i]
+            out_hat[:, i + 1] = np.exp(top - cums[sol_idx[i]]) * out_hat[:, i] \
+                + np.einsum("njc,cmjk->nmk", dB[:, :, cell], g_loc, optimize=True)
     return spatial_fft(out_hat, grid, inverse=True)
 
 
@@ -326,7 +305,8 @@ def mode_residual(ensemble: SolutionEnsemble, k_index: int) -> dict:
         i_f[1:] = np.cumsum(mids, axis=0)
     M = np.zeros_like(uhat)
     if pb.g is not None:
-        g_sub = _g_spectral_subcells(pb)[:, :, :, k_index]          # (C, m, J)
+        g_sub = np.repeat(spatial_fft(pb.g, grid)[..., k_index],
+                          pb.quad_refine, axis=0)                   # (C, m, J)
         dB = np.diff(ensemble.paths.paths, axis=-1)                 # (n, J, C)
         inc = np.einsum("njc,cmj->ncm", dB, g_sub)
         csum = np.cumsum(inc, axis=1)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SymbolDomainError
+from .errors import SymbolClassError, SymbolDomainError
 from .symbols import SymbolSpec
 
 
@@ -155,6 +155,18 @@ def symbol_on_grid(sym: SymbolSpec, t, grid: GridSpec) -> np.ndarray:
     if np.any(np.isnan(vals)):
         raise SymbolDomainError(f"symbol {sym.name!r} produced NaN on the grid")
     return vals
+
+
+def check_class_s_sign(psi: SymbolSpec, times, grid: GridSpec):
+    """SymbolClassError unless Re psi <= 0 on the grid at every time.
+
+    Class S needs the sign; a growing mode gives inf, NaN or unbounded
+    ratios downstream.  A time-independent psi is evaluated once.
+    """
+    for t in times if psi.time_dependent else times[:1]:
+        if np.any(np.real(symbol_on_grid(psi, t, grid)) > 0):
+            raise SymbolClassError(f"psi {psi.name!r} has Re psi > 0 on the "
+                                   f"grid at t={t}; class S needs Re psi <= 0")
 
 
 def apply_multiplier(field: Field, mult: np.ndarray) -> Field:

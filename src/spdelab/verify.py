@@ -17,10 +17,10 @@ from .gaussian import QSpec
 from .malliavin import ElementaryProcess, JointDesign, mixed_norm_terms
 from .reports import RatioReport
 from .solver import SPDEProblem, solve
-from .spectral import (GridSpec, apply_multiplier, bessel_norm, lp_norm,
-                       multiplier_kernel, spatial_fft,
-                       symbol_cumulative_integrals, symbol_on_grid,
-                       symbol_time_integral)
+from .spectral import (GridSpec, apply_multiplier, bessel_norm,
+                       check_class_s_sign, lp_norm, multiplier_kernel,
+                       spatial_fft, symbol_cumulative_integrals,
+                       symbol_on_grid, symbol_time_integral)
 from .symbols import SymbolSpec
 
 _DRAW_BLOCK = 2048    # draws per RNG substream block; fixes the sample stream
@@ -142,6 +142,7 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
         mids = 0.5 * (edges[:-1] + edges[1:])
         dt = (b - a) / n_t
         X = grid.x_grid()
+        check_class_s_sign(psi, mids, grid)
         fv = _sample_time_slices(f_fn, mids, X, theta)
         f_hat = spatial_fft(fv, grid)
         phim = np.real(symbol_on_grid(phi, 0.0, grid))
@@ -248,6 +249,7 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
         mids = 0.5 * (edges[:-1] + edges[1:])
         dt = (b - a) / n_t
         X = grid.x_grid()
+        check_class_s_sign(psi, mids, grid)
         phim = np.real(symbol_on_grid(phi, 0.0, grid))
         psim = symbol_on_grid(psi, 0.0, grid)
         decay, half = np.exp(dt * psim), np.exp(0.5 * dt * psim)
@@ -315,6 +317,7 @@ def kernel_envelope_check(phi: SymbolSpec, psi: SymbolSpec, t_minus_s,
     that the kernel tail has decayed there, else periodic wrap-around
     contaminates the far field and the constants drift with tau.
     """
+    check_class_s_sign(psi, [0.0, *t_minus_s], grid)
     d = grid.d
     exps = {
         "kernel": phi.gamma + d,

@@ -9,6 +9,9 @@ rather than tautology.
 import numpy as np
 from scipy import integrate, special
 
+from spdelab import rng
+from spdelab.covariance import cholesky_psd, increment_gram
+from spdelab.solver import _quad_grid
 from spdelab.spectral import (GridSpec, spatial_fft, symbol_cumulative_integrals,
                               symbol_on_grid)
 from spdelab.verify import _sample_time_slices, _theta_grid
@@ -94,6 +97,84 @@ def ito_mode_variance(psi_k, ghat_sq, t):
     if abs(psi_k) < 1e-14:
         return ghat_sq * t
     return ghat_sq * (1.0 - np.exp(2.0 * psi_k * t)) / (-2.0 * psi_k)
+
+
+# ---------------------------------------------------------------------------
+# mild solution, summed over every earlier node and subcell
+#
+# The library advances the solution one cell at a time; here every solution
+# time gets its own exponentials against every earlier trapezoid node, or
+# against every subcell through the masked (n_times-1, C, n_points) tensor.
+
+
+def forced_trapezoid(problem):
+    """Composite-trapezoid Duhamel integral of f, node by node."""
+    grid, t = problem.grid, problem.times
+    cums = symbol_cumulative_integrals(problem.psi, t, grid)
+    f_hat = spatial_fft(problem.f, grid)
+    out_hat = np.zeros((problem.n_times, problem.m, grid.n_points), dtype=complex)
+    for i in range(1, problem.n_times):
+        w = np.zeros(i + 1)
+        w[0] = (t[1] - t[0]) / 2.0
+        w[i] = (t[i] - t[i - 1]) / 2.0
+        if i > 1:
+            w[1:i] = (t[2:i + 1] - t[0:i - 1]) / 2.0
+        mult = np.exp(cums[i][None, :] - cums[:i + 1])
+        out_hat[i] = np.einsum("k,kp,kcp->cp", w, mult, f_hat[:i + 1])
+    return spatial_fft(out_hat, grid, inverse=True)
+
+
+def integrand_multipliers(problem):
+    """exp(int_mid^t psi) per (t_{i+1}, subcell, mode), 0 past t_{i+1}."""
+    n_t, n_sub = problem.n_times, problem.quad_refine
+    q_grid, _, mid_idx, sol_idx = _quad_grid(problem.times, n_sub)
+    cums = symbol_cumulative_integrals(problem.psi, q_grid, problem.grid)
+    expo = cums[sol_idx[1:], None, :] - cums[mid_idx][None, :, :]
+    mask = np.arange(len(mid_idx))[None, :] < (np.arange(1, n_t) * n_sub)[:, None]
+    return np.exp(np.where(mask[:, :, None], expo, -np.inf))
+
+
+def _g_subcells(problem):
+    g_hat = spatial_fft(problem.g, problem.grid)
+    return np.repeat(g_hat, problem.quad_refine, axis=0)     # (C, m, J, n_pts)
+
+
+def pathwise_masked(problem, paths):
+    """Riemann sums of the stochastic convolution with the full tensor."""
+    grid = problem.grid
+    Em = integrand_multipliers(problem)
+    dB = np.diff(paths.paths, axis=-1)
+    W = np.einsum("njc,cmjk->ncmk", dB, _g_subcells(problem), optimize=True)
+    out_hat = np.zeros((dB.shape[0], problem.n_times, problem.m, grid.n_points),
+                       dtype=complex)
+    out_hat[:, 1:] = np.einsum("ick,ncmk->nimk", Em, W, optimize=True)
+    return spatial_fft(out_hat, grid, inverse=True)
+
+
+def modewise_masked(problem, n_samples, seed):
+    """The modewise sampler with each mode's rows sliced from the tensor."""
+    grid = problem.grid
+    n_t, m, J = problem.n_times, problem.m, problem.q.J
+    Em = integrand_multipliers(problem)
+    g_sub = _g_subcells(problem)
+    _, edges, _, _ = _quad_grid(problem.times, problem.quad_refine)
+    ginc = increment_gram(problem.kernel, edges)
+    rows = (n_t - 1) * m
+    out_hat = np.zeros((n_samples, n_t, m, grid.n_points), dtype=complex)
+    for k in range(grid.n_points):
+        acc = np.zeros((rows, n_samples), dtype=complex)
+        for j in range(J):
+            A = (Em[:, None, :, k] * g_sub[None, :, :, j, k].transpose(0, 2, 1)
+                 ).reshape(rows, -1)
+            cov = A @ ginc @ A.conj().T
+            if not np.any(cov):
+                continue
+            L = cholesky_psd(cov)
+            z = rng.substream(seed, rng.CONV_MODEWISE, j, k).standard_normal(
+                (2, rows, n_samples))
+            acc += L @ ((z[0] + 1j * z[1]) / np.sqrt(2.0))
+        out_hat[:, 1:, :, k] = acc.T.reshape(n_samples, n_t - 1, m)
+    return spatial_fft(out_hat, grid, inverse=True)
 
 
 # ---------------------------------------------------------------------------

@@ -121,10 +121,15 @@ def test_hypothesis_violation_exits_2(tmp_path, capsys, command, params):
     _assert_rejected(tmp_path, capsys, command, params)
 
 
-def test_wrong_sign_psi_exits_2(tmp_path, capsys):
-    _assert_rejected(tmp_path, capsys, "simulate",
-                     {"psi": {"name": "wrong_sign", "d": 1}, "g": "constant",
-                      "grid": {"n": 128}})
+@pytest.mark.parametrize("command,params", [
+    ("simulate", {"psi": {"name": "wrong_sign", "d": 1}, "g": "constant",
+                  "grid": {"n": 128}}),
+    ("verify-lp", {"psi": {"name": "wrong_sign"}, "levels": [[32, 16]]}),
+    ("verify-goperator", {"psi": {"name": "wrong_sign"}, "levels": [[32, 16]]}),
+    ("verify-kernelenv", {"psi": {"name": "wrong_sign"}}),
+])
+def test_wrong_sign_psi_exits_2(tmp_path, capsys, command, params):
+    _assert_rejected(tmp_path, capsys, command, params)
 
 
 def test_simulate_fails_on_non_finite_summary(tmp_path, monkeypatch):
@@ -181,6 +186,18 @@ def test_kernels_artifacts(tmp_path):
 
 SIM_PARAMS = {"grid": {"n": 16}, "n_t": 8, "T": 0.5, "n_samples": 8,
               "g": "constant", "lambdas": [1.0], "estimator": "modewise"}
+
+
+def test_artifacts_independent_of_thread_count(tmp_path, monkeypatch):
+    cfg = _write_cfg(tmp_path, "cfg.json", {"params": {"n_samples": 500}})
+    written = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SPDELAB_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        cli.main(["verify-skorohod", "--config", cfg, "--out", str(out)])
+        written.append([(out / f"verify-skorohod.{ext}").read_bytes()
+                        for ext in ("json", "csv")])
+    assert written[0] == written[1]
 
 
 def test_rerun_is_byte_identical(tmp_path):

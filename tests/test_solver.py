@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from spdelab.solver import (
     mode_residual,
     refined_path_times,
     solve,
+    stochastic_convolution_modewise,
     stochastic_convolution_pathwise,
 )
 from spdelab.spectral import Field, GridSpec, symbol_on_grid
@@ -182,6 +185,73 @@ def test_ell2_contraction_heat():
     out = deterministic_homogeneous(pb)
     norms = [np.linalg.norm(out[i]) for i in range(len(pb.times))]
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+# ---------------------------------------------------------------------------
+# one cell at a time against the sums over every earlier node and subcell
+
+_TIMES = {"uniform": np.linspace(0.0, 0.5, 7),
+          "nonuniform": np.array([0.0, 0.04, 0.1, 0.23, 0.25, 0.4, 0.5])}
+_KERNELS = {"wiener": WIENER, "fbm": builtin_kernel("fbm", H=0.75)}
+
+
+def _varied_problem(psi, times, m, J, quad_refine, kernel):
+    """f, g and u0 that vary over time, component, factor and mode."""
+    t = _TIMES[times]
+    x = np.arange(GRID.n) * GRID.L / GRID.n
+    comp = np.arange(1, m + 1)[:, None]
+    f = (1.0 + t)[:, None, None] * np.exp(1j * comp * x)[None] \
+        + np.cos(2 * x[None, None, :] + t[:, None, None])
+    cell = np.arange(len(t) - 1)[:, None, None, None]
+    fac = np.arange(1, J + 1)[None, None, :, None]
+    g = (1.0 + cell) / fac * (np.cos(comp[None, :, :, None] * x)
+                              + 0.5 * np.sin((fac + 1) * x + cell))
+    return SPDEProblem(psi=builtin_symbol(psi, gamma=2.0),
+                       u0=Field(GRID, m, np.cos(comp * x)), kernel=_KERNELS[kernel],
+                       q=QSpec(tuple(1.0 / np.arange(1, J + 1))), times=t,
+                       f=f, g=g, quad_refine=quad_refine)
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("psi,times,m,J,quad_refine,kernel", [
+    ("heat", "uniform", 1, 1, 1, "wiener"),
+    ("heat", "nonuniform", 2, 2, 3, "fbm"),
+    ("heat_osc", "nonuniform", 2, 2, 1, "wiener"),
+    ("heat_osc", "uniform", 1, 2, 3, "fbm"),
+])
+def test_cell_steps_match_pair_oracles(psi, times, m, J, quad_refine, kernel):
+    pb = _varied_problem(psi, times, m, J, quad_refine, kernel)
+    assert _rel(deterministic_forced(pb), oracles.forced_trapezoid(pb)) < 1e-12
+    paths = sample_paths(pb.kernel, refined_path_times(pb), pb.q, 6, seed=4)
+    assert _rel(stochastic_convolution_pathwise(pb, paths),
+                oracles.pathwise_masked(pb, paths)) < 1e-12
+    assert np.array_equal(stochastic_convolution_modewise(pb, 5, seed=9),
+                          oracles.modewise_masked(pb, 5, seed=9))
+
+
+def test_stochastic_convolution_memory_does_not_scale_with_pairs():
+    # the masked (n_t-1, C, n_points) multiplier tensor would take 64 MiB here;
+    # the ensemble is 0.5 MiB and the cumulative table 4 MiB
+    grid = GridSpec(d=1, n=512, L=2.0 * np.pi)
+    times = np.linspace(0.0, 0.5, 33)
+    x = grid.x_grid()[:, 0]
+    pb = SPDEProblem(psi=HEAT, u0=Field(grid, 1, np.cos(x)[None]), kernel=WIENER,
+                     q=QSpec((1.0,)), times=times,
+                     g=np.tile(np.cos(2 * x), (32, 1, 1, 1)), quad_refine=8)
+    tensor_bytes = 32 * 256 * 512 * 16
+    paths = sample_paths(WIENER, refined_path_times(pb), pb.q, 2, seed=1)
+    for run in (lambda: stochastic_convolution_pathwise(pb, paths),
+                lambda: stochastic_convolution_modewise(pb, 2, seed=1)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tensor_bytes / 4
 
 
 # ---------------------------------------------------------------------------
