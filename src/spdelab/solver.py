@@ -22,6 +22,7 @@ the evolution law T(t,r) T(r,s) = T(t,s).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,8 @@ class SPDEProblem:
     g holds cell values (constant on (t_c, t_{c+1}]), shape
     (n_times-1, m, J, n_points).  Either may be None.  psi must keep
     Re psi <= 0 on the grid at every solution time (the class-S sign),
-    else SymbolClassError.
+    else SymbolClassError; a time-dependent psi is also checked at every
+    Simpson node of its symbol tables when solve builds them.
     """
 
     psi: SymbolSpec
@@ -104,6 +106,16 @@ class SPDEProblem:
     def T(self):
         return float(self.times[-1])
 
+    @cached_property
+    def cums(self) -> np.ndarray:
+        """int_0^{t_i} psi dr at every solution time, (n_times, n_points).
+
+        Built on first use and shared by the deterministic parts; read-only.
+        """
+        out = symbol_cumulative_integrals(self.psi, self.times, self.grid)
+        out.setflags(write=False)
+        return out
+
 
 @dataclass
 class SolutionEnsemble:
@@ -133,9 +145,8 @@ class SolutionEnsemble:
 def deterministic_homogeneous(problem: SPDEProblem) -> np.ndarray:
     """T(t_i, 0) u0 for every solution time; (n_times, m, n_points)."""
     grid = problem.grid
-    cums = symbol_cumulative_integrals(problem.psi, problem.times, grid)
     u0_hat = spatial_fft(problem.u0.values, grid)
-    out_hat = np.exp(cums[:, None, :]) * u0_hat[None, :, :]
+    out_hat = np.exp(problem.cums[:, None, :]) * u0_hat[None, :, :]
     return spatial_fft(out_hat, grid, inverse=True)
 
 
@@ -148,7 +159,7 @@ def deterministic_forced(problem: SPDEProblem) -> np.ndarray:
     grid = problem.grid
     out_hat = np.zeros((problem.n_times, problem.m, grid.n_points), dtype=complex)
     if problem.f is not None:
-        cums = symbol_cumulative_integrals(problem.psi, problem.times, grid)
+        cums = problem.cums
         f_hat = spatial_fft(problem.f, grid)
         half = np.diff(problem.times) / 2.0
         for i in range(problem.n_times - 1):

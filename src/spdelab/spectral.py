@@ -145,13 +145,26 @@ def inverse_transform(field: Field) -> Field:
 
 
 def symbol_on_grid(sym: SymbolSpec, t, grid: GridSpec) -> np.ndarray:
-    """Evaluate a symbol at every grid frequency, honoring the xi=0 rule."""
+    """Evaluate a symbol at every grid frequency, honoring the xi=0 rule.
+
+    A scalar t gives (n_points,).  A 1-D array of K times gives
+    (K, n_points) from one call sym.eval(t[:, None], freqs); an eval whose
+    result does not have that shape is called once per time instead.
+    """
     if sym.d != grid.d:
         raise ValueError("symbol and grid dimensions differ")
-    vals = np.asarray(sym.eval(t, grid.freq_grid()), dtype=complex)
+    freqs = grid.freq_grid()
+    if np.ndim(t) == 0:
+        vals = np.asarray(sym.eval(t, freqs), dtype=complex)
+    else:
+        t = np.asarray(t, dtype=float)
+        vals = np.asarray(sym.eval(t[:, None], freqs), dtype=complex)
+        if vals.shape != (len(t), grid.n_points):
+            vals = np.stack([np.asarray(sym.eval(r, freqs), dtype=complex)
+                             for r in t])
     if sym.at_zero is not None:
         vals = vals.copy()
-        vals[0] = sym.at_zero  # flat index 0 is xi = 0 in fft layout
+        vals[..., 0] = sym.at_zero  # flat index 0 is xi = 0 in fft layout
     if np.any(np.isnan(vals)):
         raise SymbolDomainError(f"symbol {sym.name!r} produced NaN on the grid")
     return vals
@@ -215,7 +228,9 @@ def symbol_time_integral(psi: SymbolSpec, t, s, grid: GridSpec):
     """int_s^t psi(r, xi) dr at every grid frequency.
 
     Exact (t-s) * psi for time-independent symbols; composite Simpson on
-    64 subintervals otherwise.
+    64 subintervals otherwise, with the 65 nodes evaluated in one
+    symbol_on_grid call and summed in node order.  A time-dependent psi
+    with Re psi > 0 at any node raises SymbolClassError.
     """
     if t < s:
         raise ValueError("need t >= s")
@@ -226,9 +241,13 @@ def symbol_time_integral(psi: SymbolSpec, t, s, grid: GridSpec):
     n_sub = 64
     nodes = s + (t - s) * np.arange(n_sub + 1) / n_sub
     w = _simpson_weights(n_sub) * ((t - s) / n_sub)
+    vals = symbol_on_grid(psi, nodes, grid)
+    if np.any(vals.real > 0):
+        raise SymbolClassError(f"psi {psi.name!r} has Re psi > 0 on the grid "
+                               f"in [{s}, {t}]; class S needs Re psi <= 0")
     acc = np.zeros(grid.n_points, dtype=complex)
-    for r, wr in zip(nodes, w):
-        acc += wr * symbol_on_grid(psi, r, grid)
+    for wr, row in zip(w, vals):
+        acc += wr * row
     return acc
 
 
@@ -249,12 +268,17 @@ def symbol_cumulative_integrals(psi: SymbolSpec, times, grid: GridSpec):
     """Cumulative integrals int_0^{t_i} psi(r, xi) dr for a sorted time list.
 
     Shared Simpson nodes per cell, so exp of differences satisfies the
-    two-parameter composition law exactly on these times.
+    two-parameter composition law exactly on these times.  A
+    time-independent psi is evaluated once for the whole table.
     """
     times = np.asarray(times, dtype=float)
     out = np.zeros((len(times), grid.n_points), dtype=complex)
+    vals = None if psi.time_dependent else symbol_on_grid(psi, 0.0, grid)
     for i in range(1, len(times)):
-        cell = symbol_time_integral(psi, times[i], times[i - 1], grid)
+        if vals is None:
+            cell = symbol_time_integral(psi, times[i], times[i - 1], grid)
+        else:
+            cell = (times[i] - times[i - 1]) * vals
         out[i] = out[i - 1] + cell
     return out
 

@@ -39,10 +39,13 @@ class SymbolSpec:
     """A symbol with its declared class metadata.
 
     eval maps (t, xi) -> complex values, where xi has shape (..., d) and
-    the result has shape (...). gamma is the order; kappa and mu are the
-    declared lower/upper constants; n_depth is the largest multi-index
-    order the symbol claims to control. at_zero, when set, overrides the
-    value used at xi = 0 on discrete grids (the limit rule).
+    the result has shape (...). On a grid of n_points frequencies, t may
+    also come as a (K, 1) column of times; eval should then broadcast to
+    (K, n_points), else spdelab evaluates one time at a time. gamma is
+    the order; kappa and mu are the declared lower/upper constants;
+    n_depth is the largest multi-index order the symbol claims to control.
+    at_zero, when set, overrides the value used at xi = 0 on discrete
+    grids (the limit rule).
     """
 
     eval: callable

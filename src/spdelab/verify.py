@@ -127,7 +127,8 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
     For each t the earlier cells s go through one inverse transform per
     block of `_LP_BLOCK` complex values, and the s-sum runs in order of s.
     The blocks bound the transient arrays, which would otherwise grow with
-    n_t times the field size.
+    n_t times the field size.  For a time-independent psi the multiplier
+    depends only on the lag between the cells, so one row per lag is built.
     """
     if not (q_exp >= max(2.0, r_exp)) or not (p >= q_exp):
         raise HypothesisViolationError(
@@ -147,13 +148,21 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
         f_hat = spatial_fft(fv, grid)
         phim = np.real(symbol_on_grid(phi, 0.0, grid))
         cums = symbol_cumulative_integrals(psi, mids, grid)
+        if not psi.time_dependent:
+            # cums[0] = 0 and the exponent depends only on the lag it - s:
+            # row k becomes the lag-k multiplier, built in place
+            np.exp(cums, out=cums)
+            cums *= phim
         rows = max(1, _LP_BLOCK // f_hat[0].size)
         lhs = 0.0
         for it in range(1, n_t):
             inner = np.zeros(grid.n_points)
             for lo in range(0, it, rows):
                 s = slice(lo, min(lo + rows, it))
-                mult = phim * np.exp(cums[it] - cums[s])         # (block, n_pts)
+                if psi.time_dependent:
+                    mult = phim * np.exp(cums[it] - cums[s])     # (block, n_pts)
+                else:
+                    mult = cums[it - s.stop + 1:it - lo + 1][::-1]
                 lf = spatial_fft(mult[:, None, None] * f_hat[s], grid,
                                  inverse=True)
                 hn2 = np.sum(np.abs(lf) ** 2, axis=2)        # (block, th, n_pts)
@@ -400,12 +409,11 @@ def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
     term_u = float(np.mean(_trapz(norms_u ** p, pb.times, axis=1))) ** (1.0 / p)
 
     # Du = L_psi u + f at order 0
-    psim = symbol_on_grid(pb.psi, 0.0, grid) if not pb.psi.time_dependent else None
-    if psim is None:
-        du_hat = np.stack([symbol_on_grid(pb.psi, t, grid) for t in pb.times]
-                          )[None, :, None, :] * u_hat
+    if pb.psi.time_dependent:
+        psim = symbol_on_grid(pb.psi, pb.times, grid)[None, :, None, :]
     else:
-        du_hat = psim[None, None, None, :] * u_hat
+        psim = symbol_on_grid(pb.psi, 0.0, grid)[None, None, None, :]
+    du_hat = psim * u_hat
     if pb.f is not None:
         f_hat = spatial_fft(pb.f, grid)
         du_hat = du_hat + f_hat[None]

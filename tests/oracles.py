@@ -12,8 +12,8 @@ from scipy import integrate, special
 from spdelab import rng
 from spdelab.covariance import cholesky_psd, increment_gram
 from spdelab.solver import _quad_grid
-from spdelab.spectral import (GridSpec, spatial_fft, symbol_cumulative_integrals,
-                              symbol_on_grid)
+from spdelab.spectral import (GridSpec, _simpson_weights, spatial_fft,
+                              symbol_cumulative_integrals, symbol_on_grid)
 from spdelab.verify import _sample_time_slices, _theta_grid
 
 # ---------------------------------------------------------------------------
@@ -79,6 +79,25 @@ def bessel_KR_indicator_quad(delta, t):
 def int_one_plus_sin_sq(t):
     """int_0^t (1 + sin^2 r) dr = 3t/2 - sin(2t)/4."""
     return 1.5 * t - 0.25 * np.sin(2.0 * t)
+
+
+def symbol_time_integral_nodes(psi, t, s, grid):
+    """int_s^t psi dr by composite Simpson on 64 subintervals, node by node.
+
+    The library evaluates a cell's 65 nodes in one symbol_on_grid call;
+    here each node is its own scalar-time call, summed in node order.
+    """
+    if t == s:
+        return np.zeros(grid.n_points, dtype=complex)
+    if not psi.time_dependent:
+        return (t - s) * symbol_on_grid(psi, 0.0, grid)
+    n_sub = 64
+    nodes = s + (t - s) * np.arange(n_sub + 1) / n_sub
+    w = _simpson_weights(n_sub) * ((t - s) / n_sub)
+    acc = np.zeros(grid.n_points, dtype=complex)
+    for r, wr in zip(nodes, w):
+        acc += wr * symbol_on_grid(psi, r, grid)
+    return acc
 
 
 # ---------------------------------------------------------------------------

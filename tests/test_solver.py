@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from spdelab import solver, spectral
 from spdelab.covariance import builtin_kernel
 from spdelab.errors import (AlignmentError, HypothesisViolationError,
                             SymbolClassError)
@@ -79,6 +80,44 @@ def test_problem_rejects_growing_psi():
     with pytest.raises(SymbolClassError):
         _problem(psi=late)
     _problem(psi=late, times=np.linspace(0.0, 0.25, 5))
+
+
+def test_solve_rejects_psi_growing_between_solution_times():
+    # +5 on (0.52, 0.545) only: no solution time of linspace(0, 1, 17)
+    # lands there, but Simpson nodes of the cell [0.5, 0.5625] do
+    def ev(t, xi):
+        window = (t > 0.52) & (t < 0.545)
+        return np.where(window, 5.0, -np.sum(xi ** 2, axis=-1)) + 0j
+    spike = SymbolSpec(eval=ev, gamma=2.0, kappa=1.0, mu=1.0, n_depth=4,
+                       time_dependent=True, d=1)
+    pb = _problem(psi=spike, times=np.linspace(0.0, 1.0, 17))
+    with pytest.raises(SymbolClassError):
+        solve(pb, 2, seed=0)
+
+
+def test_pathwise_solve_builds_each_table_once(monkeypatch):
+    calls = {"symbol_cumulative_integrals": 0, "symbol_on_grid": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(solver, "symbol_cumulative_integrals")
+    counted(spectral, "symbol_on_grid")
+    times = np.linspace(0.0, 0.5, 5)
+    f = np.tile(_mode_field(GRID).values, (len(times), 1, 1))
+    pb = _problem(times=times, psi=builtin_symbol("heat_osc", gamma=2.0),
+                  f=f, g=_constant_g(times, GRID), quad_refine=2)
+    solve(pb, 2, seed=0, estimator="pathwise")
+    assert calls["symbol_cumulative_integrals"] == 2
+    # one call per cell of the solution-time and quadrature tables, plus
+    # the class-S check at each solution time
+    n_cells = (len(times) - 1) * (1 + 2 * pb.quad_refine)
+    assert calls["symbol_on_grid"] <= n_cells + len(times)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The unitary DFT lives in ``spectral`` (``spatial_fft``, plus the
 unnormalized ``multiplier_kernel``); rectangle increments of R live in
-``covariance.cross_increments``.  A new copy elsewhere fails here.
+``covariance.cross_increments``; a symbol is evaluated on the grid only by
+``spectral.symbol_on_grid``.  A new copy elsewhere fails here.
 """
 
 import re
@@ -29,3 +30,17 @@ def test_rectangle_increment_only_in_cross_increments():
     start = text.index("def cross_increments(")
     end = text.index("\ndef ", start + 1)
     assert start < hits[0][1] < end
+
+
+def test_symbol_eval_only_in_symbol_on_grid():
+    # symbols.py builds symbols from other symbols' eval; everywhere else a
+    # symbol reaches the grid through symbol_on_grid (at_zero, NaN check,
+    # one batched call per time column)
+    pattern = re.compile(r"\.eval\(")
+    hits = [(name, m.start()) for name, text in SOURCES.items()
+            if name != "symbols.py" for m in pattern.finditer(text)]
+    assert hits and {name for name, _ in hits} == {"spectral.py"}
+    text = SOURCES["spectral.py"]
+    start = text.index("def symbol_on_grid(")
+    end = text.index("\ndef ", start + 1)
+    assert all(start < pos < end for _, pos in hits)

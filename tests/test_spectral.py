@@ -26,7 +26,7 @@ from spdelab.spectral import (
     symbol_on_grid,
     symbol_time_integral,
 )
-from spdelab.symbols import builtin_symbol
+from spdelab.symbols import SymbolSpec, builtin_symbol
 
 
 def _random_field(grid, m=1, seed=0):
@@ -158,6 +158,56 @@ def test_cumulative_integrals_compose_exactly():
     via_cells = cums[3] + (cums[7] - cums[3])
     assert np.array_equal(via_cells, cums[7]) or np.allclose(
         via_cells, cums[7], atol=1e-15)
+
+
+def _cumulative_nodes(psi, times, grid):
+    out = np.zeros((len(times), grid.n_points), dtype=complex)
+    for i in range(1, len(times)):
+        out[i] = out[i - 1] + oracles.symbol_time_integral_nodes(
+            psi, times[i], times[i - 1], grid)
+    return out
+
+
+def _tdep_symbol(ev, d=1, at_zero=None):
+    return SymbolSpec(eval=ev, gamma=2.0, kappa=1.0, mu=1.0, n_depth=4,
+                      time_dependent=True, d=d, at_zero=at_zero)
+
+
+def _radial_over_norm(t, xi):
+    # -(1 + cos^2 t) |xi|^2 / |xi| + i t |xi|: NaN at xi = 0 without at_zero
+    r2 = np.sum(xi ** 2, axis=-1)
+    with np.errstate(invalid="ignore"):
+        return -(1.0 + np.cos(t) ** 2) * r2 / np.sqrt(r2) + 1j * t * np.sqrt(r2)
+
+
+def _ignores_t_shape(t, xi):
+    # np.max collapses a (K, 1) time column, so the result is (n_points,)
+    return -(1.0 + np.sin(np.max(t)) ** 2) * np.sum(xi ** 2, axis=-1) + 0j
+
+
+@pytest.mark.parametrize("psi, d, times", [
+    (builtin_symbol("heat_osc", d=1), 1, np.linspace(0.0, 1.0, 9)),
+    (builtin_symbol("heat_osc", d=2), 2, np.linspace(0.0, 1.0, 9)),
+    (_tdep_symbol(_radial_over_norm, at_zero=0.0), 1, np.linspace(0.0, 1.0, 9)),
+    (builtin_symbol("heat_osc", d=1), 1, np.array([0.0, 0.1, 0.35, 0.4, 0.9, 1.3])),
+    (_tdep_symbol(_ignores_t_shape), 1, np.linspace(0.0, 1.0, 9)),
+], ids=["heat_osc-d1", "heat_osc-d2", "at_zero", "non-uniform", "fallback"])
+def test_cumulative_integrals_match_node_by_node(psi, d, times):
+    # one batched symbol evaluation per Simpson cell leaves every bit in place
+    grid = GridSpec(d=d, n=16, L=2 * np.pi)
+    assert np.array_equal(symbol_cumulative_integrals(psi, times, grid),
+                          _cumulative_nodes(psi, times, grid))
+
+
+def test_symbol_on_grid_time_column():
+    grid = GridSpec(d=1, n=16, L=2 * np.pi)
+    times = np.array([0.0, 0.3, 0.7])
+    for psi in (_tdep_symbol(_radial_over_norm, at_zero=0.0),
+                _tdep_symbol(_ignores_t_shape)):
+        vals = symbol_on_grid(psi, times, grid)
+        assert vals.shape == (3, grid.n_points)
+        for row, t in zip(vals, times):
+            assert np.array_equal(row, symbol_on_grid(psi, t, grid))
 
 
 def test_kernel_p_psi_mass():
