@@ -4,7 +4,7 @@ driven by Hilbert-space-valued Gaussian noise.
 Submodules:
   symbols     symbol classes, builtin symbols, multiplier-condition checks
   spectral    periodic grid, FFT multiplier calculus, evolution operators
-  covariance  temporal covariance kernels and their integral operators
+  covariance  temporal covariance kernels
   gaussian    Q-Gaussian path sampling, RKHS inner products, integrals
   malliavin   cylinder functionals, derivative/Skorohod machinery
   solver      mild-solution assembly with two stochastic-convolution routes

@@ -33,7 +33,7 @@ from .errors import (HypothesisViolationError, SchemaError, SpdelabError,
 from .gaussian import QSpec
 from .malliavin import skorohod_moment_check
 from .reports import _plain
-from .solver import SPDEProblem, ensemble_summary_rows, solve
+from .solver import ESTIMATORS, SPDEProblem, ensemble_summary_rows, solve
 from .spectral import Field, GridSpec, check_grid_size
 from .symbols import builtin_symbol, check_marcinkiewicz, check_mihlin
 from .verify import (
@@ -67,7 +67,7 @@ _PARAM_KEYS = {
     "verify-goperator": {"phi", "psi", "p", "levels", "a", "b", "box", "m"},
     "verify-apriori": {"psi", "phi", "kernel", "levels", "T", "m", "lambdas",
                        "u0", "f", "g", "n_samples", "estimator", "p", "q_exp",
-                       "quad_refine", "box"},
+                       "quad_refine"},
     "verify-skorohod": {"n_samples", "J", "m", "T"},
     "kernels": set(),
 }
@@ -165,12 +165,23 @@ def _build(ctor, cfg, default=None):
         return ctor(cfg)
 
 
-def _param(params, key, default, kind=float, least=None):
-    """params[key] (or default) converted by `kind`, optionally >= least."""
-    with _schema_errors(f"param {key!r}"):
-        val = kind(params.get(key, default))
-        if least is not None and val < least:
-            raise ValueError(f"must be >= {least}, got {val}")
+def _param(params, key, default, kind=float, above=None):
+    """params[key] (or default): an integer for kind int, else any number;
+    optionally > above."""
+    val = params.get(key, default)
+    if not (_is_int(val) or kind is float and isinstance(val, float)) \
+            or above is not None and not val > above:
+        raise SchemaError(
+            f"param {key!r} must be {'an integer' if kind is int else 'a number'}"
+            f"{'' if above is None else f' > {above}'}, got {val!r}")
+    return kind(val)
+
+
+def _choice(params, key, default, allowed):
+    """params[key] (or default), which must be one of `allowed`."""
+    val = params.get(key, default)
+    if val not in allowed:
+        raise SchemaError(f"unknown {key} {val!r}; have {list(allowed)}")
     return val
 
 
@@ -194,6 +205,13 @@ def _levels(params):
         return levels
 
 
+def _window(params):
+    """(a, b, box) of the operator checks: forcing window a < b, box > 0."""
+    a = _param(params, "a", 0.0)
+    return (a, _param(params, "b", 1.0, above=a),
+            _param(params, "box", 2.0 * np.pi, above=0))
+
+
 def _sup_levels(params):
     """The sup-level refinements of verify-maximal: a non-empty integer list."""
     levels = params.get("sup_levels", [64, 128, 256])
@@ -204,12 +222,14 @@ def _sup_levels(params):
     return tuple(levels)
 
 
-def _make_grid(cfg, default_n=32, default_d=1):
-    cfg = dict(cfg or {})
+def _make_grid(cfg, default_n, L=2.0 * np.pi, n=None):
+    """GridSpec from a config {"d", "n", "L"}; a given n overrides cfg's."""
+    cfg = {} if cfg is None else cfg
+    if not isinstance(cfg, dict):
+        raise SchemaError(f"param 'grid' must be a JSON object, got {cfg!r}")
     with _schema_errors(f"grid {cfg}"):
-        return GridSpec(d=int(cfg.get("d", default_d)),
-                        n=int(cfg.get("n", default_n)),
-                        L=float(cfg.get("L", 2.0 * np.pi)))
+        return GridSpec(d=_param(cfg, "d", 1, int), L=_param(cfg, "L", L),
+                        n=n if n is not None else _param(cfg, "n", default_n, int))
 
 
 def _u0_field(kind, grid, m):
@@ -248,24 +268,21 @@ def _forcing_arrays(params, grid, times, m, J):
 
 
 def _build_problem(params, n=None, n_t=None):
-    grid_cfg = dict(params.get("grid") or {})
-    if n is not None:
-        grid_cfg["n"] = n
-    grid = _make_grid(grid_cfg, default_n=32)
+    grid = _make_grid(params.get("grid"), 32, n=n)
     psi = _build(builtin_symbol, params.get("psi"), {"name": "heat", "d": grid.d})
     phi_cfg = params.get("phi")
     phi = _build(builtin_symbol, phi_cfg) if phi_cfg is not None else None
     kernel = _build(builtin_kernel, params.get("kernel", "wiener"))
-    T = _param(params, "T", 1.0)
-    nt = n_t if n_t is not None else _param(params, "n_t", 16, int, least=1)
-    times = np.linspace(0.0, T, int(nt) + 1)
-    m = _param(params, "m", 1, int, least=1)
+    T = _param(params, "T", 1.0, above=0)
+    nt = n_t if n_t is not None else _param(params, "n_t", 16, int, above=0)
+    times = np.linspace(0.0, T, nt + 1)
+    m = _param(params, "m", 1, int, above=0)
     with _schema_errors("param 'lambdas'"):
         q = QSpec(tuple(params.get("lambdas", (1.0, 0.5))))
     u0 = _u0_field(params.get("u0", "bump"), grid, m)
     f, g = _forcing_arrays(params, grid, times, m, q.J)
     p, q_exp = _param(params, "p", 2.0), _param(params, "q_exp", 2.0)
-    quad_refine = _param(params, "quad_refine", 8, int, least=1)
+    quad_refine = _param(params, "quad_refine", 8, int, above=0)
     with _schema_errors("problem"):
         return SPDEProblem(psi=psi, u0=u0, kernel=kernel, q=q, times=times,
                            f=f, g=g, phi=phi, p=p, q_exp=q_exp,
@@ -296,8 +313,8 @@ def _run_kernels(cfg: RunConfig):
 
 def _run_simulate(cfg: RunConfig):
     pb = _build_problem(cfg.params)
-    ens = solve(pb, _param(cfg.params, "n_samples", 32, int, least=1), cfg.seed,
-                estimator=cfg.params.get("estimator", "modewise"))
+    ens = solve(pb, _param(cfg.params, "n_samples", 32, int, above=0), cfg.seed,
+                estimator=_choice(cfg.params, "estimator", "modewise", ESTIMATORS))
     summary = ensemble_summary_rows(ens)
     rows = [{"t": t, "mean_l2": mf, "total_variance": tv, "mean_sup": ms}
             for (t, mf, tv, ms) in summary]
@@ -311,10 +328,10 @@ def _run_simulate(cfg: RunConfig):
 
 def _run_verify_skorohod(cfg: RunConfig):
     p = cfg.params
-    J = _param(p, "J", 2, int, least=1)
-    cases = battery.skorohod_battery(J=J, m=_param(p, "m", 2, int, least=1),
-                                     T=_param(p, "T", 1.0))
-    n = _param(p, "n_samples", 100_000, int, least=1)
+    J = _param(p, "J", 2, int, above=0)
+    cases = battery.skorohod_battery(J=J, m=_param(p, "m", 2, int, above=0),
+                                     T=_param(p, "T", 1.0, above=0))
+    n = _param(p, "n_samples", 100_000, int, above=0)
     lam = (1.0,) * J
 
     def job(case):
@@ -330,16 +347,14 @@ def _run_verify_skorohod(cfg: RunConfig):
 
 def _run_verify_maximal(cfg: RunConfig):
     p = cfg.params
-    J = _param(p, "J", 2, int, least=1)
+    J = _param(p, "J", 2, int, above=0)
     procs = dict(battery.elementary_battery(
-        J=J, m=_param(p, "m", 2, int, least=1), T=_param(p, "T", 1.0)))
-    pname = p.get("process", "linear-exact")
-    if pname not in procs:
-        raise SchemaError(f"unknown process {pname!r}; have {sorted(procs)}")
+        J=J, m=_param(p, "m", 2, int, above=0), T=_param(p, "T", 1.0, above=0)))
+    pname = _choice(p, "process", "linear-exact", sorted(procs))
     kern = _build(builtin_kernel, p.get("kernel", "wiener"))
     rep = maximal_inequality_check(
         procs[pname], kern, QSpec((1.0,) * J), _param(p, "p", 2.0),
-        _param(p, "q_exp", 2.0), _param(p, "n_samples", 4096, int, least=1),
+        _param(p, "q_exp", 2.0), _param(p, "n_samples", 4096, int, above=0),
         cfg.seed, sup_levels=_sup_levels(p),
         name=f"maximal[{pname}/{kern.name}]")
     return _ratio_result(rep, "level")
@@ -349,27 +364,24 @@ def _run_verify_lp(cfg: RunConfig):
     p = cfg.params
     phi = _build(builtin_symbol, p.get("phi"), _PHI_1D)
     psi = _build(builtin_symbol, p.get("psi"), _PSI_1D)
-    a, b = _param(p, "a", 0.0), _param(p, "b", 1.0)
-    box = _param(p, "box", 2.0 * np.pi)
-    forcing = p.get("forcing", "product")
-    if forcing not in ("product", "mixed"):
-        raise SchemaError(f"unknown forcing {forcing!r}")
+    a, b, box = _window(p)
+    forcing = _choice(p, "forcing", "product", ("product", "mixed"))
     maker = battery.lp_forcing if forcing == "product" else battery.lp_forcing_mixed
-    f_fn = maker(a=a, b=b, box=box, m=_param(p, "m", 1, int, least=1))
+    f_fn = maker(a=a, b=b, box=box, m=_param(p, "m", 1, int, above=0))
     rep = lp_inequality_check(
         phi, psi, f_fn, _param(p, "p", 2.0), _param(p, "q_exp", 2.0),
         _param(p, "r_exp", 2.0), levels=_levels(p), a=a, b=b, box=box,
-        n_theta=_param(p, "n_theta", 1, int, least=1))
+        n_theta=_param(p, "n_theta", 1, int, above=0))
     return _ratio_result(rep, "grid n")
 
 
 def _run_verify_bessel(cfg: RunConfig):
     p = cfg.params
-    grid = _make_grid(p.get("grid"), default_n=64)
+    grid = _make_grid(p.get("grid"), 64)
     phi = _build(builtin_symbol, p.get("phi"), dict(_PHI_1D, d=grid.d))
     fields = battery.bessel_field_battery(
-        grid, m=_param(p, "m", 1, int, least=1),
-        count=_param(p, "count", 16, int, least=1), seed=cfg.seed,
+        grid, m=_param(p, "m", 1, int, above=0),
+        count=_param(p, "count", 16, int, above=0), seed=cfg.seed,
         band_frac=_param(p, "band_frac", 0.5))
     rep = bessel_equivalence_check(phi, _param(p, "alpha", 2.0),
                                    _param(p, "p", 2.0), fields)
@@ -378,8 +390,10 @@ def _run_verify_bessel(cfg: RunConfig):
 
 
 def _run_verify_multiplier(cfg: RunConfig):
-    mih, marc, failing = battery.multiplier_battery(
-        d=_param(cfg.params, "d", 1, int, least=1))
+    d = _param(cfg.params, "d", 1, int, above=0)
+    if d > 3:
+        raise SchemaError(f"param 'd' must be <= 3 (dyadic sampling), got {d}")
+    mih, marc, failing = battery.multiplier_battery(d=d)
     rows, reports = [], []
     ok = True
     for name, sym in mih:
@@ -407,9 +421,7 @@ def _run_verify_multiplier(cfg: RunConfig):
 def _run_verify_kernelenv(cfg: RunConfig):
     p = cfg.params
     # box 4*pi: the far-field fit region must hold several kernel widths
-    grid_cfg = dict(p.get("grid") or {})
-    grid_cfg.setdefault("L", 4.0 * np.pi)
-    grid = _make_grid(grid_cfg, default_n=256)
+    grid = _make_grid(p.get("grid"), 256, L=4.0 * np.pi)
     phi = _build(builtin_symbol, p.get("phi"), dict(_PHI_1D, d=grid.d))
     psi = _build(builtin_symbol, p.get("psi"), dict(_PSI_1D, d=grid.d))
     with _schema_errors("param 't_minus_s'"):
@@ -432,11 +444,10 @@ def _run_verify_goperator(cfg: RunConfig):
     if psi.time_dependent:
         raise SchemaError("verify-goperator needs a time-independent psi, "
                           f"got {psi.name!r}")
-    a, b = _param(p, "a", 0.0), _param(p, "b", 1.0)
-    box = _param(p, "box", 2.0 * np.pi)
+    a, b, box = _window(p)
     rep = g_operator_check(
         phi, psi, battery.g_operator_forcings(
-            a=a, b=b, box=box, m=_param(p, "m", 1, int, least=1)),
+            a=a, b=b, box=box, m=_param(p, "m", 1, int, above=0)),
         _param(p, "p", 2.0), levels=_levels(p), a=a, b=b, box=box)
     return _ratio_result(rep, "grid n")
 
@@ -446,8 +457,8 @@ def _run_verify_apriori(cfg: RunConfig):
     p.setdefault("phi", _PHI_1D)
     rep = apriori_refinement(
         lambda n, n_t: _build_problem(p, n=n, n_t=n_t), _levels(p),
-        _param(p, "n_samples", 48, int, least=1), cfg.seed,
-        estimator=p.get("estimator", "pathwise"))
+        _param(p, "n_samples", 48, int, above=0), cfg.seed,
+        estimator=_choice(p, "estimator", "pathwise", ESTIMATORS))
     return _ratio_result(rep, "grid n")
 
 

@@ -1,4 +1,4 @@
-"""Temporal covariance kernels R(t, s) and the operator K_R.
+"""Temporal covariance kernels R(t, s), their increments and Gram factors.
 
 The reproducing-kernel inner products of step functions only ever need
 rectangle increments of R,
@@ -31,7 +31,6 @@ from scipy import special
 from scipy.interpolate import CubicSpline
 
 from .errors import KernelValidityError
-from .reports import RatioReport
 
 JITTER_LADDER = (1e-14, 1e-12, 1e-10)
 
@@ -242,18 +241,6 @@ def _bessel_pieces(delta, v_min=1e-8, v_max=60.0, panel_ratio=1.05, gl_nodes=16)
 # increments, Gram matrices, Cholesky
 
 
-def rectangle_increment(kernel: CovarianceKernel, int1, int2) -> float:
-    """Inner product of the indicators of (a,b] and (c,d] under R."""
-    a, b = int1
-    c, d = int2
-    if not (a <= b and c <= d):
-        raise ValueError("intervals must be ordered")
-    if min(a, c) < 0:
-        raise ValueError("intervals must lie in [0, T]")
-    R = kernel.R
-    return float(R(b, d) - R(b, c) - R(a, d) + R(a, c))
-
-
 def gram_matrix(kernel: CovarianceKernel, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0):
@@ -308,119 +295,3 @@ def cholesky_psd(mat: np.ndarray) -> np.ndarray:
             raise KernelValidityError("Gram matrix not PSD after jitter ladder")
         out[np.ix_(keep, keep)] = chol
     return out
-
-
-# ---------------------------------------------------------------------------
-# the operator K_R
-
-
-def apply_KR_cells(kernel: CovarianceKernel, edges, cell_values) -> np.ndarray:
-    """K_R applied to a piecewise-constant function, evaluated at the edges.
-
-    edges is the ordered cell-boundary vector (N+1,), cell_values the
-    constant value on each (edge_i, edge_{i+1}] cell. Each kernel uses an
-    exact per-cell antiderivative, so the diagonal singularities of the
-    fractional and Bessel densities never enter a quadrature sum.
-    """
-    edges = np.asarray(edges, dtype=float)
-    vals = np.asarray(cell_values, dtype=float)
-    if len(edges) != len(vals) + 1:
-        raise ValueError("need one more edge than cell values")
-
-    if kernel.kr_kind == "identity":
-        out = np.empty(len(edges))
-        out[1:] = vals
-        out[0] = vals[0]
-        return out
-
-    if kernel.kr_kind == "linear":
-        total = float(np.sum(vals * np.diff(edges)))
-        return np.full(len(edges), total)
-
-    if kernel.kr_kind == "fbm":
-        H = kernel.params["H"]
-
-        def term(u):
-            return np.sign(u) * np.abs(u) ** (2.0 * H - 1.0)
-
-        diff_a = term(edges[:, None] - edges[None, :-1])
-        diff_b = term(edges[:, None] - edges[None, 1:])
-        return H * ((diff_a - diff_b) @ vals)
-
-    if kernel.F1 is not None:
-        F1 = kernel.F1
-        diff_a = F1(edges[:, None] - edges[None, :-1])
-        diff_b = F1(edges[:, None] - edges[None, 1:])
-        return (diff_a - diff_b) @ vals
-
-    raise KernelValidityError(f"kernel {kernel.name!r} has no density route for K_R")
-
-
-def function_lp_norm(times, values, p) -> float:
-    """L^p([0,T]) norm of a node-sampled function (trapezoid weights)."""
-    times = np.asarray(times, float)
-    values = np.abs(np.asarray(values, float))
-    if np.isinf(p):
-        return float(values.max())
-    w = np.zeros_like(times)
-    dt = np.diff(times)
-    w[:-1] += 0.5 * dt
-    w[1:] += 0.5 * dt
-    return float(np.sum(w * values ** p) ** (1.0 / p))
-
-
-def step_lp_norm(edges, cell_values, p) -> float:
-    """L^p norm of a piecewise-constant function given by cells (exact)."""
-    edges = np.asarray(edges, float)
-    vals = np.abs(np.asarray(cell_values, float))
-    if np.isinf(p):
-        return float(vals.max()) if len(vals) else 0.0
-    return float(np.sum(vals ** p * np.diff(edges)) ** (1.0 / p))
-
-
-def check_R2(kernel: CovarianceKernel, trials=64, seed=0, n_cells=256, T=1.0,
-             levels=(64, 128, 256)) -> RatioReport:
-    """Empirical operator norm of K_R from L^r to L^s.
-
-    Max of ||K_R f||_{L^s} / ||f||_{L^r} over a fixed battery of profiles
-    plus random piecewise-constant draws, traced over grid resolutions.
-    The profiles are fixed functions resolved ever more finely, so their
-    ratios converge under refinement and keep the trace stable even for
-    strongly smoothing kernels (where random draws alone would decay).
-    The achieved maximum is the empirical C_R estimate reported as the
-    ratio.
-    """
-    from . import rng as _rng
-
-    def profiles(nc):
-        mids = (np.arange(nc) + 0.5) * (T / nc)
-        yield np.ones(nc)
-        yield (mids <= 0.5 * T).astype(float)
-        yield ((mids > 0.375 * T) & (mids <= 0.625 * T)).astype(float)
-        yield np.where((mids * (8.0 / T)).astype(int) % 2 == 0, 1.0, -1.0)
-        yield mids / T
-        yield np.sin(2.0 * np.pi * mids / T)
-
-    def level_ratio(nc):
-        gen = _rng.substream(seed, _rng.CHECK_R2, nc)
-        edges = np.linspace(0.0, T, nc + 1)
-        cands = list(profiles(nc))
-        cands += [gen.standard_normal(nc) for _ in range(trials)]
-        best = 0.0
-        for f in cands:
-            num = function_lp_norm(edges, apply_KR_cells(kernel, edges, f),
-                                   kernel.s_exp)
-            den = step_lp_norm(edges, f, kernel.r_exp)
-            if den > 1e-12:
-                best = max(best, num / den)
-        return best
-
-    trace = [(nc, level_ratio(nc)) for nc in levels if nc != n_cells] + \
-            [(n_cells, level_ratio(n_cells))]
-    trace.sort()
-    final = trace[-1][1]
-    return RatioReport.make(
-        name=f"R2[{kernel.name}]", lhs=final, rhs_components=[1.0],
-        refinement_trace=trace, seed=seed, n_samples=trials,
-        details={"r_exp": kernel.r_exp, "s_exp": kernel.s_exp,
-                 "declared_C_R": kernel.C_R})

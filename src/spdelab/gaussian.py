@@ -87,26 +87,6 @@ class StepFunction:
         out[inside] = self.coeffs[np.clip(idx[inside], 0, len(self.coeffs) - 1)]
         return out
 
-    def truncate(self, tau):
-        """The step function times the indicator of (0, tau]."""
-        if tau <= self.breakpoints[0]:
-            return StepFunction(np.array([0.0, max(tau, TIME_TOL)]),
-                                np.zeros((1, self.J)))
-        keep = self.breakpoints < tau - TIME_TOL
-        k = int(np.sum(keep[1:]))
-        bp = np.concatenate([self.breakpoints[:k + 1], [tau]])
-        return StepFunction(bp, self.coeffs[:k + 1].copy())
-
-    def l_r_norm(self, r):
-        """The L^r([0,T]; U_0) norm (exact for the step structure)."""
-        mags = np.sqrt(np.sum(self.coeffs ** 2, axis=1))
-        if np.isinf(r):
-            return float(mags.max()) if len(mags) else 0.0
-        return float(np.sum(mags ** r * np.diff(self.breakpoints)) ** (1.0 / r))
-
-    def scale(self, c):
-        return StepFunction(self.breakpoints.copy(), c * self.coeffs)
-
 
 def canonical_partition(step_functions, extra_times=()):
     """Sorted union of all breakpoints (and extra times), tolerance-merged."""
@@ -160,61 +140,6 @@ def inner_H_U0(phi: StepFunction, psi: StepFunction, kernel: CovarianceKernel) -
     C = phi.coeffs @ psi.coeffs.T
     inc = cross_increments(kernel, phi.breakpoints, psi.breakpoints)
     return float(np.sum(C * inc))
-
-
-def norm_H_U0(phi: StepFunction, kernel: CovarianceKernel) -> float:
-    v = inner_H_U0(phi, phi, kernel)
-    if v < -1e-12:
-        raise KernelValidityError(f"negative squared norm {v}")
-    return float(np.sqrt(max(v, 0.0)))
-
-
-def abs_inner_H_U0(phi: StepFunction, psi: StepFunction, kernel) -> float:
-    """Same rectangle-increment sum with |values|, the |H| inner product.
-
-    Only meaningful for kernels with nonnegative rectangle increments,
-    which holds for all the builtins.
-    """
-    a = np.sqrt(np.sum(phi.coeffs ** 2, axis=1))
-    b = np.sqrt(np.sum(psi.coeffs ** 2, axis=1))
-    inc = cross_increments(kernel, phi.breakpoints, psi.breakpoints)
-    return float(np.outer(a, b).ravel() @ inc.ravel())
-
-
-def norm_abs_H_U0(phi: StepFunction, kernel) -> float:
-    return float(np.sqrt(max(abs_inner_H_U0(phi, phi, kernel), 0.0)))
-
-
-@dataclass
-class TwoParamStep:
-    """A step function of two time variables valued in a flat tensor space."""
-
-    breaks_a: np.ndarray     # (Ma+1,)
-    breaks_b: np.ndarray     # (Mb+1,)
-    coeffs: np.ndarray       # (Ma, Mb, dim)
-
-    def __post_init__(self):
-        self.breaks_a = np.asarray(self.breaks_a, dtype=float)
-        self.breaks_b = np.asarray(self.breaks_b, dtype=float)
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape[:2] != (len(self.breaks_a) - 1, len(self.breaks_b) - 1):
-            raise ValueError("coefficient block shape mismatch")
-
-
-def tensor_inner(Phi: TwoParamStep, Psi: TwoParamStep, kernel) -> float:
-    """Inner product on the two-parameter RKHS tensor square (exact)."""
-    inc_a = cross_increments(kernel, Phi.breaks_a, Psi.breaks_a)
-    inc_b = cross_increments(kernel, Phi.breaks_b, Psi.breaks_b)
-    return float(np.einsum("abv,cdv,ac,bd->", Phi.coeffs, Psi.coeffs, inc_a, inc_b,
-                           optimize=True))
-
-
-def tensor_abs_inner(Phi: TwoParamStep, Psi: TwoParamStep, kernel) -> float:
-    na = np.sqrt(np.sum(Phi.coeffs ** 2, axis=-1))
-    nb = np.sqrt(np.sum(Psi.coeffs ** 2, axis=-1))
-    inc_a = cross_increments(kernel, Phi.breaks_a, Psi.breaks_a)
-    inc_b = cross_increments(kernel, Phi.breaks_b, Psi.breaks_b)
-    return float(np.einsum("ab,cd,ac,bd->", na, nb, inc_a, inc_b, optimize=True))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ based, so the draws inside a substream do not depend on how many other
 substreams were consumed, which makes parallel Monte Carlo reproducible.
 
 The role tags below are part of the reproducibility contract: changing
-them changes every sampled artifact.
+them changes every sampled artifact.  Gaps are the numbers of roles
+that no longer exist; the remaining tags keep their values.
 """
 
 from __future__ import annotations
@@ -16,14 +17,8 @@ import numpy as np
 PATHS = 1
 WIENER = 2
 SKOROHOD = 3
-MULT_NORM = 4
 CONV_MODEWISE = 5
-CONV_PATHWISE = 6
-MAXIMAL = 7
-CHECK_R2 = 8
 BESSEL_BATTERY = 9
-APRIORI = 10
-LP_BATTERY = 11
 
 
 def substream(seed, *key):

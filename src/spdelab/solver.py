@@ -35,6 +35,7 @@ from .spectral import (Field, GridSpec, check_class_s_sign, spatial_fft,
 from .symbols import SymbolSpec
 
 TIME_TOL = 1e-9
+ESTIMATORS = ("modewise", "pathwise")
 
 
 @dataclass
@@ -270,7 +271,7 @@ def refined_path_times(problem: SPDEProblem):
 def solve(problem: SPDEProblem, n_samples, seed,
           estimator="modewise") -> SolutionEnsemble:
     """u = homogeneous + forced + stochastic convolution, per sample."""
-    if estimator not in ("modewise", "pathwise"):
+    if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     det = deterministic_homogeneous(problem) + deterministic_forced(problem)
     paths = None

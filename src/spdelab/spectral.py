@@ -14,7 +14,6 @@ Conventions:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -101,14 +100,6 @@ class Field:
     def zeros(cls, grid, m=1):
         return cls(grid, m, np.zeros((m, grid.n_points), dtype=complex))
 
-    @classmethod
-    def from_function(cls, grid, fn, m=1):
-        """Sample fn(x) with x of shape (n^d, d); fn returns (n^d,) or (m, n^d)."""
-        vals = np.asarray(fn(grid.x_grid()), dtype=complex)
-        if vals.ndim == 1:
-            vals = vals[None, :]
-        return cls(grid, m, vals)
-
     def copy(self):
         return Field(self.grid, self.m, self.values.copy())
 
@@ -133,15 +124,6 @@ def multiplier_kernel(mult, grid: GridSpec) -> np.ndarray:
     """
     vals = np.fft.ifftn(mult.reshape(grid.shape)) * (grid.n / grid.L) ** grid.d
     return vals.reshape(-1)
-
-
-def forward_transform(field: Field) -> Field:
-    return Field(field.grid, field.m, spatial_fft(field.values, field.grid))
-
-
-def inverse_transform(field: Field) -> Field:
-    return Field(field.grid, field.m,
-                 spatial_fft(field.values, field.grid, inverse=True))
 
 
 def symbol_on_grid(sym: SymbolSpec, t, grid: GridSpec) -> np.ndarray:
@@ -185,11 +167,6 @@ def check_class_s_sign(psi: SymbolSpec, times, grid: GridSpec):
 def apply_multiplier(field: Field, mult: np.ndarray) -> Field:
     spec = spatial_fft(field.values, field.grid) * mult
     return Field(field.grid, field.m, spatial_fft(spec, field.grid, inverse=True))
-
-
-def apply_pseudo_diff(sym: SymbolSpec, t, field: Field) -> Field:
-    """Apply the multiplier psi(t, xi), componentwise over K."""
-    return apply_multiplier(field, symbol_on_grid(sym, t, field.grid))
 
 
 def bessel_lift(phi: SymbolSpec, alpha, field: Field) -> Field:
@@ -281,55 +258,3 @@ def symbol_cumulative_integrals(psi: SymbolSpec, times, grid: GridSpec):
             cell = (times[i] - times[i - 1]) * vals
         out[i] = out[i - 1] + cell
     return out
-
-
-def kernel_p_psi(psi: SymbolSpec, t, s, grid: GridSpec) -> Field:
-    """The convolution kernel of the evolution operator, sampled on the grid.
-
-    Normalized so the grid Riemann sum equals the multiplier at xi = 0
-    exactly (mass 1 for symbols vanishing at 0).
-    """
-    if t <= s:
-        raise ValueError("kernel requires t > s")
-    mult = evolution_multiplier(psi, t, s, grid)
-    return Field(grid, 1, multiplier_kernel(mult, grid)[None, :])
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-_MAGIC = b"SPLF"
-_DTYPES = {0: np.complex64, 1: np.complex128}
-
-
-def field_to_bytes(field: Field, dtype_code=0) -> bytes:
-    """Flat binary format: header (d, n, L, m, dtype code) + row-major payload."""
-    header = _MAGIC + struct.pack("<IIdIB", field.grid.d, field.grid.n,
-                                  field.grid.L, field.m, dtype_code)
-    payload = np.ascontiguousarray(field.values.astype(_DTYPES[dtype_code]))
-    return header + payload.tobytes()
-
-
-def field_from_bytes(buf: bytes) -> Field:
-    if buf[:4] != _MAGIC:
-        raise ValueError("not a field buffer")
-    d, n, L, m, code = struct.unpack("<IIdIB", buf[4:4 + 21])
-    grid = GridSpec(d=d, n=n, L=L)
-    vals = np.frombuffer(buf[4 + 21:], dtype=_DTYPES[code]).reshape(m, n ** d)
-    return Field(grid, m, vals.astype(complex))
-
-
-def field_to_csv(field: Field, fh):
-    """Write x coordinates and component values as CSV (small grids only)."""
-    import csv
-
-    x = field.grid.x_grid()
-    w = csv.writer(fh, lineterminator="\r\n")
-    w.writerow([f"x{i}" for i in range(field.grid.d)]
-               + [f"re{c}" for c in range(field.m)]
-               + [f"im{c}" for c in range(field.m)])
-    for i in range(field.grid.n_points):
-        row = [repr(float(v)) for v in x[i]]
-        row += [repr(float(field.values[c, i].real)) for c in range(field.m)]
-        row += [repr(float(field.values[c, i].imag)) for c in range(field.m)]
-        w.writerow(row)

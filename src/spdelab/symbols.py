@@ -10,11 +10,10 @@ families matter:
   Re psi(t, xi) <= -kappa |xi|^gamma and the same derivative control;
   these generate the evolution operator.
 
-The checkers sample the defining conditions on dyadic frequency sets with
-central finite differences and report the worst empirical constants. A
-"passed" verdict is sampled evidence, not a proof: the constants kappa and
-mu are declared by whoever builds the SymbolSpec and verified a
-posteriori here.
+The checkers sample the Mihlin and Marcinkiewicz multiplier conditions on
+dyadic frequency sets with central finite differences and report the
+worst empirical constants. A "passed" verdict is sampled evidence, not a
+proof.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SymbolClassError
 from .reports import MultiplierReport
 
 DEFAULT_DYADIC_LO = -8
@@ -326,109 +324,6 @@ def _cumulative_stable(per_level_sup, ratio=STABILITY_RATIO, lag=STABILITY_LAG,
 # checkers
 
 
-def check_class_M(sym: SymbolSpec, xi_samples=None, max_order=None, tol=0.05,
-                  cap=DEFAULT_CAP):
-    """Scan the class-M conditions on dyadic samples.
-
-    Estimates inf psi(xi)/|xi|^gamma and sup |d^a psi(xi)| |xi|^{|a|-gamma}
-    over the sample set, |a| up to max_order (default: the Mihlin depth
-    floor(d/2)+1). Passed iff the inf witnesses kappa (within tol) and the
-    sup witnesses mu (within tol). A non-positive or non-real value raises
-    SymbolClassError since every downstream use assumes positivity.
-    """
-    if sym.time_dependent:
-        raise SymbolClassError("class-M symbols must be time-independent")
-    if xi_samples is None:
-        _, pts = dyadic_samples(sym.d)
-        xi_samples = pts.reshape(-1, sym.d)
-    xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
-    if np.any(np.all(xi_samples == 0.0, axis=-1)):
-        raise ValueError("xi samples must exclude 0")
-    max_order = min(sym.n_depth, sym.d // 2 + 1) if max_order is None else max_order
-
-    def f(pts):
-        return sym.eval(0.0, pts)
-
-    vals = np.asarray(f(xi_samples))
-    if np.any(np.abs(np.imag(vals)) > 1e-10 * (1.0 + np.abs(vals))):
-        raise SymbolClassError("class-M symbol must be real")
-    vals = np.real(vals)
-    if np.any(vals <= 0.0):
-        bad = xi_samples[int(np.argmin(vals))]
-        raise SymbolClassError(f"class-M symbol non-positive at xi={bad.tolist()}")
-
-    r = _radius(xi_samples)
-    lower = vals / r ** sym.gamma
-    inf_ratio = float(np.min(lower))
-
-    worst = -np.inf
-    worst_loc = ((0,) * sym.d, xi_samples[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for alpha in _multi_indices(sym.d, max_order):
-            der = np.abs(fd_partial(f, xi_samples, alpha))
-            scaled = der * r ** (sum(alpha) - sym.gamma)
-            idx = int(np.nanargmax(scaled))
-            if scaled[idx] > worst:
-                worst, worst_loc = float(scaled[idx]), (alpha, xi_samples[idx])
-
-    passed = (np.isfinite(worst) and worst <= sym.mu * (1.0 + tol) and worst <= cap
-              and inf_ratio >= sym.kappa * (1.0 - tol))
-    return MultiplierReport(
-        condition_name="class_M", worst_constant=worst,
-        worst_location=(worst_loc[0], worst_loc[1].tolist()),
-        passed=bool(passed), samples_used=len(xi_samples),
-        details={"inf_ratio": inf_ratio, "kappa": sym.kappa, "mu": sym.mu,
-                 "max_order": max_order})
-
-
-def check_class_S(sym: SymbolSpec, t_samples=None, xi_samples=None, tol=0.05,
-                  cap=DEFAULT_CAP):
-    """Scan the class-S conditions pointwise on a (t, xi) sample grid.
-
-    Condition 1: Re psi(t, xi) <= -kappa |xi|^gamma. Condition 2: the
-    same derivative control as class M, uniformly in t. A violated sign
-    marks the report failed with the offending sample as worst_location.
-    """
-    if t_samples is None:
-        t_samples = np.linspace(0.0, 1.5, 7) if sym.time_dependent else np.array([0.0])
-    t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    if xi_samples is None:
-        _, pts = dyadic_samples(sym.d)
-        xi_samples = pts.reshape(-1, sym.d)
-    xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
-    max_order = min(sym.n_depth, sym.d // 2 + 1)
-
-    r = _radius(xi_samples)
-    worst_s1 = -np.inf
-    s1_loc = (float(t_samples[0]), xi_samples[0])
-    worst_der = -np.inf
-    der_loc = ((0,) * sym.d, xi_samples[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in t_samples:
-            vals = np.asarray(sym.eval(t, xi_samples))
-            margin = np.real(vals) / r ** sym.gamma
-            i = int(np.argmax(margin))
-            if margin[i] > worst_s1:
-                worst_s1, s1_loc = float(margin[i]), (float(t), xi_samples[i])
-            for alpha in _multi_indices(sym.d, max_order):
-                der = np.abs(fd_partial(lambda p: sym.eval(t, p), xi_samples, alpha))
-                scaled = der * r ** (sum(alpha) - sym.gamma)
-                j = int(np.nanargmax(scaled))
-                if scaled[j] > worst_der:
-                    worst_der, der_loc = float(scaled[j]), (alpha, xi_samples[j])
-
-    s1_ok = worst_s1 <= -sym.kappa * (1.0 - tol)
-    s2_ok = np.isfinite(worst_der) and worst_der <= sym.mu * (1.0 + tol) and worst_der <= cap
-    return MultiplierReport(
-        condition_name="class_S", worst_constant=worst_der,
-        worst_location=(der_loc[0], der_loc[1].tolist()),
-        passed=bool(s1_ok and s2_ok),
-        samples_used=len(xi_samples) * len(t_samples),
-        details={"worst_re_ratio": worst_s1, "s1_location": (s1_loc[0], s1_loc[1].tolist()),
-                 "s1_ok": bool(s1_ok), "s2_ok": bool(s2_ok),
-                 "kappa": sym.kappa, "mu": sym.mu})
-
-
 def check_mihlin(m: SymbolSpec, xi_samples=None, cap=DEFAULT_CAP,
                  lo=DEFAULT_DYADIC_LO, hi=DEFAULT_DYADIC_HI):
     """Mihlin-condition scan: sup |d^a m(xi)| |xi|^{|a|} for |a| <= floor(d/2)+1.
@@ -555,38 +450,3 @@ def check_marcinkiewicz(m: SymbolSpec, rectangle_budget=4096,
         passed=passed, samples_used=int(sum(len(t) for t in level_tracks)),
         details={"stable": bool(stable),
                  "per_level_sup": [t.tolist() for t in level_tracks]})
-
-
-def empirical_multiplier_norm(m: SymbolSpec, p, trials, grid, seed):
-    """Max over random band-limited test functions of the L^p ratio
-    ||inverse_transform(m * transform(f))||_p / ||f||_p on the grid.
-
-    Deterministic given the seed. Functions with negligible norm are
-    resampled.
-    """
-    from . import rng as _rng
-    from .spectral import (Field, apply_multiplier, lp_norm, spatial_fft,
-                           symbol_on_grid)
-
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    gen = _rng.substream(seed, _rng.MULT_NORM)
-    mult = symbol_on_grid(m, 0.0, grid)
-    keep = np.abs(np.fft.fftfreq(grid.n, 1.0 / grid.n)) <= grid.n // 4
-    mask = keep
-    for _ in range(grid.d - 1):
-        mask = np.multiply.outer(mask, keep)
-    mask = mask.ravel()
-    best = 0.0
-    done = 0
-    while done < trials:
-        raw = gen.standard_normal((1, grid.n_points))
-        fv = spatial_fft(spatial_fft(raw, grid) * mask, grid, inverse=True)
-        f = Field(grid, 1, fv.real.astype(complex))
-        denom = lp_norm(f, p)
-        if denom < 1e-12:
-            continue
-        num = lp_norm(apply_multiplier(f, mult), p)
-        best = max(best, num / denom)
-        done += 1
-    return float(best)

@@ -10,7 +10,8 @@ import numpy as np
 from scipy import integrate, special
 
 from spdelab import rng
-from spdelab.covariance import cholesky_psd, increment_gram
+from spdelab.covariance import cholesky_psd, cross_increments, increment_gram
+from spdelab.gaussian import TIME_TOL, StepFunction
 from spdelab.solver import _quad_grid
 from spdelab.spectral import (GridSpec, _simpson_weights, spatial_fft,
                               symbol_cumulative_integrals, symbol_on_grid)
@@ -36,11 +37,6 @@ def fbm_rectangle_quad(H, t0, t1, s0, s1):
     return v
 
 
-def fbm_KR_indicator(H, t):
-    """(K_R 1_{[0,1]})(t) = H (t^{2H-1} + (1-t)^{2H-1}) in closed form."""
-    return H * (t ** (2 * H - 1) + (1 - t) ** (2 * H - 1))
-
-
 def heat_density(delta, u):
     return np.exp(-u * u / (4 * delta)) / np.sqrt(4 * np.pi * delta)
 
@@ -64,12 +60,51 @@ def bessel_mass_quad(delta):
     return 2.0 * v
 
 
-def bessel_KR_indicator_quad(delta, t):
-    """int_0^1 density(t - s) ds by adaptive quadrature (singular at s=t)."""
-    pts = [t] if 0.0 < t < 1.0 else None
-    v, _ = integrate.quad(lambda s: bessel_density_closed(delta, t - s),
-                          0.0, 1.0, points=pts, limit=300)
-    return v
+def rectangle_increment(kernel, int1, int2):
+    """Inner product of the indicators of (a,b] and (c,d] under R."""
+    a, b = int1
+    c, d = int2
+    if not (a <= b and c <= d):
+        raise ValueError("intervals must be ordered")
+    if min(a, c) < 0:
+        raise ValueError("intervals must lie in [0, T]")
+    R = kernel.R
+    return float(R(b, d) - R(b, c) - R(a, d) + R(a, c))
+
+
+# ---------------------------------------------------------------------------
+# step functions
+
+
+def truncate(h, tau):
+    """The step function h times the indicator of (0, tau]."""
+    if tau <= h.breakpoints[0]:
+        return StepFunction(np.array([0.0, max(tau, TIME_TOL)]),
+                            np.zeros((1, h.J)))
+    keep = h.breakpoints < tau - TIME_TOL
+    k = int(np.sum(keep[1:]))
+    bp = np.concatenate([h.breakpoints[:k + 1], [tau]])
+    return StepFunction(bp, h.coeffs[:k + 1].copy())
+
+
+def l_r_norm(h, r):
+    """The L^r([0,T]; U_0) norm of a step function (exact)."""
+    mags = np.sqrt(np.sum(h.coeffs ** 2, axis=1))
+    if np.isinf(r):
+        return float(mags.max()) if len(mags) else 0.0
+    return float(np.sum(mags ** r * np.diff(h.breakpoints)) ** (1.0 / r))
+
+
+def abs_inner_H_U0(phi, psi, kernel):
+    """The |H| inner product: the rectangle-increment sum with |values|.
+
+    Only meaningful for kernels with nonnegative rectangle increments,
+    which holds for all the builtins.
+    """
+    a = np.sqrt(np.sum(phi.coeffs ** 2, axis=1))
+    b = np.sqrt(np.sum(psi.coeffs ** 2, axis=1))
+    inc = cross_increments(kernel, phi.breakpoints, psi.breakpoints)
+    return float(np.outer(a, b).ravel() @ inc.ravel())
 
 
 # ---------------------------------------------------------------------------

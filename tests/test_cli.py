@@ -132,6 +132,29 @@ def test_wrong_sign_psi_exits_2(tmp_path, capsys, command, params):
     _assert_rejected(tmp_path, capsys, command, params)
 
 
+@pytest.mark.parametrize("command,params", [
+    ("simulate", {"n_t": 2.5}),
+    ("simulate", {"n_samples": True}),
+    ("simulate", {"grid": "x"}),
+    ("verify-kernelenv", {"grid": "x"}),
+    ("verify-bessel", {"grid": "x"}),
+    ("simulate", {"estimator": "zzz"}),
+    ("verify-apriori", {"estimator": "zzz"}),
+    ("verify-multiplier", {"d": 4}),
+    ("verify-multiplier", {"d": 8}),
+    ("verify-lp", {"box": -1}),
+    ("verify-goperator", {"box": -1}),
+    ("verify-goperator", {"a": 1, "b": 0}),
+    ("verify-skorohod", {"T": -1}),
+    ("verify-maximal", {"T": -1}),
+    ("verify-lp", {"a": 1, "b": 0, "levels": [[32, 16]]}),
+    ("verify-apriori", {"box": -1, "levels": [[32, 16]]}),
+])
+def test_bad_value_exits_2_where_it_enters(tmp_path, capsys, command, params):
+    # each of these used to raise a traceback or to run to exit 0
+    _assert_rejected(tmp_path, capsys, command, params)
+
+
 def test_simulate_fails_on_non_finite_summary(tmp_path, monkeypatch):
     def nan_rows(ens):
         return [(float(t), np.nan, 0.0, 0.0) for t in ens.problem.times]

@@ -6,15 +6,11 @@ from hypothesis import strategies as st
 import oracles
 from spdelab.battery import kernel_battery
 from spdelab.covariance import (
-    apply_KR_cells,
     builtin_kernel,
-    check_R2,
     cholesky_psd,
     cross_increments,
     gram_matrix,
     increment_gram,
-    rectangle_increment,
-    step_lp_norm,
 )
 
 
@@ -37,7 +33,7 @@ def test_fbm_R_closed_form():
 def test_fbm_rectangle_vs_quadrature():
     # rectangle increments of R equal the double integral of the density
     k = builtin_kernel("fbm", H=0.75)
-    got = rectangle_increment(k, (0.2, 0.7), (0.4, 0.9))
+    got = cross_increments(k, [0.2, 0.7], [0.4, 0.9])[0, 0]
     want = oracles.fbm_rectangle_quad(0.75, 0.2, 0.7, 0.4, 0.9)
     assert got == pytest.approx(want, rel=1e-6)
 
@@ -66,7 +62,8 @@ def test_cross_increments_match_rectangle_increment(kernel):
     assert got.shape == (3, 4)
     for i in range(3):
         for j in range(4):
-            want = rectangle_increment(kernel, (a[i], a[i + 1]), (b[j], b[j + 1]))
+            want = oracles.rectangle_increment(kernel, (a[i], a[i + 1]),
+                                               (b[j], b[j + 1]))
             assert got[i, j] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
@@ -99,69 +96,3 @@ def test_cholesky_psd_complex_hermitian():
     a = np.array([[2.0, 1.0 + 1.0j], [1.0 - 1.0j, 3.0]])
     L = cholesky_psd(a)
     assert np.allclose(L @ L.conj().T, a, atol=1e-12)
-
-
-def test_apply_KR_wiener_identity():
-    # K_R is the identity; edge values are the step values from the left
-    k = builtin_kernel("wiener")
-    edges = np.linspace(0.0, 1.0, 9)
-    f = np.arange(8.0)
-    out = apply_KR_cells(k, edges, f)
-    assert np.array_equal(out, np.concatenate([[f[0]], f]))
-
-
-def test_apply_KR_fbm_indicator_closed_form():
-    # the cell sums telescope, so K_R 1_{[0,1]} at the edges is exact
-    k = builtin_kernel("fbm", H=0.75)
-    fine = np.linspace(0.0, 1.0, 257)
-    vals = apply_KR_cells(k, fine, np.ones(256))
-    want = oracles.fbm_KR_indicator(0.75, fine)
-    assert np.max(np.abs(vals - want)) < 1e-12
-
-
-def test_apply_KR_bessel_indicator_vs_quadrature():
-    # same telescoping for the density route: edges carry F1(t) - F1(t-1),
-    # which must match direct quadrature of the closed-form density
-    k = builtin_kernel("bessel", delta=0.5)
-    edges = np.linspace(0.0, 1.0, 9)
-    vals = apply_KR_cells(k, edges, np.ones(8))
-    for t, got in zip(edges, vals):
-        want = oracles.bessel_KR_indicator_quad(0.5, t)
-        assert got == pytest.approx(want, abs=1e-8)
-
-
-def test_linear_kernel_KR_total_integral():
-    # K_R f = int_0^T f ds for the linear kernel (constant output)
-    k = builtin_kernel("linear")
-    edges = np.linspace(0.0, 1.0, 5)
-    f = np.array([1.0, -2.0, 0.5, 3.0])
-    out = apply_KR_cells(k, edges, f)
-    total = np.sum(f * np.diff(edges))
-    assert np.allclose(out, total)
-
-
-def test_step_lp_norm_inf():
-    edges = np.array([0.0, 0.5, 1.0])
-    vals = np.array([1.0, -3.0])
-    assert step_lp_norm(edges, vals, np.inf) == 3.0
-    assert step_lp_norm(edges, vals, 2.0) == pytest.approx(np.sqrt(5.0))
-
-
-@pytest.mark.parametrize("name,kw", [
-    ("wiener", {}), ("fbm", {"H": 0.75}), ("linear", {}),
-    ("bessel", {"delta": 0.5}), ("heat", {"delta": 1.0}),
-])
-def test_check_R2_bounded(name, kw):
-    k = builtin_kernel(name, **kw)
-    rep = check_R2(k, trials=16, seed=1, n_cells=128, levels=(64, 128))
-    assert rep.passed
-    assert np.isfinite(rep.ratio)
-    if k.C_R is not None:
-        assert rep.ratio <= k.C_R * 1.05
-
-
-def test_check_R2_deterministic():
-    k = builtin_kernel("fbm", H=0.75)
-    r1 = check_R2(k, trials=8, seed=3, n_cells=64, levels=(32, 64))
-    r2 = check_R2(k, trials=8, seed=3, n_cells=64, levels=(32, 64))
-    assert r1.ratio == r2.ratio

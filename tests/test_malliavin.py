@@ -188,7 +188,7 @@ def test_running_skorohod_nodes(kernel):
     # manual node value at tau = 0.5
     b_half = phi.coeffs[0, 0] * delta[:, 0, 0]
     b_full = np.einsum("pj,njp->n", design.phi_ref[0], delta)
-    ip = inner_H_U0(sum_step([phi]), phi.truncate(0.5), kernel)
+    ip = inner_H_U0(sum_step([phi]), oracles.truncate(phi, 0.5), kernel)
     want = 3.0 * (b_half * b_full - ip)
     assert np.max(np.abs(run[:, 1, 0] - want)) < 1e-12
 
@@ -309,7 +309,7 @@ def test_d1p_norm_deterministic_wiener():
     k = np.array([2.0])
     u = ElementaryProcess([(constant_functional(phi, 1.0), k, phi)])
     # |H|-norm of a deterministic k phi under wiener is |k| ||phi||_{L^2}
-    want = 2.0 * phi.l_r_norm(2.0)
+    want = 2.0 * oracles.l_r_norm(phi, 2.0)
     got = d1p_norm(u, WIENER, p=2.0, n_samples=64, seed=1)
     assert got == pytest.approx(want, rel=1e-12)
 

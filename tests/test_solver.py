@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,3 +375,12 @@ def test_ensemble_summary_rows():
     assert mf0 == pytest.approx(np.sqrt(GRID.L), rel=1e-12)
     assert tv0 == pytest.approx(0.0, abs=1e-20)
     assert ms0 == pytest.approx(1.0, rel=1e-12)
+
+
+def test_readme_library_quickstart_runs():
+    # the "Library quickstart" block of README.md, executed as written
+    readme = Path(__file__).parents[1].joinpath("README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -3,9 +3,12 @@
 The unitary DFT lives in ``spectral`` (``spatial_fft``, plus the
 unnormalized ``multiplier_kernel``); rectangle increments of R live in
 ``covariance.cross_increments``; a symbol is evaluated on the grid only by
-``spectral.symbol_on_grid``.  A new copy elsewhere fails here.
+``spectral.symbol_on_grid``.  A new copy elsewhere fails here.  Every
+definition is reached from somewhere: a function, class or method that
+nothing else in the package names is either public or deleted.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -44,3 +47,28 @@ def test_symbol_eval_only_in_symbol_on_grid():
     start = text.index("def symbol_on_grid(")
     end = text.index("\ndef ", start + 1)
     assert all(start < pos < end for _, pos in hits)
+
+
+# names with no caller in the package that tests/test_acceptance.py uses
+ACCEPTANCE_ONLY = {"step_battery", "evolution_apply", "wiener_integral_path"}
+
+
+def _definitions(text):
+    """Module-level def/class names and non-dunder method names."""
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__"))
+
+
+def test_every_definition_has_a_caller_or_is_public():
+    defs = [name for text in SOURCES.values() for name in _definitions(text)]
+    source = "\n".join(SOURCES.values())
+    unmentioned = sorted(
+        name for name in set(defs)
+        if len(re.findall(rf"\b{name}\b", source)) <= defs.count(name))
+    allowed = set(spdelab.__all__) | ACCEPTANCE_ONLY
+    assert [name for name in unmentioned if name not in allowed] == []

@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
-from spdelab.errors import SymbolClassError
 from spdelab.symbols import (
     builtin_symbol,
-    check_class_M,
-    check_class_S,
     check_marcinkiewicz,
     check_mihlin,
     coordinate_symbol,
-    empirical_multiplier_norm,
     log_symbol,
     m1_symbol,
     m2_symbol,
@@ -30,32 +26,6 @@ def test_heat_symbol_is_minus_power():
     psi = builtin_symbol("heat", gamma=2.0, d=1)
     xi = np.array([[1.5], [0.5]])
     assert np.allclose(psi.eval(0.0, xi), [-2.25, -0.25])
-
-
-def test_class_M_passes_power():
-    rep = check_class_M(builtin_symbol("power", gamma=2.0, d=1))
-    assert rep.passed
-    assert rep.details["inf_ratio"] == pytest.approx(1.0, rel=1e-6)
-
-
-def test_class_M_rejects_nonpositive():
-    # class-M symbols are positive; the dissipative heat symbol is not
-    with pytest.raises(SymbolClassError):
-        check_class_M(builtin_symbol("heat", gamma=2.0, d=1))
-
-
-def test_class_M_accepts_positive_wrong_sign():
-    # +|xi|^gamma fails class S but is a legitimate class-M symbol
-    assert check_class_M(builtin_symbol("wrong_sign", d=1)).passed
-
-
-def test_class_S_passes_heat_and_oscillating():
-    assert check_class_S(builtin_symbol("heat", gamma=2.0, d=1)).passed
-    assert check_class_S(builtin_symbol("heat_osc", d=1)).passed
-
-
-def test_class_S_fails_wrong_sign():
-    assert not check_class_S(builtin_symbol("wrong_sign", d=1)).passed
 
 
 def test_mihlin_passes_rational_family():
@@ -79,16 +49,6 @@ def test_marcinkiewicz_passes_product_power():
 
 def test_marcinkiewicz_fails_coordinate():
     assert not check_marcinkiewicz(coordinate_symbol(0, d=2)).passed
-
-
-def test_empirical_norm_bounded_multiplier():
-    from spdelab.spectral import GridSpec
-
-    grid = GridSpec(d=1, n=64, L=2 * np.pi)
-    phi = builtin_symbol("power", gamma=2.0, d=1)
-    m = m1_symbol(phi, 1.0)               # (1 + |xi|^2)^{-1}, norm <= 1 on L^2
-    val = empirical_multiplier_norm(m, 2.0, 8, grid, seed=3)
-    assert 0.0 < val <= 1.0 + 1e-12
 
 
 def test_oscillating_heat_time_profile():
