@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -166,15 +167,25 @@ def _build(ctor, cfg, default=None):
 
 
 def _param(params, key, default, kind=float, above=None):
-    """params[key] (or default): an integer for kind int, else any number;
-    optionally > above."""
+    """params[key] (or default): an integer for kind int, else any finite
+    number; optionally > above."""
     val = params.get(key, default)
     if not (_is_int(val) or kind is float and isinstance(val, float)) \
+            or kind is float and not _finite(val) \
             or above is not None and not val > above:
         raise SchemaError(
-            f"param {key!r} must be {'an integer' if kind is int else 'a number'}"
+            f"param {key!r} must be "
+            f"{'an integer' if kind is int else 'a finite number'}"
             f"{'' if above is None else f' > {above}'}, got {val!r}")
     return kind(val)
+
+
+def _finite(val):
+    """True if the number val converts to a finite float."""
+    try:
+        return math.isfinite(val)
+    except OverflowError:      # an integer beyond the float range
+        return False
 
 
 def _choice(params, key, default, allowed):
@@ -382,7 +393,7 @@ def _run_verify_bessel(cfg: RunConfig):
     fields = battery.bessel_field_battery(
         grid, m=_param(p, "m", 1, int, above=0),
         count=_param(p, "count", 16, int, above=0), seed=cfg.seed,
-        band_frac=_param(p, "band_frac", 0.5))
+        band_frac=_param(p, "band_frac", 0.5, above=0))
     rep = bessel_equivalence_check(phi, _param(p, "alpha", 2.0),
                                    _param(p, "p", 2.0), fields)
     rows = [{"field": i, "ratio": r} for i, r in enumerate(rep["ratios"])]
@@ -426,8 +437,10 @@ def _run_verify_kernelenv(cfg: RunConfig):
     psi = _build(builtin_symbol, p.get("psi"), dict(_PSI_1D, d=grid.d))
     with _schema_errors("param 't_minus_s'"):
         taus = [float(t) for t in p.get("t_minus_s", (0.1, 0.2, 0.4))]
-    rep = kernel_envelope_check(phi, psi, taus, grid,
-                                var_tol=_param(p, "var_tol", 0.2))
+    var_tol = _param(p, "var_tol", 0.2)
+    if var_tol < 0:
+        raise SchemaError(f"param 'var_tol' must be >= 0, got {var_tol!r}")
+    rep = kernel_envelope_check(phi, psi, taus, grid, var_tol=var_tol)
     rows = [{"tau": tau, "C_kernel": ck, "C_grad": cg, "C_ds": cs,
              "sup_kernel": sk}
             for tau, ck, cg, cs, sk in zip(rep["taus"], rep["C_kernel"],

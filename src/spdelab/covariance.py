@@ -271,23 +271,48 @@ def increment_gram(kernel: CovarianceKernel, times) -> np.ndarray:
 def cholesky_psd(mat: np.ndarray) -> np.ndarray:
     """Cholesky with a jitter ladder, tolerating exactly-zero variables.
 
-    Rows whose diagonal entry is zero (a variance-zero variable such as a
-    path value at t = 0) are removed before factoring and restored as zero
-    rows. Failure after the full ladder raises KernelValidityError.
+    mat is one (n, n) matrix or a stack (..., n, n).  Rows whose diagonal
+    entry is zero (a variance-zero variable such as a path value at t = 0)
+    are removed before factoring and restored as zero rows.  The matrices
+    of a stack with no zero on the diagonal are factored in one call; the
+    others, and all of them if that call fails, go one at a time through
+    the zero-row removal and the ladder, so each factor has the bits of a
+    2-D call.  Failure after the full ladder raises KernelValidityError.
     """
     mat = np.asarray(mat)
     if not np.iscomplexobj(mat):
         mat = mat.astype(float)
+    if mat.ndim == 2:
+        return _cholesky_one(mat)
+    flat = mat.reshape((-1,) + mat.shape[-2:])
+    out = np.empty_like(flat)
+    full = np.all(np.diagonal(flat, axis1=1, axis2=2) != 0.0, axis=1)
+    if np.any(full):
+        try:
+            out[full] = _jittered_cholesky(flat[full], 0.0)
+        except np.linalg.LinAlgError:
+            full[:] = False
+    for i in np.flatnonzero(~full):
+        out[i] = _cholesky_one(flat[i])
+    return out.reshape(mat.shape)
+
+
+def _jittered_cholesky(sub, jit):
+    """np.linalg.cholesky of sub + jit * trace(sub) * I, over a stack."""
+    trace = np.real(np.trace(sub, axis1=-2, axis2=-1))[..., None, None]
+    return np.linalg.cholesky(sub + jit * trace * np.eye(sub.shape[-1]))
+
+
+def _cholesky_one(mat):
     n = mat.shape[0]
     keep = np.diag(mat) != 0.0
     sub = mat[np.ix_(keep, keep)]
     out = np.zeros((n, n), dtype=mat.dtype)
     if sub.size:
-        trace = float(np.real(np.trace(sub)))
         chol = None
         for jit in (0.0,) + tuple(JITTER_LADDER):
             try:
-                chol = np.linalg.cholesky(sub + jit * trace * np.eye(sub.shape[0]))
+                chol = _jittered_cholesky(sub, jit)
                 break
             except np.linalg.LinAlgError:
                 continue

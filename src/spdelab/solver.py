@@ -7,7 +7,9 @@ convolution has two independent estimators:
 * modewise -- per (mode, factor) the time vector is exactly Gaussian; its
   covariance is assembled from rectangle increments of R and sampled by
   Cholesky with circularly-symmetric complex draws.  Exact per-mode law
-  (conjugate covariance), cheap in samples.
+  (conjugate covariance), cheap in samples.  Modes are taken in blocks of
+  fixed byte size, with stacked products and factorizations; each mode
+  still draws from its own (seed, CONV_MODEWISE, j, k) substream.
 * pathwise -- Riemann sums against sampled increments of beta on a refined
   grid; preserves the joint real-field structure.
 
@@ -16,7 +18,9 @@ the midpoints of the same refined quadrature partition, with every exponent
 read from one table of cumulative symbol integrals on it, so they agree to
 Monte-Carlo error rather than to quadrature error.  The pathwise estimator
 and the forced part advance the solution one solution cell at a time, by
-the evolution law T(t,r) T(r,s) = T(t,s).
+the evolution law T(t,r) T(r,s) = T(t,s).  Both estimators run their final
+inverse transform in place, and solve adds the deterministic part into the
+sampled ensemble in place.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from .symbols import SymbolSpec
 
 TIME_TOL = 1e-9
 ESTIMATORS = ("modewise", "pathwise")
+# bytes per complex buffer of a mode block in the modewise sampler
+_MODE_BLOCK_BYTES = 2 << 20
 
 
 @dataclass
@@ -197,10 +203,18 @@ def _quad_grid(times, n_sub):
 
 def stochastic_convolution_modewise(problem: SPDEProblem, n_samples,
                                     seed) -> np.ndarray:
-    """Exact-covariance sampler; (n_samples, n_times, m, n_points)."""
+    """Exact-covariance sampler; (n_samples, n_times, m, n_points).
+
+    Modes go in blocks sized by _MODE_BLOCK_BYTES.  Per block and factor j,
+    one GEMM forms A_k ginc for every mode k, one stacked matmul the
+    covariances A_k ginc A_k^H and one stacked cholesky_psd their factors;
+    each live mode draws from its own (seed, CONV_MODEWISE, j, k)
+    substream, so the block size does not change the result.
+    """
     grid = problem.grid
     n_t, m, J = problem.n_times, problem.m, problem.q.J
-    out_hat = np.zeros((n_samples, n_t, m, grid.n_points), dtype=complex)
+    n_pts = grid.n_points
+    out_hat = np.zeros((n_samples, n_t, m, n_pts), dtype=complex)
     if problem.g is not None:
         n_sub = problem.quad_refine
         q_grid, edges, mid_idx, sol_idx = _quad_grid(problem.times, n_sub)
@@ -209,26 +223,41 @@ def stochastic_convolution_modewise(problem: SPDEProblem, n_samples,
         # real part and would overflow
         past = np.arange(len(mid_idx)) >= (np.arange(1, n_t) * n_sub)[:, None]
         g_hat = spatial_fft(problem.g, grid)
-        ginc = increment_gram(problem.kernel, edges)
-        rows = (n_t - 1) * m
-        for k in range(grid.n_points):
-            ck = cums[:, k]
-            expo = ck[sol_idx[1:], None] - ck[mid_idx]
-            expo[past] = -np.inf
-            Em = np.exp(expo)                     # exp(int_mid^{t_{i+1}} psi)
-            acc = np.zeros((rows, n_samples), dtype=complex)
+        # cast once; a complex @ real matmul casts ginc on every call
+        ginc = increment_gram(problem.kernel, edges).astype(complex)
+        rows, C = (n_t - 1) * m, len(mid_idx)
+        B = _MODE_BLOCK_BYTES // (16 * rows * max(C, n_samples))
+        B = min(n_pts, max(1, B))
+        Em = np.empty((B, n_t - 1, C), dtype=complex)
+        A = np.empty((B, n_t - 1, m, C), dtype=complex)
+        AG = np.empty((B, rows, C), dtype=complex)
+        acc = np.empty((B, rows, n_samples), dtype=complex)
+        for k0 in range(0, n_pts, B):
+            b = min(B, n_pts - k0)
+            ck = cums[:, k0:k0 + b].T
+            np.subtract(ck[:, sol_idx[1:], None], ck[:, None, mid_idx], out=Em[:b])
+            Em[:b, past] = -np.inf
+            np.exp(Em[:b], out=Em[:b])             # exp(int_mid^{t_{i+1}} psi)
+            acc[:b] = 0.0
             for j in range(J):
-                g_sub = np.repeat(g_hat[:, :, j, k], n_sub, axis=0)   # (C, m)
-                A = (Em[:, None, :] * g_sub.T[None]).reshape(rows, -1)
-                cov = A @ ginc @ A.conj().T
-                if not np.any(cov):
+                g_sub = np.repeat(g_hat[:, :, j, k0:k0 + b], n_sub, axis=0)  # (C, m, b)
+                np.multiply(Em[:b, :, None, :], g_sub.T[:, None], out=A[:b])
+                Ab = A[:b].reshape(b, rows, C)
+                np.matmul(Ab.reshape(b * rows, C), ginc,
+                          out=AG[:b].reshape(b * rows, C))
+                # A is rebuilt for the next factor: conjugate it in place
+                cov = AG[:b] @ np.conjugate(Ab, out=Ab).transpose(0, 2, 1)
+                live = np.flatnonzero(np.any(cov, axis=(1, 2)))
+                if not live.size:
                     continue
-                L = cholesky_psd(cov)
-                gen = _rng.substream(seed, _rng.CONV_MODEWISE, j, k)
-                z = gen.standard_normal((2, rows, n_samples))
-                acc += L @ ((z[0] + 1j * z[1]) / np.sqrt(2.0))
-            out_hat[:, 1:, :, k] = acc.T.reshape(n_samples, n_t - 1, m)
-    return spatial_fft(out_hat, grid, inverse=True)
+                L = cholesky_psd(cov[live])
+                z = np.empty((len(live), 2, rows, n_samples))
+                for zk, k in zip(z, live):
+                    _rng.substream(seed, _rng.CONV_MODEWISE, j, k0 + k
+                                   ).standard_normal(out=zk)
+                acc[live] += L @ ((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+            out_hat[:, 1:, :, k0:k0 + b] = acc[:b].T.reshape(n_samples, n_t - 1, m, b)
+    return spatial_fft(out_hat, grid, inverse=True, out=out_hat)
 
 
 def stochastic_convolution_pathwise(problem: SPDEProblem,
@@ -259,7 +288,7 @@ def stochastic_convolution_pathwise(problem: SPDEProblem,
             g_loc = np.exp(top - cums[mid_idx[cell]])[:, None, None, :] * g_hat[i]
             out_hat[:, i + 1] = np.exp(top - cums[sol_idx[i]]) * out_hat[:, i] \
                 + np.einsum("njc,cmjk->nmk", dB[:, :, cell], g_loc, optimize=True)
-    return spatial_fft(out_hat, grid, inverse=True)
+    return spatial_fft(out_hat, grid, inverse=True, out=out_hat)
 
 
 def refined_path_times(problem: SPDEProblem):
@@ -276,15 +305,15 @@ def solve(problem: SPDEProblem, n_samples, seed,
     det = deterministic_homogeneous(problem) + deterministic_forced(problem)
     paths = None
     if problem.g is None:
-        sto = 0.0
-    elif estimator == "modewise":
-        sto = stochastic_convolution_modewise(problem, n_samples, seed)
+        samples = np.broadcast_to(det, (n_samples,) + det.shape).astype(complex)
     else:
-        paths = sample_paths(problem.kernel, refined_path_times(problem),
-                             problem.q, n_samples, seed)
-        sto = stochastic_convolution_pathwise(problem, paths)
-    samples = det[None, :, :, :] + sto if np.ndim(sto) else \
-        np.broadcast_to(det[None], (n_samples,) + det.shape).copy().astype(complex)
+        if estimator == "modewise":
+            samples = stochastic_convolution_modewise(problem, n_samples, seed)
+        else:
+            paths = sample_paths(problem.kernel, refined_path_times(problem),
+                                 problem.q, n_samples, seed)
+            samples = stochastic_convolution_pathwise(problem, paths)
+        samples += det      # in place; addition commutes, so det + sto bit for bit
     return SolutionEnsemble(problem=problem, samples=samples,
                             estimator=estimator, seed=int(seed), paths=paths,
                             meta={"kernel": problem.kernel.name})

@@ -108,13 +108,19 @@ class Field:
 # transforms and multipliers
 
 
-def spatial_fft(arr, grid: GridSpec, inverse=False) -> np.ndarray:
-    """Unitary DFT over the trailing (n_points,) axis; Parseval is exact."""
+def spatial_fft(arr, grid: GridSpec, inverse=False, out=None) -> np.ndarray:
+    """Unitary DFT over the trailing (n_points,) axis; Parseval is exact.
+
+    A contiguous complex `out` of arr's shape receives the result, which
+    may be arr itself.
+    """
     lead = arr.shape[:-1]
-    axes = tuple(range(len(lead), len(lead) + grid.d))
+    shape = lead + grid.shape
+    axes = tuple(range(len(lead), len(shape)))
     fn = np.fft.ifftn if inverse else np.fft.fftn
-    out = fn(arr.reshape(lead + grid.shape), axes=axes, norm="ortho")
-    return out.reshape(lead + (grid.n_points,))
+    res = fn(arr.reshape(shape), axes=axes, norm="ortho",
+             out=None if out is None else out.reshape(shape))
+    return res.reshape(lead + (grid.n_points,))
 
 
 def multiplier_kernel(mult, grid: GridSpec) -> np.ndarray:

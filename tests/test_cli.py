@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +159,19 @@ def test_bad_value_exits_2_where_it_enters(tmp_path, capsys, command, params):
     _assert_rejected(tmp_path, capsys, command, params)
 
 
+@pytest.mark.parametrize("command,params", [
+    ("verify-skorohod", {"T": 1e400, "n_samples": 100}),   # JSON 1e400 is inf
+    ("simulate", {"T": 1e400}),
+    ("verify-skorohod", {"T": 10 ** 400, "n_samples": 100}),  # overflows a float
+    ("verify-lp", {"a": float("-inf"), "levels": [[32, 16]]}),
+    ("verify-bessel", {"band_frac": -1}),
+    ("verify-kernelenv", {"var_tol": -1}),
+])
+def test_non_finite_or_out_of_range_float_exits_2(tmp_path, capsys, command, params):
+    # each of these used to run to a FAIL report (exit 1) or a traceback
+    _assert_rejected(tmp_path, capsys, command, params)
+
+
 def test_simulate_fails_on_non_finite_summary(tmp_path, monkeypatch):
     def nan_rows(ens):
         return [(float(t), np.nan, 0.0, 0.0) for t in ens.problem.times]
@@ -219,6 +236,26 @@ def test_artifacts_independent_of_thread_count(tmp_path, monkeypatch):
         out = tmp_path / f"threads{threads}"
         cli.main(["verify-skorohod", "--config", cfg, "--out", str(out)])
         written.append([(out / f"verify-skorohod.{ext}").read_bytes()
+                        for ext in ("json", "csv")])
+    assert written[0] == written[1]
+
+
+def test_modewise_artifacts_independent_of_blas_threads(tmp_path):
+    # the BLAS thread count is read when numpy loads, so each run gets its
+    # own process; the mode blocks make the GEMMs large enough to thread
+    cfg = _write_cfg(tmp_path, "sim.json", {"seed": 4, "params": dict(
+        SIM_PARAMS, grid={"n": 64}, lambdas=[1.0, 0.5], n_samples=16)})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "spdelab.cli", "simulate",
+                        "--config", cfg, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        written.append([(out / f"simulate.{ext}").read_bytes()
                         for ext in ("json", "csv")])
     assert written[0] == written[1]
 

@@ -12,6 +12,7 @@ from spdelab.covariance import (
     gram_matrix,
     increment_gram,
 )
+from spdelab.errors import KernelValidityError
 
 
 def test_exponent_pairs():
@@ -96,3 +97,48 @@ def test_cholesky_psd_complex_hermitian():
     a = np.array([[2.0, 1.0 + 1.0j], [1.0 - 1.0j, 3.0]])
     L = cholesky_psd(a)
     assert np.allclose(L @ L.conj().T, a, atol=1e-12)
+
+
+def _stack_members():
+    """A PD matrix, one with a zero-variance row and one whose plain
+    factorization fails (rank one with no zero on the diagonal)."""
+    pd = gram_matrix(builtin_kernel("fbm", H=0.6), np.linspace(0.1, 1.0, 4))
+    zero_row = pd.copy()
+    zero_row[1, :] = zero_row[:, 1] = 0.0
+    v = np.array([1.0, 2.0, 3.0, 0.5])
+    rank_one = np.outer(v, v)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(rank_one)
+    return pd, zero_row, rank_one
+
+
+@pytest.mark.parametrize("members", [(0, 0, 1), (0, 1, 2, 0), (2, 2)])
+@pytest.mark.parametrize("phase", [False, True])
+def test_stacked_cholesky_psd_matches_one_at_a_time(members, phase):
+    mats = np.array([_stack_members()[i] for i in members])
+    if phase:       # complex Hermitian: D M D^H with a unitary diagonal D
+        d = np.exp(1j * np.arange(1, 5))
+        mats = d[:, None] * mats * d.conj()[None, :]
+    want = np.array([cholesky_psd(a) for a in mats])
+    got = cholesky_psd(mats)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert cholesky_psd(mats[None]).tobytes() == want.tobytes()   # (1, K, n, n)
+
+
+def test_stacked_cholesky_psd_factors_full_diagonals_in_one_call(monkeypatch):
+    pd, zero_row, _ = _stack_members()
+    calls = []
+    chol = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda a: calls.append(a.shape) or chol(a))
+    cholesky_psd(np.array([pd, zero_row, pd, pd]))
+    assert calls == [(3, 4, 4), (3, 3)]
+
+
+def test_stacked_cholesky_psd_rejects_a_non_psd_member():
+    pd, zero_row, rank_one = _stack_members()
+    bad = np.diag([1.0, 1.0, 1.0, 1.0])
+    bad[0, 1] = bad[1, 0] = 2.0           # eigenvalue -1
+    for stack in ([pd, bad], [zero_row, rank_one, bad]):
+        with pytest.raises(KernelValidityError):
+            cholesky_psd(np.array(stack))

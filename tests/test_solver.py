@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from spdelab import solver, spectral
+from spdelab import covariance, solver, spectral
 from spdelab.covariance import builtin_kernel
 from spdelab.errors import (AlignmentError, HypothesisViolationError,
                             SymbolClassError)
@@ -270,6 +270,33 @@ def test_cell_steps_match_pair_oracles(psi, times, m, J, quad_refine, kernel):
                 oracles.pathwise_masked(pb, paths)) < 1e-12
     assert np.array_equal(stochastic_convolution_modewise(pb, 5, seed=9),
                           oracles.modewise_masked(pb, 5, seed=9))
+
+
+@pytest.mark.parametrize("case", ["zero_factor", "zero_first_cell", "linear",
+                                  "odd_block"])
+def test_modewise_fallbacks_match_oracle(case, monkeypatch):
+    pb = _varied_problem("heat", "nonuniform", 2, 2, 3,
+                         "fbm" if case == "odd_block" else "wiener")
+    if case == "zero_factor":          # all-zero covariance: no draw for j = 0
+        pb.g[:, :, 0] = 0.0
+    elif case == "zero_first_cell":    # the rows of t_1 have zero variance
+        pb.g[0] = 0.0
+    elif case == "linear":             # rank-one Gram: the jitter ladder runs
+        pb.kernel = builtin_kernel("linear")
+    else:                              # blocks of 3 modes over 32
+        rows, cols = (pb.n_times - 1) * pb.m, (pb.n_times - 1) * pb.quad_refine
+        monkeypatch.setattr(solver, "_MODE_BLOCK_BYTES", 3 * 16 * rows * cols)
+    drawn, one_at_a_time = set(), []
+    substream, cholesky_one = solver._rng.substream, covariance._cholesky_one
+    monkeypatch.setattr(solver._rng, "substream",
+                        lambda seed, *key: drawn.add(key) or substream(seed, *key))
+    monkeypatch.setattr(covariance, "_cholesky_one",
+                        lambda a: one_at_a_time.append(a) or cholesky_one(a))
+    got = stochastic_convolution_modewise(pb, 5, seed=9)
+    monkeypatch.undo()
+    assert np.array_equal(got, oracles.modewise_masked(pb, 5, seed=9))
+    assert (case == "zero_factor") == all(j != 0 for _, j, _ in drawn)
+    assert case not in ("zero_first_cell", "linear") or one_at_a_time
 
 
 def test_stochastic_convolution_memory_does_not_scale_with_pairs():

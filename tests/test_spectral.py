@@ -59,6 +59,9 @@ def test_spatial_fft_over_trailing_axis():
     assert np.array_equal(spec, want.reshape(2, 3, -1))
     back = spatial_fft(spec, grid, inverse=True)
     assert np.allclose(back, arr, atol=1e-13)
+    in_place = spatial_fft(spec, grid, inverse=True, out=spec)
+    assert np.shares_memory(in_place, spec)
+    assert in_place.tobytes() == back.tobytes()
 
 
 def test_symbol_at_zero_rule():
