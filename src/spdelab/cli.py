@@ -233,6 +233,15 @@ def _sup_levels(params):
     return tuple(levels)
 
 
+def _t_minus_s(params):
+    """The lags of verify-kernelenv: a non-empty list of finite numbers > 0."""
+    taus = params.get("t_minus_s", [0.1, 0.2, 0.4])
+    if not (isinstance(taus, list) and taus):
+        raise SchemaError("param 't_minus_s' must be a non-empty list of "
+                          f"numbers > 0, got {taus!r}")
+    return [_param({"t_minus_s": t}, "t_minus_s", None, above=0) for t in taus]
+
+
 def _make_grid(cfg, default_n, L=2.0 * np.pi, n=None):
     """GridSpec from a config {"d", "n", "L"}; a given n overrides cfg's."""
     cfg = {} if cfg is None else cfg
@@ -435,8 +444,7 @@ def _run_verify_kernelenv(cfg: RunConfig):
     grid = _make_grid(p.get("grid"), 256, L=4.0 * np.pi)
     phi = _build(builtin_symbol, p.get("phi"), dict(_PHI_1D, d=grid.d))
     psi = _build(builtin_symbol, p.get("psi"), dict(_PSI_1D, d=grid.d))
-    with _schema_errors("param 't_minus_s'"):
-        taus = [float(t) for t in p.get("t_minus_s", (0.1, 0.2, 0.4))]
+    taus = _t_minus_s(p)
     var_tol = _param(p, "var_tol", 0.2)
     if var_tol < 0:
         raise SchemaError(f"param 'var_tol' must be >= 0, got {var_tol!r}")

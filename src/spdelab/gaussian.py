@@ -30,12 +30,17 @@ class QSpec:
     J: int = 0
 
     def __post_init__(self):
-        lam = tuple(float(v) for v in self.lambdas)
+        try:
+            lam = tuple(float(v) for v in self.lambdas)
+        except OverflowError:          # an integer beyond the float range
+            raise ValueError("lambdas must be finite") from None
         object.__setattr__(self, "lambdas", lam)
         if self.J == 0:
             object.__setattr__(self, "J", len(lam))
         if self.J != len(lam):
             raise ValueError("J must match len(lambdas)")
+        if not all(np.isfinite(lam)):
+            raise ValueError("lambdas must be finite")
         if any(v <= 0 for v in lam):
             raise ValueError("lambdas must be positive")
         if any(a < b for a, b in zip(lam, lam[1:])):

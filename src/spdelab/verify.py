@@ -13,7 +13,7 @@ import numpy as np
 
 from .covariance import CovarianceKernel
 from .errors import HypothesisViolationError
-from .gaussian import QSpec
+from .gaussian import TIME_TOL, QSpec, canonical_partition
 from .malliavin import ElementaryProcess, JointDesign, mixed_norm_terms
 from .reports import RatioReport
 from .solver import SPDEProblem, solve
@@ -39,52 +39,93 @@ def _lp_power(vals, grid, p, comp_axes):
 # maximal inequality
 
 
+def _coupled_partition(u: ElementaryProcess, sup_levels):
+    """Each level's partition and the union partition of all of them.
+
+    A level's partition holds the process's breakpoints, its `level`
+    uniform cells, 0 and T.  A node of another level within TIME_TOL of a
+    node already in the union is not added, so with nested levels the
+    union is the finest level's partition, bit for bit.
+    """
+    fns = [s for F, _, phi in u.terms for s in (phi, *F.directions)]
+    parts = [canonical_partition(
+        fns, extra_times=(*np.linspace(0.0, u.T, int(lev) + 1), 0.0, u.T))
+        for lev in sup_levels]
+    union = max(parts, key=len)
+    for part in parts:
+        near = union[np.minimum(np.searchsorted(union, part - TIME_TOL),
+                                len(union) - 1)]
+        union = np.sort(np.concatenate(
+            (union, part[np.abs(near - part) > TIME_TOL])))
+    return parts, union
+
+
+def _se(s1, s2, n):
+    """Standard errors of means from the running sums of x and x^2."""
+    with np.errstate(divide="ignore", invalid="ignore"):      # n = 1: nan
+        return np.sqrt(np.maximum(s2 - s1 * s1 / n, 0.0) / ((n - 1) * n))
+
+
 def maximal_inequality_check(u: ElementaryProcess, kernel: CovarianceKernel,
                              q: QSpec, p, q_exp, n_samples, seed,
                              sup_levels=(64, 128, 256), r_exp=None,
                              name=None) -> RatioReport:
     """E sup_t ||int_0^t u dbeta||^p against the two mixed-norm rhs terms.
 
-    The running integral is evaluated at the nodes of the canonical
-    partition enriched with `level` uniform cells, where the partial
-    Skorohod sums are exact.  Each refinement level reruns the Monte
-    Carlo on the finer partition with the same seed.  The rhs mixed norms
-    are exact on the process's own partition, so only their Monte Carlo
-    draws, not their cell count, depend on the level.
+    Level `lev` takes the sup over the nodes of the canonical partition
+    enriched with `lev` uniform cells, where the partial Skorohod sums are
+    exact.  The levels are coupled: one design on the union of their
+    partitions carries one draw and one running integral per block of
+    draws, and each level takes its sup over its own nodes.  A node's
+    running integral is the same random variable on every partition that
+    holds it, so over nested levels the per-draw sup, and hence the lhs,
+    is non-decreasing and the level-to-level drift carries no fresh Monte
+    Carlo noise.  The rhs mixed norms are exact on the process's own
+    partition and do not depend on the level.  Each level row reports
+    `lhs_se`, the standard error of the lhs, and after the first,
+    `lhs_diff_se`, the paired standard error of the lhs difference to the
+    previous row.
     """
     r = float(kernel.r_exp) if r_exp is None else float(r_exp)
     if not (p >= q_exp >= max(2.0, r)):
         raise HypothesisViolationError(
             f"need p >= q >= max(2, r); got p={p}, q={q_exp}, r={r}")
+    parts, union = _coupled_partition(u, sup_levels)
+    design = JointDesign(u, kernel, q, extra_times=union)
+    nodes = [np.searchsorted(design.partition, part - TIME_TOL)
+             for part in parts]
+    # per level, running sums over draws of sup^p, of its square, of the
+    # paired difference to the previous level and of that one's square
+    sums = np.zeros((4, len(nodes)))
+    t1_acc = t2_acc = 0.0
+    n = int(n_samples)
+    for bi, lo in enumerate(range(0, n, _DRAW_BLOCK)):
+        nb = min(_DRAW_BLOCK, n - lo)
+        delta = design.draw(nb, seed, block=bi)
+        sq = np.sum(design.running_skorohod(delta) ** 2, axis=2)   # (nb, P+1)
+        sup = np.stack([np.max(sq[:, idx], axis=1) for idx in nodes]) \
+            ** (p / 2.0)                                          # (levels, nb)
+        diff = np.diff(sup, axis=0, prepend=sup[:1])
+        sums += np.sum([sup, sup * sup, diff, diff * diff], axis=2)
+        t1, t2 = mixed_norm_terms(design, delta, p, q_exp, r)
+        t1_acc += t1 * nb
+        t2_acc += t2 * nb
+    rhs = [t1_acc / n, t2_acc / n]
+    denom = sum(rhs)
+    lhs_se, diff_se = _se(*sums[:2], n), _se(*sums[2:], n)
     trace = []
-    lhs = rhs1 = rhs2 = 0.0
     level_rows = []
-    for lev in sup_levels:
-        extra = np.linspace(0.0, u.T, int(lev) + 1)
-        design = JointDesign(u, kernel, q, extra_times=extra)
-        sup_acc = 0.0
-        t1_acc = 0.0
-        t2_acc = 0.0
-        n_acc = 0
-        for bi, lo in enumerate(range(0, int(n_samples), _DRAW_BLOCK)):
-            nb = min(_DRAW_BLOCK, int(n_samples) - lo)
-            delta = design.draw(nb, seed, block=bi)
-            run = design.running_skorohod(delta)
-            sup = np.max(np.sum(run ** 2, axis=2), axis=1) ** (p / 2.0)
-            sup_acc += float(np.sum(sup))
-            t1, t2 = mixed_norm_terms(design, delta, p, q_exp, r)
-            t1_acc += t1 * nb
-            t2_acc += t2 * nb
-            n_acc += nb
-        lhs = sup_acc / n_acc
-        rhs1, rhs2 = t1_acc / n_acc, t2_acc / n_acc
-        denom = rhs1 + rhs2
+    for li, lev in enumerate(sup_levels):
+        lhs = float(sums[0, li] / n)
         ratio = lhs / denom if denom > 0 else (0.0 if lhs == 0 else np.inf)
         trace.append((float(lev), float(ratio)))
         level_rows.append({"level": int(lev), "lhs": lhs,
-                           "rhs": [rhs1, rhs2], "ratio": float(ratio)})
+                           "lhs_se": float(lhs_se[li]), "rhs": list(rhs),
+                           "ratio": float(ratio)})
+        if li:
+            level_rows[-1]["lhs_diff_se"] = float(diff_se[li])
     return RatioReport.make(
-        name or f"maximal[{kernel.name}]", lhs, [rhs1, rhs2],
+        name or f"maximal[{kernel.name}]", lhs, rhs,
         refinement_trace=trace, seed=int(seed), n_samples=int(n_samples),
         details={"p": p, "q": q_exp, "r": r, "levels": level_rows})
 

@@ -172,6 +172,27 @@ def test_non_finite_or_out_of_range_float_exits_2(tmp_path, capsys, command, par
     _assert_rejected(tmp_path, capsys, command, params)
 
 
+@pytest.mark.parametrize("taus", [[1e400], [float("nan")], [0.0], [-0.1], [],
+                                  ["0.1"]])
+def test_bad_t_minus_s_exits_2(tmp_path, capsys, taus):
+    # the first five used to write a FAIL report or raise (exit 1); a
+    # string was read as a number
+    _assert_rejected(tmp_path, capsys, "verify-kernelenv", {"t_minus_s": taus})
+
+
+@pytest.mark.parametrize("lambdas", [[1e400, 1.0], [float("nan"), 1.0],
+                                     [10 ** 400, 1.0]])
+@pytest.mark.parametrize("command,params", [
+    ("simulate", {"g": "constant", "n_samples": 4}),
+    ("verify-apriori", {"g": "constant", "n_samples": 4,
+                        "levels": [[32, 16]]}),
+])
+def test_non_finite_lambda_exits_2(tmp_path, capsys, command, params, lambdas):
+    # g carries coordinates in the sqrt(lambda_j) e_j basis, so no formula
+    # reads a lambda: a non-finite one used to run to PASS
+    _assert_rejected(tmp_path, capsys, command, dict(params, lambdas=lambdas))
+
+
 def test_simulate_fails_on_non_finite_summary(tmp_path, monkeypatch):
     def nan_rows(ens):
         return [(float(t), np.nan, 0.0, 0.0) for t in ens.problem.times]

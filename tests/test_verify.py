@@ -103,6 +103,81 @@ def test_maximal_fbm_uses_kernel_r_exp():
     assert over.details["r"] == 2.0
 
 
+def _battery_process(name, T=1.0):
+    return dict(battery.elementary_battery(J=2, m=2, T=T))[name]
+
+
+Q2 = QSpec((1.0, 1.0))
+
+
+@pytest.mark.parametrize("u,kernel,q,p,q_exp,n", [
+    (U_LIN, WIENER, Q1, 4.0, 2.0, 500),
+    (U_LIN, builtin_kernel("fbm", H=0.75), Q1, 4.0, 2.0, 500),
+    # the benchmark's maximal-default config
+    (_battery_process("linear-exact"), WIENER, Q2, 2.0, 2.0, 4096),
+])
+def test_maximal_lhs_non_decreasing_over_nested_levels(u, kernel, q, p,
+                                                       q_exp, n):
+    # every coarser node is a node of the finer partitions, and the levels
+    # share their draws, so each draw's sup can only grow with the level
+    for seed in range(4):
+        rep = maximal_inequality_check(u, kernel, q, p, q_exp, n, seed=seed,
+                                       sup_levels=(16, 32, 64))
+        lhs = [row["lhs"] for row in rep.details["levels"]]
+        assert lhs == sorted(lhs), f"seed {seed}: {lhs}"
+
+
+def test_maximal_rhs_shared_by_every_level():
+    rep = maximal_inequality_check(U_LIN, WIENER, Q1, 4.0, 2.0, 600, seed=2,
+                                   sup_levels=(16, 48, 32))
+    rows = rep.details["levels"]
+    assert all(row["rhs"] == rows[0]["rhs"] for row in rows)
+    assert rep.rhs_components == rows[0]["rhs"]
+
+
+@pytest.mark.parametrize("T,levels,kernel", [
+    (1.0, (64, 128, 256), WIENER),
+    # 0.7 * i / 12 and 0.7 * 3i / 36 differ in the last bit at 9 nodes
+    (0.7, (12, 36), builtin_kernel("fbm", H=0.75)),
+])
+def test_maximal_final_row_matches_single_level_run(T, levels, kernel):
+    u = _battery_process("curved-two-term", T=T)
+    full = maximal_inequality_check(u, kernel, Q2, 4.0, 2.0, 2500, seed=6,
+                                    sup_levels=levels)
+    alone = maximal_inequality_check(u, kernel, Q2, 4.0, 2.0, 2500, seed=6,
+                                     sup_levels=levels[-1:])
+    last, only = full.details["levels"][-1], alone.details["levels"][0]
+    for key in ("lhs", "lhs_se", "rhs", "ratio"):
+        assert last[key] == only[key], key
+    assert (full.lhs, full.rhs_components, full.ratio) == \
+        (alone.lhs, alone.rhs_components, alone.ratio)
+
+
+def test_maximal_non_nested_levels_run():
+    rep = maximal_inequality_check(U_LIN, WIENER, Q1, 4.0, 2.0, 1000, seed=1,
+                                   sup_levels=(48, 64))
+    assert rep.passed and np.isfinite(rep.ratio)
+    rows = rep.details["levels"]
+    assert [row["level"] for row in rows] == [48, 64]
+    assert rows[1]["lhs_diff_se"] > 0
+
+
+def test_maximal_standard_errors_match_seed_spread():
+    reps = [maximal_inequality_check(U_LIN, WIENER, Q1, 2.0, 2.0, 400,
+                                     seed=seed, sup_levels=(16, 32))
+            for seed in range(16)]
+    rows = np.array([[(row["lhs"], row["lhs_se"]) for row in rep.details["levels"]]
+                     for rep in reps])                       # (seed, level, 2)
+    spread = np.std(rows[:, :, 0], axis=0, ddof=1)
+    se = np.mean(rows[:, :, 1], axis=0)
+    assert np.all((0.5 < se / spread) & (se / spread < 2.0)), (se, spread)
+    diff_spread = np.std(rows[:, 1, 0] - rows[:, 0, 0], ddof=1)
+    diff_se = np.mean([rep.details["levels"][1]["lhs_diff_se"] for rep in reps])
+    assert 0.5 < diff_se / diff_spread < 2.0, (diff_se, diff_spread)
+    # the coupled levels share their draws: their difference is far less noisy
+    assert np.all(diff_se < se)
+
+
 # ---------------------------------------------------------------------------
 # Littlewood-Paley
 
