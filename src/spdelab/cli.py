@@ -166,6 +166,15 @@ def _build(ctor, cfg, default=None):
         return ctor(cfg)
 
 
+def _symbol(cfg, default, d):
+    """A builtin symbol from config that lives on a d-dimensional grid."""
+    sym = _build(builtin_symbol, cfg, default)
+    if sym.d != d:
+        raise SchemaError(f"symbol {sym.name!r} has d={sym.d} but the grid "
+                          f"has d={d}")
+    return sym
+
+
 def _param(params, key, default, kind=float, above=None):
     """params[key] (or default): an integer for kind int, else any finite
     number; optionally > above."""
@@ -289,16 +298,19 @@ def _forcing_arrays(params, grid, times, m, J):
 
 def _build_problem(params, n=None, n_t=None):
     grid = _make_grid(params.get("grid"), 32, n=n)
-    psi = _build(builtin_symbol, params.get("psi"), {"name": "heat", "d": grid.d})
+    psi = _symbol(params.get("psi"), {"name": "heat", "d": grid.d}, grid.d)
     phi_cfg = params.get("phi")
-    phi = _build(builtin_symbol, phi_cfg) if phi_cfg is not None else None
+    phi = _symbol(phi_cfg, None, grid.d) if phi_cfg is not None else None
     kernel = _build(builtin_kernel, params.get("kernel", "wiener"))
     T = _param(params, "T", 1.0, above=0)
     nt = n_t if n_t is not None else _param(params, "n_t", 16, int, above=0)
     times = np.linspace(0.0, T, nt + 1)
     m = _param(params, "m", 1, int, above=0)
+    lambdas = params.get("lambdas", [1.0, 0.5])
+    if not isinstance(lambdas, list):
+        raise SchemaError(f"param 'lambdas' must be a list, got {lambdas!r}")
     with _schema_errors("param 'lambdas'"):
-        q = QSpec(tuple(params.get("lambdas", (1.0, 0.5))))
+        q = QSpec(tuple(lambdas))
     u0 = _u0_field(params.get("u0", "bump"), grid, m)
     f, g = _forcing_arrays(params, grid, times, m, q.J)
     p, q_exp = _param(params, "p", 2.0), _param(params, "q_exp", 2.0)
@@ -383,7 +395,7 @@ def _run_verify_maximal(cfg: RunConfig):
 def _run_verify_lp(cfg: RunConfig):
     p = cfg.params
     phi = _build(builtin_symbol, p.get("phi"), _PHI_1D)
-    psi = _build(builtin_symbol, p.get("psi"), _PSI_1D)
+    psi = _symbol(p.get("psi"), dict(_PSI_1D, d=phi.d), phi.d)
     a, b, box = _window(p)
     forcing = _choice(p, "forcing", "product", ("product", "mixed"))
     maker = battery.lp_forcing if forcing == "product" else battery.lp_forcing_mixed
@@ -398,13 +410,17 @@ def _run_verify_lp(cfg: RunConfig):
 def _run_verify_bessel(cfg: RunConfig):
     p = cfg.params
     grid = _make_grid(p.get("grid"), 64)
-    phi = _build(builtin_symbol, p.get("phi"), dict(_PHI_1D, d=grid.d))
+    phi = _symbol(p.get("phi"), dict(_PHI_1D, d=grid.d), grid.d)
     fields = battery.bessel_field_battery(
         grid, m=_param(p, "m", 1, int, above=0),
         count=_param(p, "count", 16, int, above=0), seed=cfg.seed,
         band_frac=_param(p, "band_frac", 0.5, above=0))
-    rep = bessel_equivalence_check(phi, _param(p, "alpha", 2.0),
-                                   _param(p, "p", 2.0), fields)
+    alpha = _param(p, "alpha", 2.0)
+    if alpha < 0:
+        raise SchemaError(f"param 'alpha' must be >= 0, got {alpha!r}")
+    # lp_norm is no norm below p = 1, and the equivalence needs 1 < p
+    rep = bessel_equivalence_check(phi, alpha, _param(p, "p", 2.0, above=1),
+                                   fields)
     rows = [{"field": i, "ratio": r} for i, r in enumerate(rep["ratios"])]
     return rep["passed"], rep, rows, None
 
@@ -442,8 +458,8 @@ def _run_verify_kernelenv(cfg: RunConfig):
     p = cfg.params
     # box 4*pi: the far-field fit region must hold several kernel widths
     grid = _make_grid(p.get("grid"), 256, L=4.0 * np.pi)
-    phi = _build(builtin_symbol, p.get("phi"), dict(_PHI_1D, d=grid.d))
-    psi = _build(builtin_symbol, p.get("psi"), dict(_PSI_1D, d=grid.d))
+    phi = _symbol(p.get("phi"), dict(_PHI_1D, d=grid.d), grid.d)
+    psi = _symbol(p.get("psi"), dict(_PSI_1D, d=grid.d), grid.d)
     taus = _t_minus_s(p)
     var_tol = _param(p, "var_tol", 0.2)
     if var_tol < 0:
@@ -461,7 +477,7 @@ def _run_verify_kernelenv(cfg: RunConfig):
 def _run_verify_goperator(cfg: RunConfig):
     p = cfg.params
     phi = _build(builtin_symbol, p.get("phi"), _PHI_1D)
-    psi = _build(builtin_symbol, p.get("psi"), _PSI_1D)
+    psi = _symbol(p.get("psi"), dict(_PSI_1D, d=phi.d), phi.d)
     if psi.time_dependent:
         raise SchemaError("verify-goperator needs a time-independent psi, "
                           f"got {psi.name!r}")

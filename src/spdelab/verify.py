@@ -171,9 +171,10 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
     n_t times the field size.  For a time-independent psi the multiplier
     depends only on the lag between the cells, so one row per lag is built.
     """
-    if not (q_exp >= max(2.0, r_exp)) or not (p >= q_exp):
+    if not (p >= q_exp >= max(2.0, r_exp) and r_exp >= 1.0):
         raise HypothesisViolationError(
-            f"need p >= q >= max(2, r); got p={p}, q={q_exp}, r={r_exp}")
+            f"need p >= q >= max(2, r) and r >= 1; got p={p}, q={q_exp}, "
+            f"r={r_exp}")
     wpow = q_exp * phi.gamma / psi.gamma - 1.0
     theta, w_th = _theta_grid(n_theta)
     trace = []
@@ -283,8 +284,10 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
         F_k = e^{dt psi} F_{k-1} + e^{dt psi/2} f_k,
         (G f)_k = phi/psi (F_k - F_{k-1} - f_k) = w(dt) F_{k-1} + w(dt/2) f_k,
     exactly, including psi = 0 modes, where w(h) = phi h.  One step per
-    time cell replaces the sum over the earlier cells.
+    time cell replaces the sum over the earlier cells.  Needs p >= 2.
     """
+    if not p >= 2.0:
+        raise HypothesisViolationError(f"G check needs p >= 2; got p={p}")
     if abs(phi.gamma - psi.gamma) > 1e-12:
         raise HypothesisViolationError("operator check needs gamma_phi == gamma_psi")
     if psi.time_dependent:

@@ -178,14 +178,19 @@ def forced_trapezoid(problem):
     return spatial_fft(out_hat, grid, inverse=True)
 
 
-def integrand_multipliers(problem):
-    """exp(int_mid^t psi) per (t_{i+1}, subcell, mode), 0 past t_{i+1}."""
+def integrand_exponents(problem):
+    """int_mid^t psi per (t_{i+1}, subcell, mode), -inf past t_{i+1}."""
     n_t, n_sub = problem.n_times, problem.quad_refine
     q_grid, _, mid_idx, sol_idx = _quad_grid(problem.times, n_sub)
     cums = symbol_cumulative_integrals(problem.psi, q_grid, problem.grid)
     expo = cums[sol_idx[1:], None, :] - cums[mid_idx][None, :, :]
     mask = np.arange(len(mid_idx))[None, :] < (np.arange(1, n_t) * n_sub)[:, None]
-    return np.exp(np.where(mask[:, :, None], expo, -np.inf))
+    return np.where(mask[:, :, None], expo, -np.inf)
+
+
+def integrand_multipliers(problem):
+    """exp(int_mid^t psi) per (t_{i+1}, subcell, mode), 0 past t_{i+1}."""
+    return np.exp(integrand_exponents(problem))
 
 
 def _g_subcells(problem):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdelab import cli
 from spdelab.errors import SchemaError
@@ -120,6 +124,13 @@ def test_bad_levels_exit_2(tmp_path, capsys, command, levels):
     ("verify-lp", {"q_exp": 3.0}),
     ("verify-goperator", {"phi": {"name": "power", "gamma": 1.0}}),
     ("verify-goperator", {"psi": {"name": "heat_osc"}}),
+    # these ran to PASS: the G check needs p >= 2, and r < 1 has no
+    # conjugate exponent (r = 0 raised ZeroDivisionError)
+    ("verify-goperator", {"p": 0.5, "levels": [[16, 4]]}),
+    ("verify-goperator", {"p": 1.0, "levels": [[16, 4]]}),
+    ("verify-goperator", {"p": 1.5, "levels": [[16, 4]]}),
+    ("verify-lp", {"r_exp": 0.0, "levels": [[8, 2]]}),
+    ("verify-lp", {"r_exp": 0.5, "levels": [[8, 2]]}),
 ])
 def test_hypothesis_violation_exits_2(tmp_path, capsys, command, params):
     _assert_rejected(tmp_path, capsys, command, params)
@@ -153,6 +164,22 @@ def test_wrong_sign_psi_exits_2(tmp_path, capsys, command, params):
     ("verify-maximal", {"T": -1}),
     ("verify-lp", {"a": 1, "b": 0, "levels": [[32, 16]]}),
     ("verify-apriori", {"box": -1, "levels": [[32, 16]]}),
+    # alpha < 0 raised a ValueError traceback; p <= 1 ran to PASS, but
+    # lp_norm is no norm there and the equivalence needs 1 < p
+    ("verify-bessel", {"alpha": -1.0, "grid": {"n": 8}, "count": 1}),
+    ("verify-bessel", {"p": 0.5, "grid": {"n": 8}, "count": 1}),
+    ("verify-bessel", {"p": 1.0, "grid": {"n": 8}, "count": 1}),
+    # a symbol of another dimension than the grid raised a ValueError
+    # traceback, or in simulate, where phi is not read, ran to PASS
+    ("verify-lp", {"psi": {"name": "heat", "d": 2}, "levels": [[8, 2]]}),
+    ("verify-goperator", {"psi": {"name": "heat", "d": 2}, "levels": [[8, 2]]}),
+    ("verify-bessel", {"phi": {"name": "power", "d": 2}, "grid": {"n": 8},
+                       "count": 1}),
+    ("verify-kernelenv", {"psi": {"name": "heat", "d": 2}, "grid": {"n": 16}}),
+    ("verify-apriori", {"phi": {"name": "power", "d": 2}, "levels": [[8, 2]],
+                        "n_samples": 2}),
+    ("simulate", {"phi": {"name": "power", "d": 2}, "grid": {"n": 8},
+                  "n_samples": 2}),
 ])
 def test_bad_value_exits_2_where_it_enters(tmp_path, capsys, command, params):
     # each of these used to raise a traceback or to run to exit 0
@@ -191,6 +218,91 @@ def test_non_finite_lambda_exits_2(tmp_path, capsys, command, params, lambdas):
     # g carries coordinates in the sqrt(lambda_j) e_j basis, so no formula
     # reads a lambda: a non-finite one used to run to PASS
     _assert_rejected(tmp_path, capsys, command, dict(params, lambdas=lambdas))
+
+
+# The JSON types each param key accepts; any other type must exit 2.
+_ACCEPTS = {
+    **dict.fromkeys(("psi", "phi"), {str, dict, type(None)}),
+    "kernel": {str, dict},
+    "grid": {dict, type(None)},
+    **dict.fromkeys(("u0", "f", "g", "estimator", "process", "forcing"), {str}),
+    **dict.fromkeys(("n_t", "m", "n_samples", "quad_refine", "J", "n_theta",
+                     "count", "d"), {int}),
+    **dict.fromkeys(("T", "p", "q_exp", "r_exp", "a", "b", "box", "alpha",
+                     "band_frac", "var_tol"), {int, float}),
+    **dict.fromkeys(("lambdas", "levels", "sup_levels", "t_minus_s"), {list}),
+}
+# empty containers and strings iterate as empty sequences: draw them often
+_JSON_VALUES = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats(),
+    str: st.just("") | st.text(max_size=6),
+    list: st.just([]) | st.lists(
+        st.one_of(st.integers(), st.floats(), st.text(max_size=3)), max_size=3),
+    dict: st.just({}) | st.dictionaries(st.text(max_size=4), st.integers(),
+                                        max_size=2),
+}
+# small valid configs, so that a bad value that slips through runs quickly
+_SMALL = {
+    "simulate": {"grid": {"n": 8}, "n_t": 2, "n_samples": 2, "quad_refine": 1},
+    "verify-maximal": {"n_samples": 8, "sup_levels": [4]},
+    "verify-lp": {"levels": [[8, 2]]},
+    "verify-bessel": {"grid": {"n": 8}, "count": 1},
+    "verify-multiplier": {},
+    "verify-kernelenv": {"grid": {"n": 16}, "t_minus_s": [0.1]},
+    "verify-goperator": {"levels": [[8, 2]]},
+    "verify-apriori": {"levels": [[8, 2]], "n_samples": 2, "quad_refine": 1},
+    "verify-skorohod": {"n_samples": 8},
+    "kernels": {},
+}
+
+
+# every known key of every command with each JSON type it never accepts,
+# and one unknown key per command
+_BAD_CASES = [(command, key, kind) for command in cli.COMMANDS
+              for key in sorted(cli._PARAM_KEYS[command])
+              for kind in _JSON_VALUES if kind not in _ACCEPTS[key]] \
+    + [(command, None, int) for command in cli.COMMANDS]
+
+
+def test_small_configs_cover_every_command_and_run(tmp_path):
+    assert set(_SMALL) == set(cli.COMMANDS)
+    assert set(_ACCEPTS) == set().union(*cli._PARAM_KEYS.values())
+    for command, params in _SMALL.items():
+        cfg = _write_cfg(tmp_path, "ok.json", {"params": params})
+        assert cli.main([command, "--config", cfg,
+                         "--out", str(tmp_path / "r")]) == 0
+
+
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(st.data())
+def test_unknown_key_or_wrong_type_exits_2(tmp_path_factory, data):
+    cfg = tmp_path_factory.getbasetemp() / "bad.json"
+    for command, key, kind in _BAD_CASES:
+        allowed = cli._PARAM_KEYS[command]
+        if key is None:
+            key = data.draw(st.text(min_size=1, max_size=8).filter(
+                lambda k: k not in allowed))
+        params = dict(_SMALL[command], **{key: data.draw(_JSON_VALUES[kind])})
+        cfg.write_text(json.dumps({"params": params}), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(cfg),
+                             "--out", str(cfg.parent / "r")])
+        assert code == 2, (command, params)
+        assert err.getvalue().startswith("config error")
+        assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["verify-lp", "verify-goperator"])
+def test_default_psi_takes_phi_dimension(tmp_path, command):
+    # the default psi stayed 1-D under a 2-D phi and raised a ValueError
+    cfg = _write_cfg(tmp_path, "d2.json", {"params": {
+        "phi": {"name": "power", "d": 2}, "levels": [[8, 2]]}})
+    assert cli.main([command, "--config", cfg,
+                     "--out", str(tmp_path / "r")]) == 0
 
 
 def test_simulate_fails_on_non_finite_summary(tmp_path, monkeypatch):

@@ -299,6 +299,36 @@ def test_modewise_fallbacks_match_oracle(case, monkeypatch):
     assert case not in ("zero_first_cell", "linear") or one_at_a_time
 
 
+@pytest.mark.parametrize("kernel", ["wiener", "fbm"])
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 200, 2.0 ** -200],
+                         ids=["g", "g*2^200", "g*2^-200"])
+def test_modewise_exponent_floor_matches_unfloored_oracle(kernel, scale):
+    # modes up to |k| = 32 reach exponents near -1024 at T = 1; the sampler
+    # writes exact zeros below solver._EXP_FLOOR, the oracle exponentiates
+    grid = GridSpec(d=1, n=64, L=2.0 * np.pi)
+    g = np.random.default_rng(0).standard_normal((4, 1, 2, grid.n_points))
+    pb = SPDEProblem(psi=HEAT, u0=Field.zeros(grid, 1), kernel=_KERNELS[kernel],
+                     q=QSpec((1.0, 0.5)), times=np.linspace(0.0, 1.0, 5),
+                     g=scale * g, quad_refine=4)
+    expo = oracles.integrand_exponents(pb).real
+    assert np.count_nonzero((expo > -745.0) & (expo < solver._EXP_FLOOR)) == 253
+    assert np.array_equal(stochastic_convolution_modewise(pb, 5, seed=9),
+                          oracles.modewise_masked(pb, 5, seed=9))
+
+
+def test_modewise_nan_exponent_propagates(monkeypatch):
+    # the floor compares real < floor, so a NaN exponent is not dropped
+    pb = _varied_problem("heat", "uniform", 1, 1, 1, "wiener")
+    cums = solver.symbol_cumulative_integrals
+
+    def nan_at_mode_3(psi, q_grid, grid):
+        out = cums(psi, q_grid, grid)
+        out[3:, 3] = np.nan
+        return out
+    monkeypatch.setattr(solver, "symbol_cumulative_integrals", nan_at_mode_3)
+    assert np.isnan(stochastic_convolution_modewise(pb, 2, seed=0)).any()
+
+
 def test_stochastic_convolution_memory_does_not_scale_with_pairs():
     # the masked (n_t-1, C, n_points) multiplier tensor would take 64 MiB here;
     # the ensemble is 0.5 MiB and the cumulative table 4 MiB
