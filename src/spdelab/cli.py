@@ -2,8 +2,8 @@
 
 Usage: ``spdelab <command> --config path.json [--seed N] [--out dir]``.
 
-One config file drives one command; a sha256 hash of the resolved config
-is embedded in every artifact so results stay attributable.  Reruns with
+One config file drives one command; a sha256 hash of the config is
+embedded in every artifact so results stay attributable.  Reruns with
 the same config and seed write byte-identical CSV/JSON (plots are
 content-deterministic but excluded from the byte guarantee).  Exit code:
 0 all checks passed, 1 a check failed (report still written), 2 bad
@@ -19,11 +19,14 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from .solver import ESTIMATORS, SPDEProblem, ensemble_summary_rows, solve
 from .spectral import Field, GridSpec, check_grid_size
 from .symbols import builtin_symbol, check_marcinkiewicz, check_mihlin
 from .verify import (
+    _DRAW_BLOCK,
     apriori_refinement,
     bessel_equivalence_check,
     g_operator_check,
@@ -54,29 +58,158 @@ COMMANDS = (
 
 _TOP_KEYS = {"command", "seed", "output_dir", "emit_plots", "params"}
 
-_PARAM_KEYS = {
-    "simulate": {"psi", "phi", "kernel", "grid", "T", "n_t", "m", "lambdas",
-                 "u0", "f", "g", "n_samples", "estimator", "p", "q_exp",
-                 "quad_refine"},
-    "verify-maximal": {"process", "kernel", "p", "q_exp", "n_samples",
-                       "sup_levels", "J", "m", "T"},
-    "verify-lp": {"phi", "psi", "p", "q_exp", "r_exp", "n_theta", "levels",
-                  "a", "b", "box", "m", "forcing"},
-    "verify-bessel": {"phi", "alpha", "p", "grid", "count", "m", "band_frac"},
-    "verify-multiplier": {"d"},
-    "verify-kernelenv": {"phi", "psi", "t_minus_s", "grid", "var_tol"},
-    "verify-goperator": {"phi", "psi", "p", "levels", "a", "b", "box", "m"},
-    "verify-apriori": {"psi", "phi", "kernel", "levels", "T", "m", "lambdas",
-                       "u0", "f", "g", "n_samples", "estimator", "p", "q_exp",
-                       "quad_refine"},
-    "verify-skorohod": {"n_samples", "J", "m", "T"},
-    "kernels": set(),
+
+# ---------------------------------------------------------------------------
+# the params of each command
+
+# One param's rule.  `kinds` are its JSON kinds ("int|null"), where a null
+# stands for the default.  A number must be finite; `above` (>), `least`
+# (>=) and `most` (<=) bound a number, or the length of a list.  `each`
+# rules a list's elements, `keys` an object's keys (others are ignored),
+# and `choices` lists the values allowed.  A callable default of a symbol
+# is completed with the grid's dimension.
+Key = namedtuple("Key", "kinds default above least most choices each keys",
+                 defaults=(None, None, None, None, (), None, None))
+_KINDS = {"int": int, "number": (int, float), "string": str, "list": list,
+          "object": dict, "null": type(None)}
+_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+_MAX_ARRAY_BYTES = 2 ** 32    # 4 GiB, the largest array a config may ask for
+
+
+def _grid(n, L=2.0 * np.pi):
+    """The rule of a "grid": d axes, n points per axis, period L."""
+    keys = {"d": Key("int", 1, least=1), "n": Key("int", n, least=4),
+            "L": Key("number", L, above=0)}
+    return Key("object|null", {k: r.default for k, r in keys.items()},
+               keys=keys)
+
+
+# default symbols of order 2, completed with the grid's dimension d
+_HEAT = partial(dict, name="heat", gamma=2.0)
+_POWER = partial(dict, name="power", gamma=2.0)
+_count = partial(Key, "int", least=1)      # a count, with its default
+_SYMBOL, _NUM2 = "string|object|null", Key("number", 2.0)
+_KERNEL = Key("string|object", "wiener")
+_LEVELS = Key("list", [[32, 16], [64, 32], [128, 64]], least=1,
+              each=Key("list", least=2, most=2, each=_count(None)))
+# the problem of simulate and verify-apriori
+_PROBLEM = {
+    "psi": Key(_SYMBOL, _HEAT), "kernel": _KERNEL, "m": _count(1),
+    "T": Key("number", 1.0, above=0), "p": _NUM2, "q_exp": _NUM2,
+    "lambdas": Key("list", [1.0, 0.5]),
+    "u0": Key("string", "bump", choices=("zero", "bump")),
+    "f": Key("string", "none", choices=("none", "bump")),
+    "g": Key("string", "none", choices=("none", "constant")),
+    "quad_refine": _count(8)}
+# the elementary processes of verify-maximal and verify-skorohod
+_PROCESS = {"J": _count(2), "m": _count(2), "T": Key("number", 1.0, above=0)}
+_OPERATOR = {
+    "phi": Key(_SYMBOL, _POWER(d=1)), "psi": Key(_SYMBOL, _HEAT), "p": _NUM2,
+    "levels": _LEVELS, "a": Key("number", 0.0), "b": Key("number", 1.0),
+    "box": Key("number", 2.0 * np.pi, above=0), "m": _count(1)}
+
+PARAMS = {
+    "simulate": {
+        **_PROBLEM, "phi": Key(_SYMBOL), "grid": _grid(32), "n_t": _count(16),
+        "n_samples": _count(32),
+        "estimator": Key("string", "modewise", choices=ESTIMATORS)},
+    "verify-maximal": {
+        **_PROCESS, "kernel": _KERNEL, "p": _NUM2, "q_exp": _NUM2,
+        "process": Key("string", "linear-exact", choices=(
+            "deterministic", "linear-exact", "curved-two-term", "poly-shared")),
+        "n_samples": _count(4096), "sup_levels": Key(
+            "list", [64, 128, 256], least=1, each=_count(None))},
+    "verify-lp": {
+        **_OPERATOR, "q_exp": _NUM2, "r_exp": _NUM2, "n_theta": _count(1),
+        "forcing": Key("string", "product", choices=("product", "mixed"))},
+    "verify-bessel": {
+        "phi": Key(_SYMBOL, _POWER), "grid": _grid(64), "m": _count(1),
+        "alpha": Key("number", 2.0, least=0), "count": _count(16),
+        "band_frac": Key("number", 0.5, above=0),
+        # lp_norm is no norm below p = 1, and the equivalence needs 1 < p
+        "p": Key("number", 2.0, above=1)},
+    # the multiplier battery's dyadic sampling covers d <= 3
+    "verify-multiplier": {"d": Key("int", 1, least=1, most=3)},
+    "verify-kernelenv": {
+        "phi": Key(_SYMBOL, _POWER), "psi": Key(_SYMBOL, _HEAT),
+        # box 4*pi: the far-field fit region must hold several kernel widths
+        "grid": _grid(256, L=4.0 * np.pi),
+        "t_minus_s": Key("list", [0.1, 0.2, 0.4], least=1,
+                         each=Key("number", above=0)),
+        "var_tol": Key("number", 0.2, least=0)},
+    "verify-goperator": _OPERATOR,
+    "verify-apriori": {   # runs on simulate's default grid at each level's n
+        **_PROBLEM, "phi": Key("string|object", _POWER(d=1)), "levels": _LEVELS,
+        "n_samples": _count(48),
+        "estimator": Key("string", "pathwise", choices=ESTIMATORS)},
+    "verify-skorohod": {**_PROCESS, "n_samples": _count(100_000)},
+    "kernels": {},
 }
+
+
+def _fill(table, given, where=""):
+    """The values of `given` checked against `table`, defaults filled in."""
+    return {key: _check(rule, given[key], where + key) if key in given
+            else rule.default for key, rule in table.items()}
+
+
+def _check(rule, val, name):
+    """val checked against rule; a "number" comes back as a float."""
+    kinds = rule.kinds.split("|")
+    if val is None and "null" in kinds:
+        return rule.default
+    size = len(val) if isinstance(val, list) else val
+    bounds = [(op, v) for op, v in ((">", rule.above), (">=", rule.least),
+                                    ("<=", rule.most)) if v is not None]
+    if isinstance(val, bool) \
+            or not isinstance(val, tuple(_KINDS[k] for k in kinds)) \
+            or isinstance(val, (int, float)) \
+            and not abs(val) <= sys.float_info.max \
+            or rule.choices and val not in rule.choices \
+            or not all(_OPS[op](size, v) for op, v in bounds):
+        what = f"one of {list(rule.choices)}" if rule.choices else " or ".join(
+            ("an " if k[0] in "aio" else "a ") + k for k in kinds)
+        if bounds:
+            what += " of length" * ("list" in kinds) + " " + " and ".join(
+                f"{op} {v}" for op, v in bounds)
+        raise SchemaError(f"param {name!r} must be {what}, got {val!r}")
+    if rule.each is not None:
+        return [_check(rule.each, v, f"{name}[{i}]") for i, v in enumerate(val)]
+    if rule.keys is not None:
+        return _fill(rule.keys, val, name + ".")
+    return float(val) if kinds == ["number"] else val
+
+
+def _largest_array(command, p):
+    """Bytes of the largest array that `command` allocates with the
+    resolved params p."""
+    if command in ("verify-maximal", "verify-skorohod"):
+        # the Gram of the fine partition (the battery's 2 cells, or the
+        # finest sup level), and the draws on it: in blocks in verify-maximal
+        P = max(p.get("sup_levels", [0])) + 2
+        n = min(p["n_samples"], _DRAW_BLOCK if "sup_levels" in p else math.inf)
+        return 8 * max(P * P, n * (P + 1) * max(p["J"], p["m"]))
+    d = p["grid"]["d"] if "grid" in p else _build(builtin_symbol, p["phi"]).d \
+        if command in ("verify-lp", "verify-goperator") else 1
+    S, m = p.get("n_samples", 1), p.get("m", 1)
+    J = len(p["lambdas"]) if p.get("g") == "constant" else 0   # noise modes
+    big = 0
+    for n, n_t in p.get("levels", [(p["grid"]["n"], p.get("n_t", 1))]
+                        if "grid" in p else []):
+        cells = 2 * p.get("quad_refine", 0) * n_t + 1   # the quadrature grid
+        per_point = {    # complex entries per grid point
+            "verify-lp": n_t * p.get("n_theta", 1) * m,
+            "verify-goperator": n_t * m, "verify-kernelenv": d,
+            "verify-bessel": p.get("count", 1) * m,
+        }.get(command, max(S * (n_t + 1) * m, cells, n_t * m * J))
+        # past d = 64 any grid is over the cap; min keeps n^d a small int
+        big = max(big, 16 * per_point * n ** min(d, 64), 8 * S * J * cells)
+    return big
 
 
 @dataclass
 class RunConfig:
-    """Resolved invocation: command, nested check parameters, bookkeeping."""
+    """Resolved invocation: command, checked params, bookkeeping."""
 
     command: str
     params: dict
@@ -109,31 +242,32 @@ def load_config(command, path=None, seed=None, out=None) -> RunConfig:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("params must be a JSON object")
-    allowed = _PARAM_KEYS[command]
-    bad = set(params) - allowed
+    bad = set(params) - set(PARAMS[command])
     if bad:
-        raise SchemaError(
-            f"unknown params for {command}: {sorted(bad)}; allowed {sorted(allowed)}")
+        raise SchemaError(f"unknown params for {command}: {sorted(bad)}; "
+                          f"allowed {sorted(PARAMS[command])}")
+    resolved = _fill(PARAMS[command], params)
+    size = _largest_array(command, resolved)
+    if size > _MAX_ARRAY_BYTES:
+        raise SchemaError(f"{command} would allocate 2^{math.log2(size):.1f} "
+                          "bytes in one array, over the cap of "
+                          f"{_MAX_ARRAY_BYTES >> 30} GiB")
     eff_seed = seed if seed is not None else raw.get("seed", 0)
     if not isinstance(eff_seed, int) or isinstance(eff_seed, bool):
         raise SchemaError("seed must be an integer")
     out_dir = out if out is not None else raw.get("output_dir", "runs")
     emit = bool(raw.get("emit_plots", False))
-    # hash what determines the numbers (not where they are written)
-    resolved = {"command": command, "params": params, "seed": eff_seed}
-    digest = hashlib.sha256(_canonical(resolved).encode("utf-8")).hexdigest()
-    return RunConfig(command=command, params=params, seed=eff_seed,
+    # hash what determines the numbers (not where they are written), as given
+    given = {"command": command, "params": params, "seed": eff_seed}
+    digest = hashlib.sha256(_canonical(given).encode("utf-8")).hexdigest()
+    return RunConfig(command=command, params=resolved, seed=eff_seed,
                      output_dir=str(out_dir), emit_plots=emit,
                      config_hash=digest)
 
 
-def _threads():
-    val = os.environ.get("SPDELAB_THREADS")
-    return max(1, int(val)) if val else None
-
-
 def _map_jobs(fn, items):
-    n = _threads()
+    n = os.environ.get("SPDELAB_THREADS")
+    n = max(1, int(n)) if n else None
     if n == 1 or len(items) <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=n) as pool:
@@ -142,9 +276,6 @@ def _map_jobs(fn, items):
 
 # ---------------------------------------------------------------------------
 # config -> objects
-
-_PHI_1D = {"name": "power", "gamma": 2.0, "d": 1}
-_PSI_1D = {"name": "heat", "gamma": 2.0, "d": 1}
 
 
 @contextmanager
@@ -156,9 +287,8 @@ def _schema_errors(what):
         raise SchemaError(f"bad {what}: {exc}") from None
 
 
-def _build(ctor, cfg, default=None):
+def _build(ctor, cfg):
     """ctor(name, **kw) from a config "name" or {"name": ..., **kw}."""
-    cfg = default if cfg is None else cfg
     with _schema_errors(repr(cfg)):
         if isinstance(cfg, dict):
             kw = dict(cfg)
@@ -166,159 +296,75 @@ def _build(ctor, cfg, default=None):
         return ctor(cfg)
 
 
-def _symbol(cfg, default, d):
+def _symbol(cfg, d):
     """A builtin symbol from config that lives on a d-dimensional grid."""
-    sym = _build(builtin_symbol, cfg, default)
+    sym = _build(builtin_symbol, cfg(d=d) if callable(cfg) else cfg)
     if sym.d != d:
         raise SchemaError(f"symbol {sym.name!r} has d={sym.d} but the grid "
                           f"has d={d}")
     return sym
 
 
-def _param(params, key, default, kind=float, above=None):
-    """params[key] (or default): an integer for kind int, else any finite
-    number; optionally > above."""
-    val = params.get(key, default)
-    if not (_is_int(val) or kind is float and isinstance(val, float)) \
-            or kind is float and not _finite(val) \
-            or above is not None and not val > above:
-        raise SchemaError(
-            f"param {key!r} must be "
-            f"{'an integer' if kind is int else 'a finite number'}"
-            f"{'' if above is None else f' > {above}'}, got {val!r}")
-    return kind(val)
+def _make_grid(cfg, n=None):
+    """GridSpec from a resolved "grid"; a given n overrides cfg's."""
+    with _schema_errors(f"grid {cfg}"):
+        return GridSpec(d=cfg["d"], L=cfg["L"], n=cfg["n"] if n is None else n)
 
 
-def _finite(val):
-    """True if the number val converts to a finite float."""
-    try:
-        return math.isfinite(val)
-    except OverflowError:      # an integer beyond the float range
-        return False
-
-
-def _choice(params, key, default, allowed):
-    """params[key] (or default), which must be one of `allowed`."""
-    val = params.get(key, default)
-    if val not in allowed:
-        raise SchemaError(f"unknown {key} {val!r}; have {list(allowed)}")
-    return val
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _levels(params):
+def _levels(p):
     """The (n, n_t) refinement levels of the operator and a-priori checks."""
     with _schema_errors("param 'levels'"):
-        levels = [(n, n_t) for n, n_t in
-                  params.get("levels", [[32, 16], [64, 32], [128, 64]])]
-        if not levels:
-            raise ValueError("need at least one level")
-        for n, n_t in levels:
-            if not (_is_int(n) and _is_int(n_t)):
-                raise ValueError(f"levels must be integer pairs, got {[n, n_t]}")
+        for n, _ in p["levels"]:
             check_grid_size(n)
-            if n_t < 1:
-                raise ValueError(f"n_t must be >= 1, got {n_t}")
-        return levels
+    return [tuple(level) for level in p["levels"]]
 
 
-def _window(params):
-    """(a, b, box) of the operator checks: forcing window a < b, box > 0."""
-    a = _param(params, "a", 0.0)
-    return (a, _param(params, "b", 1.0, above=a),
-            _param(params, "box", 2.0 * np.pi, above=0))
-
-
-def _sup_levels(params):
-    """The sup-level refinements of verify-maximal: a non-empty integer list."""
-    levels = params.get("sup_levels", [64, 128, 256])
-    if not (isinstance(levels, list) and levels
-            and all(_is_int(v) and v >= 1 for v in levels)):
-        raise SchemaError("param 'sup_levels' must be a non-empty list of "
-                          f"integers >= 1, got {levels!r}")
-    return tuple(levels)
-
-
-def _t_minus_s(params):
-    """The lags of verify-kernelenv: a non-empty list of finite numbers > 0."""
-    taus = params.get("t_minus_s", [0.1, 0.2, 0.4])
-    if not (isinstance(taus, list) and taus):
-        raise SchemaError("param 't_minus_s' must be a non-empty list of "
-                          f"numbers > 0, got {taus!r}")
-    return [_param({"t_minus_s": t}, "t_minus_s", None, above=0) for t in taus]
-
-
-def _make_grid(cfg, default_n, L=2.0 * np.pi, n=None):
-    """GridSpec from a config {"d", "n", "L"}; a given n overrides cfg's."""
-    cfg = {} if cfg is None else cfg
-    if not isinstance(cfg, dict):
-        raise SchemaError(f"param 'grid' must be a JSON object, got {cfg!r}")
-    with _schema_errors(f"grid {cfg}"):
-        return GridSpec(d=_param(cfg, "d", 1, int), L=_param(cfg, "L", L),
-                        n=n if n is not None else _param(cfg, "n", default_n, int))
+def _window(p):
+    """(a, b, box) of the operator checks: forcing window a < b."""
+    if not p["b"] > p["a"]:
+        raise SchemaError(f"param 'b' must be > a = {p['a']}, got {p['b']}")
+    return p["a"], p["b"], p["box"]
 
 
 def _u0_field(kind, grid, m):
     if kind == "zero":
         return Field.zeros(grid, m)
-    if kind == "bump":
-        bump = battery.bump_profile(box=grid.L, width_frac=1.0 / 8.0)
-        vals = np.tile(bump(grid.x_grid())[None, :], (m, 1))
-        return Field(grid, m, vals)
-    raise SchemaError(f"unknown u0 kind {kind!r}")
+    bump = battery.bump_profile(box=grid.L, width_frac=1.0 / 8.0)
+    return Field(grid, m, np.tile(bump(grid.x_grid())[None, :], (m, 1)))
 
 
 def _forcing_arrays(params, grid, times, m, J):
     """Build (f, g) node/cell arrays from the config 'f'/'g' kind switches."""
     bump = battery.bump_profile(box=grid.L, width_frac=1.0 / 8.0)(grid.x_grid())
-    T = float(times[-1])
-    f_kind = params.get("f", "none")
-    g_kind = params.get("g", "none")
-    f = None
-    if f_kind == "bump":
-        win = np.sin(np.pi * times / T) ** 2
+    f = g = None
+    if params["f"] == "bump":
+        win = np.sin(np.pi * times / float(times[-1])) ** 2
         f = win[:, None, None] * np.tile(bump[None, None, :], (1, m, 1))
-    elif f_kind != "none":
-        raise SchemaError(f"unknown f kind {f_kind!r}")
-    g = None
-    if g_kind == "constant":
+    if params["g"] == "constant":
         if J < 1:
             raise SchemaError("g 'constant' needs at least one noise mode "
                               "(param 'lambdas' is empty)")
         fac = 1.0 / (1.0 + np.arange(J))
         g = np.tile(bump[None, None, None, :], (len(times) - 1, m, J, 1)) \
             * fac[None, None, :, None]
-    elif g_kind != "none":
-        raise SchemaError(f"unknown g kind {g_kind!r}")
     return f, g
 
 
-def _build_problem(params, n=None, n_t=None):
-    grid = _make_grid(params.get("grid"), 32, n=n)
-    psi = _symbol(params.get("psi"), {"name": "heat", "d": grid.d}, grid.d)
-    phi_cfg = params.get("phi")
-    phi = _symbol(phi_cfg, None, grid.d) if phi_cfg is not None else None
-    kernel = _build(builtin_kernel, params.get("kernel", "wiener"))
-    T = _param(params, "T", 1.0, above=0)
-    nt = n_t if n_t is not None else _param(params, "n_t", 16, int, above=0)
-    times = np.linspace(0.0, T, nt + 1)
-    m = _param(params, "m", 1, int, above=0)
-    lambdas = params.get("lambdas", [1.0, 0.5])
-    if not isinstance(lambdas, list):
-        raise SchemaError(f"param 'lambdas' must be a list, got {lambdas!r}")
+def _build_problem(p, n=None, n_t=None):
+    """The SPDEProblem of simulate, or of verify-apriori at level (n, n_t)."""
+    grid = _make_grid(p.get("grid", PARAMS["simulate"]["grid"].default), n=n)
+    psi = _symbol(p["psi"], grid.d)
+    phi = _symbol(p["phi"], grid.d) if p["phi"] is not None else None
+    kernel = _build(builtin_kernel, p["kernel"])
+    times = np.linspace(0.0, p["T"], (p["n_t"] if n_t is None else n_t) + 1)
     with _schema_errors("param 'lambdas'"):
-        q = QSpec(tuple(lambdas))
-    u0 = _u0_field(params.get("u0", "bump"), grid, m)
-    f, g = _forcing_arrays(params, grid, times, m, q.J)
-    p, q_exp = _param(params, "p", 2.0), _param(params, "q_exp", 2.0)
-    quad_refine = _param(params, "quad_refine", 8, int, above=0)
+        q = QSpec(tuple(p["lambdas"]))
+    u0 = _u0_field(p["u0"], grid, p["m"])
+    f, g = _forcing_arrays(p, grid, times, p["m"], q.J)
     with _schema_errors("problem"):
         return SPDEProblem(psi=psi, u0=u0, kernel=kernel, q=q, times=times,
-                           f=f, g=g, phi=phi, p=p, q_exp=q_exp,
-                           quad_refine=quad_refine)
+                           f=f, g=g, phi=phi, p=p["p"], q_exp=p["q_exp"],
+                           quad_refine=p["quad_refine"])
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +390,9 @@ def _run_kernels(cfg: RunConfig):
 
 
 def _run_simulate(cfg: RunConfig):
-    pb = _build_problem(cfg.params)
-    ens = solve(pb, _param(cfg.params, "n_samples", 32, int, above=0), cfg.seed,
-                estimator=_choice(cfg.params, "estimator", "modewise", ESTIMATORS))
+    p = cfg.params
+    pb = _build_problem(p)
+    ens = solve(pb, p["n_samples"], cfg.seed, estimator=p["estimator"])
     summary = ensemble_summary_rows(ens)
     rows = [{"t": t, "mean_l2": mf, "total_variance": tv, "mean_sup": ms}
             for (t, mf, tv, ms) in summary]
@@ -354,148 +400,110 @@ def _run_simulate(cfg: RunConfig):
               "n_times": pb.n_times, "grid_n": pb.grid.n, "m": pb.m,
               "kernel": pb.kernel.name, "rows": rows}
     trace = [(r["t"], r["total_variance"]) for r in rows]
-    passed = bool(np.all(np.isfinite(summary)))
-    return passed, report, rows, ("t", "total variance", trace)
+    return bool(np.all(np.isfinite(summary))), report, rows, (
+        "t", "total variance", trace)
 
 
 def _run_verify_skorohod(cfg: RunConfig):
     p = cfg.params
-    J = _param(p, "J", 2, int, above=0)
-    cases = battery.skorohod_battery(J=J, m=_param(p, "m", 2, int, above=0),
-                                     T=_param(p, "T", 1.0, above=0))
-    n = _param(p, "n_samples", 100_000, int, above=0)
-    lam = (1.0,) * J
+    cases = battery.skorohod_battery(J=p["J"], m=p["m"], T=p["T"])
 
     def job(case):
         name, proc, kern = case
-        return skorohod_moment_check(proc, kern, QSpec(lam), n, cfg.seed,
-                                     name=name)
+        return skorohod_moment_check(proc, kern, QSpec((1.0,) * p["J"]),
+                                     p["n_samples"], cfg.seed, name=name)
     reports = _map_jobs(job, cases)
     rows = [{"case": r.name, "lhs": r.lhs, "rhs": r.rhs,
              "z_score": r.z_score, "passed": r.passed} for r in reports]
-    passed = all(r.passed for r in reports)
-    return passed, {"checks": [r.to_dict() for r in reports]}, rows, None
+    return all(r.passed for r in reports), {
+        "checks": [r.to_dict() for r in reports]}, rows, None
 
 
 def _run_verify_maximal(cfg: RunConfig):
     p = cfg.params
-    J = _param(p, "J", 2, int, above=0)
-    procs = dict(battery.elementary_battery(
-        J=J, m=_param(p, "m", 2, int, above=0), T=_param(p, "T", 1.0, above=0)))
-    pname = _choice(p, "process", "linear-exact", sorted(procs))
-    kern = _build(builtin_kernel, p.get("kernel", "wiener"))
+    procs = dict(battery.elementary_battery(J=p["J"], m=p["m"], T=p["T"]))
+    kern = _build(builtin_kernel, p["kernel"])
     rep = maximal_inequality_check(
-        procs[pname], kern, QSpec((1.0,) * J), _param(p, "p", 2.0),
-        _param(p, "q_exp", 2.0), _param(p, "n_samples", 4096, int, above=0),
-        cfg.seed, sup_levels=_sup_levels(p),
-        name=f"maximal[{pname}/{kern.name}]")
+        procs[p["process"]], kern, QSpec((1.0,) * p["J"]), p["p"],
+        p["q_exp"], p["n_samples"], cfg.seed,
+        sup_levels=tuple(p["sup_levels"]),
+        name=f"maximal[{p['process']}/{kern.name}]")
     return _ratio_result(rep, "level")
 
 
 def _run_verify_lp(cfg: RunConfig):
     p = cfg.params
-    phi = _build(builtin_symbol, p.get("phi"), _PHI_1D)
-    psi = _symbol(p.get("psi"), dict(_PSI_1D, d=phi.d), phi.d)
+    phi = _build(builtin_symbol, p["phi"])
+    psi = _symbol(p["psi"], phi.d)
     a, b, box = _window(p)
-    forcing = _choice(p, "forcing", "product", ("product", "mixed"))
-    maker = battery.lp_forcing if forcing == "product" else battery.lp_forcing_mixed
-    f_fn = maker(a=a, b=b, box=box, m=_param(p, "m", 1, int, above=0))
+    maker = battery.lp_forcing if p["forcing"] == "product" \
+        else battery.lp_forcing_mixed
     rep = lp_inequality_check(
-        phi, psi, f_fn, _param(p, "p", 2.0), _param(p, "q_exp", 2.0),
-        _param(p, "r_exp", 2.0), levels=_levels(p), a=a, b=b, box=box,
-        n_theta=_param(p, "n_theta", 1, int, above=0))
+        phi, psi, maker(a=a, b=b, box=box, m=p["m"]), p["p"], p["q_exp"],
+        p["r_exp"], levels=_levels(p), a=a, b=b, box=box, n_theta=p["n_theta"])
     return _ratio_result(rep, "grid n")
 
 
 def _run_verify_bessel(cfg: RunConfig):
     p = cfg.params
-    grid = _make_grid(p.get("grid"), 64)
-    phi = _symbol(p.get("phi"), dict(_PHI_1D, d=grid.d), grid.d)
+    grid = _make_grid(p["grid"])
+    phi = _symbol(p["phi"], grid.d)
     fields = battery.bessel_field_battery(
-        grid, m=_param(p, "m", 1, int, above=0),
-        count=_param(p, "count", 16, int, above=0), seed=cfg.seed,
-        band_frac=_param(p, "band_frac", 0.5, above=0))
-    alpha = _param(p, "alpha", 2.0)
-    if alpha < 0:
-        raise SchemaError(f"param 'alpha' must be >= 0, got {alpha!r}")
-    # lp_norm is no norm below p = 1, and the equivalence needs 1 < p
-    rep = bessel_equivalence_check(phi, alpha, _param(p, "p", 2.0, above=1),
-                                   fields)
+        grid, m=p["m"], count=p["count"], seed=cfg.seed,
+        band_frac=p["band_frac"])
+    rep = bessel_equivalence_check(phi, p["alpha"], p["p"], fields)
     rows = [{"field": i, "ratio": r} for i, r in enumerate(rep["ratios"])]
     return rep["passed"], rep, rows, None
 
 
 def _run_verify_multiplier(cfg: RunConfig):
-    d = _param(cfg.params, "d", 1, int, above=0)
-    if d > 3:
-        raise SchemaError(f"param 'd' must be <= 3 (dyadic sampling), got {d}")
-    mih, marc, failing = battery.multiplier_battery(d=d)
-    rows, reports = [], []
-    ok = True
-    for name, sym in mih:
-        r = check_mihlin(sym)
-        reports.append((name, "mihlin", True, r))
-        ok = ok and r.passed
-    for name, sym in marc:
-        r = check_marcinkiewicz(sym)
-        reports.append((name, "marcinkiewicz", True, r))
-        ok = ok and r.passed
-    for name, sym in failing:
-        r = check_mihlin(sym)
-        reports.append((name, "mihlin", False, r))
-        ok = ok and (not r.passed)
-    for name, cond, expect, r in reports:
-        rows.append({"case": name, "condition": cond,
-                     "worst_constant": r.worst_constant,
-                     "passed": r.passed, "expected_pass": expect})
+    mih, marc, failing = battery.multiplier_battery(d=cfg.params["d"])
+    reports = [(name, cond, expect, check(sym)) for group, cond, check, expect
+               in ((mih, "mihlin", check_mihlin, True),
+                   (marc, "marcinkiewicz", check_marcinkiewicz, True),
+                   (failing, "mihlin", check_mihlin, False))
+               for name, sym in group]
+    rows = [{"case": name, "condition": cond, "worst_constant": r.worst_constant,
+             "passed": r.passed, "expected_pass": expect}
+            for name, cond, expect, r in reports]
     report = {"checks": [dict(case=n, condition=c, expected_pass=e,
-                              report=r.to_dict())
-                         for (n, c, e, r) in reports]}
-    return ok, report, rows, None
+                              report=r.to_dict()) for n, c, e, r in reports]}
+    return all(r.passed == e for _, _, e, r in reports), report, rows, None
 
 
 def _run_verify_kernelenv(cfg: RunConfig):
     p = cfg.params
-    # box 4*pi: the far-field fit region must hold several kernel widths
-    grid = _make_grid(p.get("grid"), 256, L=4.0 * np.pi)
-    phi = _symbol(p.get("phi"), dict(_PHI_1D, d=grid.d), grid.d)
-    psi = _symbol(p.get("psi"), dict(_PSI_1D, d=grid.d), grid.d)
-    taus = _t_minus_s(p)
-    var_tol = _param(p, "var_tol", 0.2)
-    if var_tol < 0:
-        raise SchemaError(f"param 'var_tol' must be >= 0, got {var_tol!r}")
-    rep = kernel_envelope_check(phi, psi, taus, grid, var_tol=var_tol)
-    rows = [{"tau": tau, "C_kernel": ck, "C_grad": cg, "C_ds": cs,
-             "sup_kernel": sk}
-            for tau, ck, cg, cs, sk in zip(rep["taus"], rep["C_kernel"],
-                                           rep["C_grad"], rep["C_ds"],
-                                           rep["sup_kernel"])]
+    grid = _make_grid(p["grid"])
+    phi = _symbol(p["phi"], grid.d)
+    psi = _symbol(p["psi"], grid.d)
+    rep = kernel_envelope_check(phi, psi, p["t_minus_s"], grid,
+                                var_tol=p["var_tol"])
+    cols = ("C_kernel", "C_grad", "C_ds", "sup_kernel")
+    rows = [dict(zip(("tau",) + cols, vals))
+            for vals in zip(rep["taus"], *(rep[c] for c in cols))]
     trace = list(zip(rep["taus"], rep["C_kernel"]))
     return rep["passed"], rep, rows, ("t-s", "fitted C", trace)
 
 
 def _run_verify_goperator(cfg: RunConfig):
     p = cfg.params
-    phi = _build(builtin_symbol, p.get("phi"), _PHI_1D)
-    psi = _symbol(p.get("psi"), dict(_PSI_1D, d=phi.d), phi.d)
+    phi = _build(builtin_symbol, p["phi"])
+    psi = _symbol(p["psi"], phi.d)
     if psi.time_dependent:
         raise SchemaError("verify-goperator needs a time-independent psi, "
                           f"got {psi.name!r}")
     a, b, box = _window(p)
     rep = g_operator_check(
-        phi, psi, battery.g_operator_forcings(
-            a=a, b=b, box=box, m=_param(p, "m", 1, int, above=0)),
-        _param(p, "p", 2.0), levels=_levels(p), a=a, b=b, box=box)
+        phi, psi, battery.g_operator_forcings(a=a, b=b, box=box, m=p["m"]),
+        p["p"], levels=_levels(p), a=a, b=b, box=box)
     return _ratio_result(rep, "grid n")
 
 
 def _run_verify_apriori(cfg: RunConfig):
-    p = dict(cfg.params)
-    p.setdefault("phi", _PHI_1D)
+    p = cfg.params
     rep = apriori_refinement(
         lambda n, n_t: _build_problem(p, n=n, n_t=n_t), _levels(p),
-        _param(p, "n_samples", 48, int, above=0), cfg.seed,
-        estimator=_choice(p, "estimator", "pathwise", ESTIMATORS))
+        p["n_samples"], cfg.seed, estimator=p["estimator"])
     return _ratio_result(rep, "grid n")
 
 
@@ -520,12 +528,8 @@ _RUNNERS = {
 def _fmt_cell(v):
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return str(int(v))
     return str(v)
 
 
@@ -599,18 +603,12 @@ def _write_svg(path, xlabel, ylabel, points, title):
 
 def run(config: RunConfig) -> int:
     """Execute one command and write its artifacts; returns the exit code."""
-    runner = _RUNNERS[config.command]
-    passed, report, rows, trace = runner(config)
+    passed, report, rows, trace = _RUNNERS[config.command](config)
     os.makedirs(config.output_dir, exist_ok=True)
     stem = os.path.join(config.output_dir, config.command)
-    payload = {
-        "command": config.command,
-        "seed": config.seed,
-        "config_hash": config.config_hash,
-        "passed": bool(passed),
-        "report": report,
-    }
-    _write_json(stem + ".json", payload)
+    _write_json(stem + ".json", {
+        "command": config.command, "seed": config.seed, "report": report,
+        "config_hash": config.config_hash, "passed": bool(passed)})
     _write_csv(stem + ".csv", rows, config.config_hash)
     if config.emit_plots and trace is not None:
         xlabel, ylabel, pts = trace

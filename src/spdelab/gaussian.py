@@ -114,9 +114,6 @@ class PathSample:
     seed: int
     meta: dict = field(default_factory=dict)
 
-    def increments(self):
-        return np.diff(self.paths, axis=-1)
-
 
 def sample_paths(kernel: CovarianceKernel, times, q: QSpec, n_samples, seed) -> PathSample:
     """Draw i.i.d. paths of the scalar factors via Cholesky of [R(t_i, t_j)].

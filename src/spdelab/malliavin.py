@@ -96,12 +96,6 @@ class DerivativeRep:
     def directions(self):
         return self.functional.directions
 
-    def coefficients(self, y):
-        """Per-draw coefficient array (n_draws, n_directions); all columns
-        equal shape'(y) by the shape-of-sum structure."""
-        d = self.functional.dvalue(y)
-        return np.repeat(np.atleast_1d(d)[:, None], len(self.directions), axis=1)
-
 
 def malliavin_derivative(F: CylinderFunctional) -> DerivativeRep:
     return DerivativeRep(F)
@@ -137,9 +131,6 @@ class ElementaryProcess:
 
     def __add__(self, other):
         return ElementaryProcess(self.terms + other.terms)
-
-    def scaled(self, c):
-        return ElementaryProcess([(F, c * k, phi) for F, k, phi in self.terms])
 
 
 class JointDesign:
@@ -308,9 +299,6 @@ class DPhiFunctional:
 
     functional: CylinderFunctional
     ip_sum: float
-
-    def evaluate(self, y):
-        return self.functional.dvalue(y) * self.ip_sum
 
 
 def d_phi(F: CylinderFunctional, phi: StepFunction,

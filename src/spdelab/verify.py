@@ -386,10 +386,12 @@ def kernel_envelope_check(phi: SymbolSpec, psi: SymbolSpec, t_minus_s,
         sups.append(float(np.max(k_abs)))
         for key, vals in fields.items():
             apow = exps[key]
-            with np.errstate(divide="ignore"):
+            # in float64 a lag term beyond the float range is inf, and the
+            # envelope is |x|^-a there; a Python float power would raise
+            with np.errstate(divide="ignore", over="ignore"):
                 env = np.minimum(
                     np.where(xdist[keep] > 0, xdist[keep] ** (-apow), np.inf),
-                    float(tau) ** (-apow / psi.gamma))
+                    np.float64(tau) ** (-apow / psi.gamma))
             consts[key].append(float(np.max(vals[keep] / env)))
     stable = {}
     for key, cs in consts.items():

@@ -12,6 +12,7 @@ from scipy import integrate, special
 from spdelab import rng
 from spdelab.covariance import cholesky_psd, cross_increments, increment_gram
 from spdelab.gaussian import TIME_TOL, StepFunction
+from spdelab.malliavin import ElementaryProcess
 from spdelab.solver import _quad_grid
 from spdelab.spectral import (GridSpec, _simpson_weights, spatial_fft,
                               symbol_cumulative_integrals, symbol_on_grid)
@@ -234,6 +235,27 @@ def modewise_masked(problem, n_samples, seed):
             acc += L @ ((z[0] + 1j * z[1]) / np.sqrt(2.0))
         out_hat[:, 1:, :, k] = acc.T.reshape(n_samples, n_t - 1, m)
     return spatial_fft(out_hat, grid, inverse=True)
+
+
+# ---------------------------------------------------------------------------
+# Malliavin derivatives and processes, from their defining formulas
+
+
+def derivative_coefficients(rep, y):
+    """(n_draws, n_directions) coefficients of D F = shape'(y) sum_l h_l:
+    every column is shape'(y)."""
+    d = np.atleast_1d(rep.functional.dvalue(y))
+    return np.repeat(d[:, None], len(rep.directions), axis=1)
+
+
+def d_phi_value(dphi, y):
+    """D_phi F at beta-value y: shape'(y) sum_l <h_l, phi>_H."""
+    return dphi.functional.dvalue(y) * dphi.ip_sum
+
+
+def scaled(u, c):
+    """The elementary process c u: every k_i times c."""
+    return ElementaryProcess([(F, c * k, phi) for F, k, phi in u.terms])
 
 
 # ---------------------------------------------------------------------------

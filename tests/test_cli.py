@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdelab import cli
+from spdelab import battery, cli
 from spdelab.errors import SchemaError
 
 
@@ -231,7 +232,12 @@ _ACCEPTS = {
     **dict.fromkeys(("T", "p", "q_exp", "r_exp", "a", "b", "box", "alpha",
                      "band_frac", "var_tol"), {int, float}),
     **dict.fromkeys(("lambdas", "levels", "sup_levels", "t_minus_s"), {list}),
+    # phi is needed there: a null phi raised a traceback
+    ("verify-apriori", "phi"): {str, dict},
 }
+# the Python types json.load gives for each JSON kind the table names
+_JSON_TYPES = {"int": {int}, "number": {int, float}, "string": {str},
+               "list": {list}, "object": {dict}, "null": {type(None)}}
 # empty containers and strings iterate as empty sequences: draw them often
 _JSON_VALUES = {
     type(None): st.none(),
@@ -262,14 +268,22 @@ _SMALL = {
 # every known key of every command with each JSON type it never accepts,
 # and one unknown key per command
 _BAD_CASES = [(command, key, kind) for command in cli.COMMANDS
-              for key in sorted(cli._PARAM_KEYS[command])
-              for kind in _JSON_VALUES if kind not in _ACCEPTS[key]] \
+              for key in sorted(cli.PARAMS[command])
+              for kind in _JSON_VALUES
+              if kind not in _ACCEPTS.get((command, key), _ACCEPTS.get(key))] \
     + [(command, None, int) for command in cli.COMMANDS]
 
 
 def test_small_configs_cover_every_command_and_run(tmp_path):
     assert set(_SMALL) == set(cli.COMMANDS)
-    assert set(_ACCEPTS) == set().union(*cli._PARAM_KEYS.values())
+    # the kinds the table declares for each key are the ones written above
+    declared = {(command, key): {t for kind in rule.kinds.split("|")
+                                 for t in _JSON_TYPES[kind]}
+                for command, table in cli.PARAMS.items()
+                for key, rule in table.items()}
+    assert declared == {(command, key): _ACCEPTS.get((command, key),
+                                                     _ACCEPTS.get(key))
+                        for command, key in declared}
     for command, params in _SMALL.items():
         cfg = _write_cfg(tmp_path, "ok.json", {"params": params})
         assert cli.main([command, "--config", cfg,
@@ -281,7 +295,7 @@ def test_small_configs_cover_every_command_and_run(tmp_path):
 def test_unknown_key_or_wrong_type_exits_2(tmp_path_factory, data):
     cfg = tmp_path_factory.getbasetemp() / "bad.json"
     for command, key, kind in _BAD_CASES:
-        allowed = cli._PARAM_KEYS[command]
+        allowed = cli.PARAMS[command]
         if key is None:
             key = data.draw(st.text(min_size=1, max_size=8).filter(
                 lambda k: k not in allowed))
@@ -294,6 +308,174 @@ def test_unknown_key_or_wrong_type_exits_2(tmp_path_factory, data):
         assert code == 2, (command, params)
         assert err.getvalue().startswith("config error")
         assert "Traceback" not in err.getvalue()
+
+
+def _outside(rule, valid):
+    """Values just outside the bounds and choices of `rule`, each made from
+    `valid`, a value that the rule accepts."""
+    if rule.choices:
+        yield f"{valid}-x"
+    if rule.keys is not None:
+        for key, sub in rule.keys.items():
+            yield from ({**valid, key: bad} for bad in _outside(sub, valid[key]))
+    elif isinstance(valid, list):          # the bounds limit the length
+        if rule.least is not None:
+            yield valid[:rule.least - 1]
+        if rule.most is not None:
+            yield valid + valid[-1:] * (rule.most + 1 - len(valid))
+        if rule.each is not None:
+            yield from ([bad] + valid[1:] for bad in _outside(rule.each, valid[0]))
+    else:
+        whole = rule.kinds == "int"
+        if rule.above is not None:
+            yield rule.above
+        if rule.least is not None:
+            yield rule.least - 1 if whole else math.nextafter(rule.least, -math.inf)
+        if rule.most is not None:
+            yield rule.most + 1 if whole else math.nextafter(rule.most, math.inf)
+
+
+def _inside(rule, valid):
+    """Values just inside the bounds of `rule`, made as in _outside."""
+    if rule.keys is not None:
+        for key, sub in rule.keys.items():
+            yield from ({**valid, key: ok} for ok in _inside(sub, valid[key]))
+    elif isinstance(valid, list):
+        if rule.least is not None:
+            yield (valid * rule.least)[:max(rule.least, 1)]
+        if rule.each is not None:
+            yield from ([ok] + valid[1:] for ok in _inside(rule.each, valid[0]))
+    elif not rule.choices:
+        whole = rule.kinds == "int"
+        if rule.above is not None:
+            yield rule.above + 1 if whole else math.nextafter(rule.above, math.inf)
+        for bound in (rule.least, rule.most):
+            if bound is not None:
+                yield bound
+
+
+# every bound and every choice of the table, with a value just outside it
+_OUT_OF_RANGE = [(command, key, bad) for command, table in cli.PARAMS.items()
+                 for key, rule in table.items()
+                 for bad in _outside(rule, rule.default)]
+
+
+def test_out_of_range_values_exit_2(tmp_path):
+    # the bounds are read from the table; any config that runs past them,
+    # or reaches a traceback, is a bug
+    assert {command for command, _, _ in _OUT_OF_RANGE} == \
+        set(cli.COMMANDS) - {"kernels"}
+    cfg = tmp_path / "bad.json"
+    for command, key, bad in _OUT_OF_RANGE:
+        cfg.write_text(json.dumps({"params": {key: bad}}), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(cfg),
+                             "--out", str(tmp_path / "r")])
+        assert code == 2, (command, key, bad)
+        assert err.getvalue().startswith("config error"), (command, key, bad)
+        assert "Traceback" not in err.getvalue()
+
+
+def test_values_just_inside_the_bounds_load(tmp_path):
+    # the bounds are tight: the value next to each one passes the table
+    cfg = tmp_path / "ok.json"
+    cases = [(command, key, ok) for command, table in cli.PARAMS.items()
+             for key, rule in table.items() for ok in _inside(rule, rule.default)]
+    assert len(cases) >= len(_OUT_OF_RANGE) // 2
+    for command, key, ok in cases:
+        cfg.write_text(json.dumps({"params": {key: ok}}), encoding="utf-8")
+        assert cli.load_config(command, path=str(cfg)).params[key] == ok
+
+
+def test_readme_tables_list_the_params():
+    # README.md has one table per command: every key, and each default
+    # that is a plain number
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    for command, table in cli.PARAMS.items():
+        if not table:
+            continue
+        section = text.split(f"**`{command}`**\n\n", 1)[1].split("\n\n")[0]
+        cells = {row.split("|")[1].strip(" `"): row.split("|")[2].strip()
+                 for row in section.splitlines()[2:]}
+        want = {f"grid.{k}" if key == "grid" else key: sub
+                for key, rule in table.items()
+                for k, sub in (rule.keys or {None: rule}).items()}
+        assert set(cells) == set(want), command
+        for key, rule in want.items():
+            if isinstance(rule.default, (int, float)) \
+                    and "π" not in cells[key]:
+                assert float(cells[key]) == rule.default, (command, key)
+
+
+def test_process_choices_are_the_battery():
+    names = [name for name, _ in battery.elementary_battery()]
+    assert list(cli.PARAMS["verify-maximal"]["process"].choices) == names
+
+
+@pytest.mark.parametrize("command,params", [
+    # numpy refused these two allocations with a MemoryError traceback
+    ("verify-kernelenv", {"grid": {"d": 6}}),          # 2^48 points
+    ("verify-maximal", {"sup_levels": [2 ** 40]}),     # a 2^40-cell partition
+    # sizes past the float range, which the cap's message must not spell
+    # out; the second raised a ValueError traceback in numpy
+    ("verify-kernelenv", {"grid": {"d": 10 ** 7, "n": 4}}),
+    ("verify-kernelenv", {"grid": {"n": 2 ** 1000}}),
+])
+def test_config_over_the_array_cap_exits_2(tmp_path, capsys, command, params):
+    _assert_rejected(tmp_path, capsys, command, params)
+
+
+def _largest(command, params):
+    return cli._largest_array(command, cli._fill(cli.PARAMS[command], params))
+
+
+def test_largest_array_sizes():
+    # verify-kernelenv stacks d complex gradient fields of n^d points; at
+    # d = 4 and the default n = 256 that is 256 GiB (nothing is allocated)
+    assert _largest("verify-kernelenv", {"grid": {"d": 4}}) == 16 * 4 * 256 ** 4
+    assert _largest("verify-kernelenv", {"grid": {"d": 4}}) > cli._MAX_ARRAY_BYTES
+    assert _largest("verify-kernelenv", {}) == 16 * 256
+    # the largest benchmark array, the 71 MB samples of a 2-D modewise
+    # simulate, stays far below the cap
+    sim = {"grid": {"d": 2, "n": 64}, "lambdas": [1.0, 0.5], "n_t": 16,
+           "f": "bump", "g": "constant", "n_samples": 64}
+    assert _largest("simulate", sim) == 16 * 64 * 17 * 64 ** 2
+    assert 16 * _largest("simulate", sim) < cli._MAX_ARRAY_BYTES
+    assert _largest("kernels", {}) == _largest("verify-multiplier", {}) == 0
+
+
+def test_largest_array_bounds_the_samples(monkeypatch):
+    # the size function bounds the array the solver really allocates
+    params = {"grid": {"n": 16}, "n_t": 4, "n_samples": 3, "m": 2,
+              "g": "constant", "quad_refine": 1}
+    seen = []
+    monkeypatch.setattr(cli, "ensemble_summary_rows",
+                        lambda ens: seen.append(ens.samples.nbytes) or [])
+    cli._run_simulate(cli.RunConfig("simulate", cli._fill(
+        cli.PARAMS["simulate"], params), 0, "", False, ""))
+    assert seen == [_largest("simulate", params)]
+
+
+@pytest.mark.parametrize("params,code", [
+    # the grid cannot resolve this lag: a constant fits to 0, and FAIL
+    ({"t_minus_s": [1e-300]}, 1),
+    # psi of order 0.1: tau^(-a/gamma) leaves the float range at tau = 1e-12
+    ({"t_minus_s": [1e-12], "psi": {"name": "heat", "gamma": 0.1}}, 0),
+])
+def test_kernelenv_tiny_lag_reports_instead_of_overflowing(tmp_path, capsys,
+                                                           params, code):
+    # the envelope's lag term overflowed a Python float power (OverflowError
+    # traceback); where it leaves the float range the envelope is |x|^-a
+    cfg = _write_cfg(tmp_path, "k.json", {"params": dict(params, grid={"n": 16})})
+    out = tmp_path / "r"
+    assert cli.main(["verify-kernelenv", "--config", cfg,
+                     "--out", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "verify-kernelenv.json").read_text())["report"]
+    assert report["taus"] == params["t_minus_s"]
+    assert all(math.isfinite(report[c][0]) for c in ("C_kernel", "C_grad", "C_ds"))
 
 
 @pytest.mark.parametrize("command", ["verify-lp", "verify-goperator"])

@@ -189,7 +189,7 @@ def test_wiener_increments_independent():
     q = QSpec((1.0,))
     times = np.linspace(0.0, 1.0, 5)
     p = sample_paths(WIENER, times, q, 30000, seed=3)
-    inc = p.increments()[:, 0, :]
+    inc = np.diff(p.paths, axis=-1)[:, 0, :]
     cov = inc.T @ inc / inc.shape[0]
     off = cov - np.diag(np.diag(cov))
     assert np.max(np.abs(off)) < 4.0 * 0.25 / np.sqrt(30000)

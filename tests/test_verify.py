@@ -66,8 +66,8 @@ def test_maximal_linear_wiener_stable():
 def test_maximal_ratio_scale_invariant():
     a = maximal_inequality_check(U_LIN, WIENER, Q1, 4.0, 2.0, 800, seed=11,
                                  sup_levels=(16, 32))
-    b = maximal_inequality_check(U_LIN.scaled(3.0), WIENER, Q1, 4.0, 2.0, 800,
-                                 seed=11, sup_levels=(16, 32))
+    b = maximal_inequality_check(oracles.scaled(U_LIN, 3.0), WIENER, Q1, 4.0,
+                                 2.0, 800, seed=11, sup_levels=(16, 32))
     # lhs and both rhs terms are p-homogeneous in u; the draws are shared
     assert a.ratio == pytest.approx(b.ratio, rel=1e-12)
 
