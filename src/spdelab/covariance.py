@@ -20,6 +20,9 @@ Builtins:
                 singularity, 0 < delta < 1; exponents (2/(delta+1), conj).
   heat(delta)   smooth Gaussian density of bandwidth delta; exponents
                 default (2, 2) with C_R = ||density||_{L^1} = 1.
+
+The heat and Bessel builders, the only users of scipy, import it when
+called, so that importing spdelab does not load it.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
-from scipy.interpolate import CubicSpline
 
 from .errors import KernelValidityError
 
@@ -151,6 +152,8 @@ def _stationary_kernel(name, pieces, r_exp, C_R, singular, params):
 
 
 def _heat_pieces(delta):
+    from scipy import special
+
     c = 0.5 / np.sqrt(delta)
 
     def dens1(u):
@@ -177,6 +180,9 @@ def _bessel_pieces(delta, v_min=1e-8, v_max=60.0, panel_ratio=1.05, gl_nodes=16)
     analytically; above v_max the remaining mass is below double precision
     and F2 = u F1(u) - M1(u) continues linearly.
     """
+    from scipy import special
+    from scipy.interpolate import CubicSpline
+
     mu = 0.5 * (1.0 - delta)
     c = 1.0 / (np.sqrt(np.pi) * special.gamma(0.5 * delta))
     # dens(v) = a1 v^{delta-1} + a0 + O(v^{delta+1}) as v -> 0+

@@ -97,7 +97,7 @@ def canonical_partition(step_functions, extra_times=()):
     """Sorted union of all breakpoints (and extra times), tolerance-merged."""
     pts = [np.asarray(extra_times, dtype=float)]
     pts += [sf.breakpoints for sf in step_functions]
-    allpts = np.sort(np.unique(np.concatenate(pts)))
+    allpts = np.sort(np.concatenate(pts))     # the merge drops exact repeats
     merged = [allpts[0]]
     for t in allpts[1:]:
         if t - merged[-1] > TIME_TOL:

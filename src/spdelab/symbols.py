@@ -19,6 +19,7 @@ proof.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,8 +61,10 @@ class SymbolSpec:
     def __post_init__(self):
         if not (self.gamma > 0 and self.kappa > 0 and self.mu > 0):
             raise ValueError("gamma, kappa, mu must be strictly positive")
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
+        if not (isinstance(self.d, numbers.Real) and self.d >= 1
+                and self.d % 1 == 0):
+            raise ValueError(f"dimension must be an integer >= 1, got {self.d!r}")
+        object.__setattr__(self, "d", int(self.d))     # JSON 2.0 is d = 2
         if self.n_depth < self.d // 2 + 1:
             raise ValueError("n_depth must be at least floor(d/2)+1")
 

@@ -181,10 +181,28 @@ def test_wrong_sign_psi_exits_2(tmp_path, capsys, command, params):
                         "n_samples": 2}),
     ("simulate", {"phi": {"name": "power", "d": 2}, "grid": {"n": 8},
                   "n_samples": 2}),
+    # a symbol dimension that is not an integer raised a TypeError traceback
+    ("verify-lp", {"phi": {"name": "power", "d": 1.5}, "levels": [[8, 2]]}),
+    ("verify-goperator", {"phi": {"name": "power", "d": 1.5},
+                          "levels": [[8, 2]]}),
 ])
 def test_bad_value_exits_2_where_it_enters(tmp_path, capsys, command, params):
     # each of these used to raise a traceback or to run to exit 0
     _assert_rejected(tmp_path, capsys, command, params)
+
+
+@pytest.mark.parametrize("command", ["verify-lp", "verify-goperator"])
+def test_whole_float_symbol_dimension_reads_as_integer(tmp_path, command):
+    # d = 2.0 raised a TypeError traceback here, while d = 1.0 ran in the
+    # commands that take the grid's d; both now read as integers
+    reports = []
+    for d in (2, 2.0):
+        cfg = _write_cfg(tmp_path, "cfg.json", {"params": {
+            "phi": {"name": "power", "d": d}, "levels": [[8, 2]]}})
+        out = tmp_path / str(d)
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+        reports.append(json.loads((out / f"{command}.json").read_text())["report"])
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("command,params", [
@@ -288,6 +306,77 @@ def test_small_configs_cover_every_command_and_run(tmp_path):
         cfg = _write_cfg(tmp_path, "ok.json", {"params": params})
         assert cli.main([command, "--config", cfg,
                          "--out", str(tmp_path / "r")]) == 0
+
+
+# R and the density of the heat and Bessel kernels at a few (t, s), as
+# `values`; run both in a fresh interpreter and in this one
+_KERNEL_VALUES = """
+import numpy as np
+from spdelab.covariance import builtin_kernel
+
+t, s = np.array([0.1, 0.5, 1.0, 3.0]), np.array([0.2, 0.5, 0.3, 1e-9])
+values = {name: [k.R(t, s).tolist(), k.density(t, s).tolist()]
+          for name, k in (("heat", builtin_kernel("heat", delta=1.0)),
+                          ("bessel", builtin_kernel("bessel", delta=0.5)))}
+"""
+
+# Imports spdelab, runs the commands of argv[2] in order with output dir
+# argv[1], and prints as its last stdout line the scipy modules loaded
+# after the import and after each command, then _KERNEL_VALUES's values.
+_FRESH_RUN = """
+import contextlib, json, sys
+import spdelab, spdelab.cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+steps = [["import", None, scipy_loaded()]]
+out, small = sys.argv[1], json.loads(sys.argv[2])
+for command, params in small.items():
+    path = f"{out}/{command}.config.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"params": params}, fh)
+    with contextlib.redirect_stdout(sys.stderr):
+        code = spdelab.cli.main([command, "--config", path, "--out", out])
+    steps.append([command, code, scipy_loaded()])
+""" + _KERNEL_VALUES + """
+print(json.dumps({"steps": steps, "values": values}))
+"""
+
+
+def test_scipy_loads_only_for_heat_and_bessel_kernels(tmp_path):
+    # every command but kernels, then kernels, in one fresh interpreter
+    small = {c: p for c, p in _SMALL.items() if c != "kernels"}
+    small["kernels"] = _SMALL["kernels"]
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, str(fresh),
+                           json.dumps(small)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    steps = result["steps"]
+    assert [step[0] for step in steps] == ["import", *small]
+    assert all(code in (None, 0) for _, code, _ in steps), steps
+    assert [name for name, _, mods in steps if mods] == ["kernels"]
+    assert {"scipy.special", "scipy.interpolate"} <= set(steps[-1][2])
+    # the fresh interpreter, whose builders imported scipy on first use,
+    # writes and computes what this one does with scipy loaded beforehand
+    # (the kernels artifacts hold no value computed by scipy, R does)
+    from scipy import interpolate, special  # noqa: F401
+
+    warm = tmp_path / "warm"
+    cfg = _write_cfg(tmp_path, "kernels.json", {"params": _SMALL["kernels"]})
+    assert cli.main(["kernels", "--config", cfg, "--out", str(warm)]) == 0
+    for ext in ("json", "csv"):
+        assert (fresh / f"kernels.{ext}").read_bytes() == \
+            (warm / f"kernels.{ext}").read_bytes()
+    warm_values = {}
+    exec(_KERNEL_VALUES, warm_values)
+    assert result["values"] == warm_values["values"]
 
 
 @settings(max_examples=3, deadline=None, derandomize=True)
