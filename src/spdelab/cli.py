@@ -134,7 +134,8 @@ PARAMS = {
         "phi": Key(_SYMBOL, _POWER), "psi": Key(_SYMBOL, _HEAT),
         # box 4*pi: the far-field fit region must hold several kernel widths
         "grid": _grid(256, L=4.0 * np.pi),
-        "t_minus_s": Key("list", [0.1, 0.2, 0.4], least=1,
+        # one lag fits one constant: the stability test needs two
+        "t_minus_s": Key("list", [0.1, 0.2, 0.4], least=2,
                          each=Key("number", above=0)),
         "var_tol": Key("number", 0.2, least=0)},
     "verify-goperator": _OPERATOR,

@@ -58,7 +58,10 @@ class SPDEProblem:
     (n_times-1, m, J, n_points).  Either may be None.  psi must keep
     Re psi <= 0 on the grid at every solution time (the class-S sign),
     else SymbolClassError; a time-dependent psi is also checked at every
-    Simpson node of its symbol tables when solve builds them.
+    Simpson node its symbol tables evaluate when solve builds them: per
+    cell the 17 nodes of the 16-subinterval rule, and the new midpoints of
+    each doubling the cell needs (up to 64 subintervals; see
+    spectral.symbol_time_integral).
     """
 
     psi: SymbolSpec

@@ -132,12 +132,14 @@ def multiplier_kernel(mult, grid: GridSpec) -> np.ndarray:
     return vals.reshape(-1)
 
 
-def symbol_on_grid(sym: SymbolSpec, t, grid: GridSpec) -> np.ndarray:
+def symbol_on_grid(sym: SymbolSpec, t, grid: GridSpec, class_s=False) -> np.ndarray:
     """Evaluate a symbol at every grid frequency, honoring the xi=0 rule.
 
     A scalar t gives (n_points,).  A 1-D array of K times gives
     (K, n_points) from one call sym.eval(t[:, None], freqs); an eval whose
     result does not have that shape is called once per time instead.
+    A NaN value raises SymbolDomainError; with class_s, Re psi > 0 at any
+    value raises SymbolClassError (the class-S sign).
     """
     if sym.d != grid.d:
         raise ValueError("symbol and grid dimensions differ")
@@ -153,8 +155,17 @@ def symbol_on_grid(sym: SymbolSpec, t, grid: GridSpec) -> np.ndarray:
     if sym.at_zero is not None:
         vals = vals.copy()
         vals[..., 0] = sym.at_zero  # flat index 0 is xi = 0 in fft layout
-    if np.any(np.isnan(vals)):
+    # one pass over contiguous memory: max propagates NaN, and a value with
+    # no positive part passes the sign check without the strided real view
+    top = np.max(np.ascontiguousarray(vals).view(float))
+    if np.isnan(top):
         raise SymbolDomainError(f"symbol {sym.name!r} produced NaN on the grid")
+    if class_s and top > 0:
+        grows = np.any(vals.real > 0, axis=-1)
+        if np.any(grows):
+            first = t if np.ndim(t) == 0 else t[grows][0]
+            raise SymbolClassError(f"psi {sym.name!r} has Re psi > 0 on the "
+                                   f"grid at t={first}; class S needs Re psi <= 0")
     return vals
 
 
@@ -165,9 +176,7 @@ def check_class_s_sign(psi: SymbolSpec, times, grid: GridSpec):
     ratios downstream.  A time-independent psi is evaluated once.
     """
     for t in times if psi.time_dependent else times[:1]:
-        if np.any(np.real(symbol_on_grid(psi, t, grid)) > 0):
-            raise SymbolClassError(f"psi {psi.name!r} has Re psi > 0 on the "
-                                   f"grid at t={t}; class S needs Re psi <= 0")
+        symbol_on_grid(psi, t, grid, class_s=True)
 
 
 def apply_multiplier(field: Field, mult: np.ndarray) -> Field:
@@ -200,20 +209,41 @@ def bessel_norm(field: Field, phi: SymbolSpec, alpha, p) -> float:
 # evolution operator
 
 
-def _simpson_weights(n_sub):
-    w = np.ones(n_sub + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
+# symbol_time_integral's Simpson ladder: the subintervals of a cell's first
+# and last rule, and the relative agreement at which a rung is accepted
+_SIMPSON_SUBINTERVALS = (16, 64)
+_SIMPSON_RTOL = 1e-13
+
+
+def _row_sum(rows):
+    """Sum of a block's rows, added in row order (no pairwise or BLAS order)."""
+    acc = rows[0].copy()
+    for row in rows[1:]:
+        acc += row
+    return acc
+
+
+def _settled(fine, coarse):
+    """max|fine - coarse| <= _SIMPSON_RTOL max|fine|, False if not finite."""
+    scale = np.max(np.abs(fine))
+    return bool(np.isfinite(scale)
+                and np.max(np.abs(fine - coarse)) <= _SIMPSON_RTOL * scale)
 
 
 def symbol_time_integral(psi: SymbolSpec, t, s, grid: GridSpec):
     """int_s^t psi(r, xi) dr at every grid frequency.
 
-    Exact (t-s) * psi for time-independent symbols; composite Simpson on
-    64 subintervals otherwise, with the 65 nodes evaluated in one
-    symbol_on_grid call and summed in node order.  A time-dependent psi
-    with Re psi > 0 at any node raises SymbolClassError.
+    Exact (t-s) * psi for time-independent symbols.  Otherwise composite
+    Simpson, sized per cell: one symbol_on_grid call evaluates the 17
+    nodes of Simpson-16, which is accepted when it agrees with Simpson-8
+    (the even nodes) to _SIMPSON_RTOL relative to max|Simpson-16|; else
+    one call per doubling evaluates only the new midpoints, up to
+    Simpson-64, which is accepted.  A comparison that is not finite does
+    not accept.  Doubling k subintervals gives S_2k = (T_k + 2 M_k)/3 from
+    the trapezoid and midpoint sums, each call's rows added in node order.
+    The class-S sign (Re psi > 0 raises SymbolClassError) and the NaN
+    check cover every node evaluated: the 17 nodes and the midpoints of
+    each doubling taken, not the nodes of finer rules.
     """
     if t < s:
         raise ValueError("need t >= s")
@@ -221,17 +251,25 @@ def symbol_time_integral(psi: SymbolSpec, t, s, grid: GridSpec):
         return np.zeros(grid.n_points, dtype=complex)
     if not psi.time_dependent:
         return (t - s) * symbol_on_grid(psi, 0.0, grid)
-    n_sub = 64
-    nodes = s + (t - s) * np.arange(n_sub + 1) / n_sub
-    w = _simpson_weights(n_sub) * ((t - s) / n_sub)
-    vals = symbol_on_grid(psi, nodes, grid)
-    if np.any(vals.real > 0):
-        raise SymbolClassError(f"psi {psi.name!r} has Re psi > 0 on the grid "
-                               f"in [{s}, {t}]; class S needs Re psi <= 0")
-    acc = np.zeros(grid.n_points, dtype=complex)
-    for wr, row in zip(w, vals):
-        acc += wr * row
-    return acc
+    first, last = _SIMPSON_SUBINTERVALS
+    h = t - s
+    block = symbol_on_grid(psi, s + h * np.arange(first + 1) / first, grid,
+                           class_s=True)
+    # T_k and M_k on k subintervals, without their width h / k
+    trap, k, coarse = 0.5 * (block[0] + block[first]), 1, None
+    while True:
+        if k < first:
+            mid = _row_sum(block[first // (2 * k)::first // k])
+        else:
+            mid = _row_sum(symbol_on_grid(
+                psi, s + h * np.arange(1, 2 * k, 2) / (2 * k), grid, class_s=True))
+        if 4 * k >= first:      # S_2k from Simpson-(first/2), the first coarse rule
+            fine = (trap + 2.0 * mid) * (h / (3.0 * k))
+            if 2 * k == last or coarse is not None and _settled(fine, coarse):
+                return fine
+            coarse = fine
+        trap += mid
+        k *= 2
 
 
 def evolution_multiplier(psi: SymbolSpec, t, s, grid: GridSpec):

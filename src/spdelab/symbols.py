@@ -61,8 +61,9 @@ class SymbolSpec:
     def __post_init__(self):
         if not (self.gamma > 0 and self.kappa > 0 and self.mu > 0):
             raise ValueError("gamma, kappa, mu must be strictly positive")
-        if not (isinstance(self.d, numbers.Real) and self.d >= 1
-                and self.d % 1 == 0):
+        if not (isinstance(self.d, numbers.Real)
+                and not isinstance(self.d, bool)     # a bool is a Real
+                and self.d >= 1 and self.d % 1 == 0):
             raise ValueError(f"dimension must be an integer >= 1, got {self.d!r}")
         object.__setattr__(self, "d", int(self.d))     # JSON 2.0 is d = 2
         if self.n_depth < self.d // 2 + 1:

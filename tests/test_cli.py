@@ -185,6 +185,10 @@ def test_wrong_sign_psi_exits_2(tmp_path, capsys, command, params):
     ("verify-lp", {"phi": {"name": "power", "d": 1.5}, "levels": [[8, 2]]}),
     ("verify-goperator", {"phi": {"name": "power", "d": 1.5},
                           "levels": [[8, 2]]}),
+    # a bool is a numbers.Real: d = true ran as d = 1
+    ("verify-lp", {"psi": {"name": "heat", "d": True}, "levels": [[8, 2]]}),
+    ("simulate", {"psi": {"name": "heat_osc", "d": True}, "grid": {"n": 8},
+                  "n_samples": 2}),
 ])
 def test_bad_value_exits_2_where_it_enters(tmp_path, capsys, command, params):
     # each of these used to raise a traceback or to run to exit 0
@@ -219,10 +223,11 @@ def test_non_finite_or_out_of_range_float_exits_2(tmp_path, capsys, command, par
 
 
 @pytest.mark.parametrize("taus", [[1e400], [float("nan")], [0.0], [-0.1], [],
-                                  ["0.1"]])
+                                  ["0.1"], [0.1]])
 def test_bad_t_minus_s_exits_2(tmp_path, capsys, taus):
     # the first five used to write a FAIL report or raise (exit 1); a
-    # string was read as a number
+    # string was read as a number; one lag always passed, since the
+    # stability test max/min - 1 over one constant is 0
     _assert_rejected(tmp_path, capsys, "verify-kernelenv", {"t_minus_s": taus})
 
 
@@ -275,7 +280,7 @@ _SMALL = {
     "verify-lp": {"levels": [[8, 2]]},
     "verify-bessel": {"grid": {"n": 8}, "count": 1},
     "verify-multiplier": {},
-    "verify-kernelenv": {"grid": {"n": 16}, "t_minus_s": [0.1]},
+    "verify-kernelenv": {"grid": {"n": 64}, "t_minus_s": [0.1, 0.2]},
     "verify-goperator": {"levels": [[8, 2]]},
     "verify-apriori": {"levels": [[8, 2]], "n_samples": 2, "quad_refine": 1},
     "verify-skorohod": {"n_samples": 8},
@@ -548,10 +553,10 @@ def test_largest_array_bounds_the_samples(monkeypatch):
 
 
 @pytest.mark.parametrize("params,code", [
-    # the grid cannot resolve this lag: a constant fits to 0, and FAIL
-    ({"t_minus_s": [1e-300]}, 1),
+    # the grid cannot resolve these lags: a constant fits to 0, and FAIL
+    ({"t_minus_s": [1e-300, 2e-300]}, 1),
     # psi of order 0.1: tau^(-a/gamma) leaves the float range at tau = 1e-12
-    ({"t_minus_s": [1e-12], "psi": {"name": "heat", "gamma": 0.1}}, 0),
+    ({"t_minus_s": [1e-12, 2e-12], "psi": {"name": "heat", "gamma": 0.1}}, 0),
 ])
 def test_kernelenv_tiny_lag_reports_instead_of_overflowing(tmp_path, capsys,
                                                            params, code):

@@ -115,10 +115,15 @@ def test_pathwise_solve_builds_each_table_once(monkeypatch):
                   f=f, g=_constant_g(times, GRID), quad_refine=2)
     solve(pb, 2, seed=0, estimator="pathwise")
     assert calls["symbol_cumulative_integrals"] == 2
-    # one call per cell of the solution-time and quadrature tables, plus
-    # the class-S check at each solution time
-    n_cells = (len(times) - 1) * (1 + 2 * pb.quad_refine)
-    assert calls["symbol_on_grid"] <= n_cells + len(times)
+    # per cell of the solution-time and quadrature tables, one call for the
+    # first 17 Simpson nodes and one per doubling after it (a cell that
+    # stops at 64 subintervals takes 3); then the class-S check at each
+    # solution time
+    q_grid = solver._quad_grid(times, pb.quad_refine)[0]
+    stops = [oracles.symbol_time_integral_nodes(pb.psi, b, a, GRID)[1]
+             for table in (times, q_grid) for a, b in zip(table[:-1], table[1:])]
+    assert calls["symbol_on_grid"] == sum(
+        1 + int(np.log2(n // 16)) for n in stops) + len(times)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from spdelab import spectral
+from spdelab.errors import SymbolClassError, SymbolDomainError
+from spdelab.solver import _quad_grid
 from spdelab.spectral import (
     Field,
     GridSpec,
@@ -159,7 +162,7 @@ def _cumulative_nodes(psi, times, grid):
     out = np.zeros((len(times), grid.n_points), dtype=complex)
     for i in range(1, len(times)):
         out[i] = out[i - 1] + oracles.symbol_time_integral_nodes(
-            psi, times[i], times[i - 1], grid)
+            psi, times[i], times[i - 1], grid)[0]
     return out
 
 
@@ -180,18 +183,100 @@ def _ignores_t_shape(t, xi):
     return -(1.0 + np.sin(np.max(t)) ** 2) * np.sum(xi ** 2, axis=-1) + 0j
 
 
+def _kink(t, xi):
+    # a kink at t = 0.3, between Simpson nodes: the 8-vs-16 check sees it
+    return -(1.0 + np.abs(t - 0.3)) * np.sum(xi ** 2, axis=-1) + 0j
+
+
+def _near_overflow_at_one_sixteenth(t, xi):
+    # up to -1.6e308 at the node t = 1/16 of the cell [0, 1], which
+    # Simpson-8 skips: Simpson-16 overflows to -inf where Simpson-8 is finite
+    return -np.sum(xi ** 2, axis=-1) * np.where(t == 0.0625, 2.5e306, 1.0) + 0j
+
+
+# the quadrature grid of a 16-time, quad_refine 8 problem: 256 cells 1/256 wide
+NARROW = _quad_grid(np.linspace(0.0, 1.0, 17), 8)[0]
+TDEP_SYMBOLS = {
+    "heat_osc-d1": builtin_symbol("heat_osc", d=1),
+    "heat_osc-d2": builtin_symbol("heat_osc", d=2),
+    "at_zero": _tdep_symbol(_radial_over_norm, at_zero=0.0),
+    "fallback": _tdep_symbol(_ignores_t_shape),
+    "kink": _tdep_symbol(_kink),
+}
+
+
 @pytest.mark.parametrize("psi, d, times", [
     (builtin_symbol("heat_osc", d=1), 1, np.linspace(0.0, 1.0, 9)),
     (builtin_symbol("heat_osc", d=2), 2, np.linspace(0.0, 1.0, 9)),
     (_tdep_symbol(_radial_over_norm, at_zero=0.0), 1, np.linspace(0.0, 1.0, 9)),
     (builtin_symbol("heat_osc", d=1), 1, np.array([0.0, 0.1, 0.35, 0.4, 0.9, 1.3])),
     (_tdep_symbol(_ignores_t_shape), 1, np.linspace(0.0, 1.0, 9)),
-], ids=["heat_osc-d1", "heat_osc-d2", "at_zero", "non-uniform", "fallback"])
+    (builtin_symbol("heat_osc", d=1), 1, NARROW),
+], ids=["heat_osc-d1", "heat_osc-d2", "at_zero", "non-uniform", "fallback",
+        "narrow"])
 def test_cumulative_integrals_match_node_by_node(psi, d, times):
-    # one batched symbol evaluation per Simpson cell leaves every bit in place
+    # one batched symbol evaluation per Simpson rung leaves every bit in place
     grid = GridSpec(d=d, n=16, L=2 * np.pi)
     assert np.array_equal(symbol_cumulative_integrals(psi, times, grid),
                           _cumulative_nodes(psi, times, grid))
+
+
+def test_narrow_cells_stop_at_16_and_wide_ones_escalate():
+    # both branches of the ladder are taken by the node-by-node test above
+    grid = GridSpec(d=1, n=16, L=2 * np.pi)
+    psi = TDEP_SYMBOLS["heat_osc-d1"]
+    stops = {oracles.symbol_time_integral_nodes(psi, b, a, grid)[1]
+             for a, b in zip(NARROW[:-1], NARROW[1:])}
+    assert stops == {16}
+    assert oracles.symbol_time_integral_nodes(psi, 1.0, 0.0, grid)[1] == 64
+
+
+@pytest.mark.parametrize("name", sorted(TDEP_SYMBOLS))
+@pytest.mark.parametrize("s, t", [
+    (0.0, NARROW[1]), (NARROW[128], NARROW[129]), (NARROW[-2], 1.0),
+    (0.0, 1.0 / 16), (0.2, 0.9), (0.0, 1.3),
+])
+def test_time_integral_within_1e_13_of_the_64_rule(name, s, t):
+    psi = TDEP_SYMBOLS[name]
+    grid = GridSpec(d=psi.d, n=16, L=2 * np.pi)
+    want = oracles.simpson_rule(psi, t, s, grid, 64)
+    got = symbol_time_integral(psi, t, s, grid)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("ev", [
+    _kink,
+    # the check is not finite and must not accept, although
+    # max|S16 - S8| = inf <= 1e-13 * max|S16| = inf holds
+    _near_overflow_at_one_sixteenth,
+], ids=["kink", "overflow"])
+def test_unsettled_cell_escalates_to_the_64_rule(monkeypatch, ev):
+    psi = _tdep_symbol(ev)
+    grid = GridSpec(d=1, n=16, L=2 * np.pi)
+    calls = []
+    evaluate = spectral.symbol_on_grid
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[1]))
+        return evaluate(*args, **kwargs)
+    monkeypatch.setattr(spectral, "symbol_on_grid", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = symbol_time_integral(psi, 1.0, 0.0, grid)
+        want = oracles.symbol_time_integral_nodes(psi, 1.0, 0.0, grid,
+                                                  settle=False)[0]
+    # the 17 nodes, then 16 and 32 new midpoints
+    assert calls == [17, 16, 32]
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_sign_check_covers_the_midpoints_of_each_doubling():
+    # Re psi > 0 only near t = 1/32, a node of Simpson-32 alone; the kink
+    # makes the cell [0, 1] double past 16 subintervals, so the check sees it
+    def ev(t, xi):
+        return _kink(t, xi) + np.where(np.abs(t - 1 / 32) < 0.005, 1e4, 0.0)
+    grid = GridSpec(d=1, n=16, L=2 * np.pi)
+    with pytest.raises(SymbolClassError):
+        symbol_time_integral(_tdep_symbol(ev), 1.0, 0.0, grid)
 
 
 def test_symbol_on_grid_time_column():
@@ -203,6 +288,19 @@ def test_symbol_on_grid_time_column():
         assert vals.shape == (3, grid.n_points)
         for row, t in zip(vals, times):
             assert np.array_equal(row, symbol_on_grid(psi, t, grid))
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(-1.0, np.nan)],
+                         ids=["real", "imag"])
+def test_nan_on_the_grid_raises(bad):
+    def ev(t, xi):
+        r2 = np.sum(xi ** 2, axis=-1)
+        return np.where(r2 == 9.0, bad, -r2 + 0j * t)
+    grid = GridSpec(d=1, n=16, L=2 * np.pi)
+    psi = _tdep_symbol(ev)
+    for t, class_s in ((0.3, False), (np.array([0.1, 0.2]), True)):
+        with pytest.raises(SymbolDomainError):
+            symbol_on_grid(psi, t, grid, class_s=class_s)
 
 
 def test_kernel_p_psi_mass():
