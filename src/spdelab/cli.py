@@ -65,7 +65,7 @@ _TOP_KEYS = {"command", "seed", "output_dir", "emit_plots", "params"}
 # One param's rule.  `kinds` are its JSON kinds ("int|null"), where a null
 # stands for the default.  A number must be finite; `above` (>), `least`
 # (>=) and `most` (<=) bound a number, or the length of a list.  `each`
-# rules a list's elements, `keys` an object's keys (others are ignored),
+# rules a list's elements, `keys` an object's keys (others are refused),
 # and `choices` lists the values allowed.  A callable default of a symbol
 # is completed with the grid's dimension.
 Key = namedtuple("Key", "kinds default above least most choices each keys",
@@ -96,7 +96,7 @@ _LEVELS = Key("list", [[32, 16], [64, 32], [128, 64]], least=1,
 _PROBLEM = {
     "psi": Key(_SYMBOL, _HEAT), "kernel": _KERNEL, "m": _count(1),
     "T": Key("number", 1.0, above=0), "p": _NUM2, "q_exp": _NUM2,
-    "lambdas": Key("list", [1.0, 0.5]),
+    "lambdas": Key("list", [1.0, 0.5], each=Key("number")),
     "u0": Key("string", "bump", choices=("zero", "bump")),
     "f": Key("string", "none", choices=("none", "bump")),
     "g": Key("string", "none", choices=("none", "constant")),
@@ -149,7 +149,12 @@ PARAMS = {
 
 
 def _fill(table, given, where=""):
-    """The values of `given` checked against `table`, defaults filled in."""
+    """The values of `given` checked against `table`, defaults filled in;
+    a key that `table` does not name is refused."""
+    unknown = sorted(set(given) - set(table))
+    if unknown:
+        raise SchemaError(f"unknown params {[where + k for k in unknown]}; "
+                          f"allowed {[where + k for k in sorted(table)]}")
     return {key: _check(rule, given[key], where + key) if key in given
             else rule.default for key, rule in table.items()}
 
@@ -243,10 +248,6 @@ def load_config(command, path=None, seed=None, out=None) -> RunConfig:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("params must be a JSON object")
-    bad = set(params) - set(PARAMS[command])
-    if bad:
-        raise SchemaError(f"unknown params for {command}: {sorted(bad)}; "
-                          f"allowed {sorted(PARAMS[command])}")
     resolved = _fill(PARAMS[command], params)
     size = _largest_array(command, resolved)
     if size > _MAX_ARRAY_BYTES:

@@ -4,11 +4,12 @@ u(t) = T(t,0) u0 + int_0^t T(t,s) f(s) ds + int_0^t T(t,s) g(s) d beta_s,
 with the evolution operator diagonal in frequency.  The stochastic
 convolution has two independent estimators:
 
-* modewise -- per (mode, factor) the time vector is exactly Gaussian; its
-  covariance is assembled from rectangle increments of R and sampled by
-  Cholesky with circularly-symmetric complex draws.  Exact per-mode law
-  (conjugate covariance), cheap in samples.  Modes are taken in blocks of
-  fixed byte size, with stacked products and factorizations; each mode
+* modewise -- per (mode, factor) the covariance of the time vector is
+  assembled from rectangle increments of R and sampled by Cholesky with
+  circularly-symmetric complex draws, each mode independently.  That
+  matches only E|u_k|^2, not the joint law of the real field: a per-mode
+  second-moment cross-check, cheap in samples.  Modes are taken in blocks
+  of fixed byte size, with stacked products and factorizations; each mode
   still draws from its own (seed, CONV_MODEWISE, j, k) substream.
   Exponents below _EXP_FLOOR (about -346) enter as exact zeros, which
   keeps the stacked products out of subnormal arithmetic.
@@ -145,13 +146,6 @@ class SolutionEnsemble:
     def n_samples(self):
         return self.samples.shape[0]
 
-    def mean_field(self):
-        return np.mean(self.samples, axis=0)
-
-    def variance_field(self):
-        """Componentwise variance of the (complex) samples at each node."""
-        return np.var(self.samples, axis=0)
-
 
 # ---------------------------------------------------------------------------
 # deterministic parts
@@ -211,7 +205,7 @@ def _quad_grid(times, n_sub):
 
 def stochastic_convolution_modewise(problem: SPDEProblem, n_samples,
                                     seed) -> np.ndarray:
-    """Exact-covariance sampler; (n_samples, n_times, m, n_points).
+    """Per-mode second-moment sampler; (n_samples, n_times, m, n_points).
 
     Modes go in blocks sized by _MODE_BLOCK_BYTES.  Per block and factor j,
     one GEMM forms A_k ginc for every mode k, one stacked matmul the
@@ -310,8 +304,10 @@ def stochastic_convolution_pathwise(problem: SPDEProblem,
             cell = slice(i * n_sub, (i + 1) * n_sub)
             top = cums[sol_idx[i + 1]]
             g_loc = np.exp(top - cums[mid_idx[cell]])[:, None, None, :] * g_hat[i]
-            out_hat[:, i + 1] = np.exp(top - cums[sol_idx[i]]) * out_hat[:, i] \
-                + np.einsum("njc,cmjk->nmk", dB[:, :, cell], g_loc, optimize=True)
+            np.multiply(np.exp(top - cums[sol_idx[i]]), out_hat[:, i],
+                        out=out_hat[:, i + 1])
+            out_hat[:, i + 1] += np.einsum("njc,cmjk->nmk", dB[:, :, cell],
+                                           g_loc, optimize=True)
     return spatial_fft(out_hat, grid, inverse=True, out=out_hat)
 
 
@@ -389,14 +385,14 @@ def mode_residual(ensemble: SolutionEnsemble, k_index: int) -> dict:
 
 def ensemble_summary_rows(ensemble: SolutionEnsemble):
     """Per-time summary statistics (for CSV export): mean-field l2 norm,
-    total variance, mean sup-norm."""
-    grid = ensemble.problem.grid
-    mean = ensemble.mean_field()
-    var = ensemble.variance_field()
+    total variance, mean sup-norm.  One time slice at a time, whose
+    reductions add the samples in the whole ensemble's order, bit for bit."""
+    dv = ensemble.problem.grid.cell_volume
     rows = []
     for i, t in enumerate(ensemble.problem.times):
-        mf = np.sqrt(np.sum(np.abs(mean[i]) ** 2) * grid.cell_volume)
-        tv = float(np.sum(np.real(var[i])) * grid.cell_volume)
-        ms = float(np.mean(np.max(np.abs(ensemble.samples[:, i]), axis=(1, 2))))
+        x = ensemble.samples[:, i]                  # (n_samples, m, n_points)
+        mf = np.sqrt(np.sum(np.abs(np.mean(x, axis=0)) ** 2) * dv)
+        tv = float(np.sum(np.var(x, axis=0)) * dv)      # var of complex is real
+        ms = float(np.mean(np.max(np.abs(x), axis=(1, 2))))
         rows.append((float(t), float(mf), tv, ms))
     return rows

@@ -189,6 +189,15 @@ def test_wrong_sign_psi_exits_2(tmp_path, capsys, command, params):
     ("verify-lp", {"psi": {"name": "heat", "d": True}, "levels": [[8, 2]]}),
     ("simulate", {"psi": {"name": "heat_osc", "d": True}, "grid": {"n": 8},
                   "n_samples": 2}),
+    # an unknown key inside grid was ignored, and a lambdas entry given as
+    # a string was read by float(): both ran to exit 0
+    ("simulate", {"grid": {"n": 8, "N": 3}, "n_samples": 2}),
+    ("verify-bessel", {"grid": {"n": 8, "x": 1}, "count": 1}),
+    ("verify-kernelenv", {"grid": {"n": 16, "D": 1}}),
+    ("simulate", {"lambdas": ["1.0"], "g": "constant", "grid": {"n": 8},
+                  "n_samples": 2}),
+    ("verify-apriori", {"lambdas": [1.0, "0.5"], "g": "constant",
+                        "levels": [[8, 2]], "n_samples": 2}),
 ])
 def test_bad_value_exits_2_where_it_enters(tmp_path, capsys, command, params):
     # each of these used to raise a traceback or to run to exit 0

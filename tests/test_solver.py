@@ -175,7 +175,7 @@ def test_zero_problem_reduces_to_homogeneous():
         det = deterministic_homogeneous(pb)
         assert ens.samples.shape == (4, 9, 1, 32)
         assert np.max(np.abs(ens.samples - det[None])) == 0.0
-        assert np.max(ens.variance_field()) == 0.0
+        assert np.max(np.var(ens.samples, axis=0)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +437,42 @@ def test_ensemble_summary_rows():
     assert mf0 == pytest.approx(np.sqrt(GRID.L), rel=1e-12)
     assert tv0 == pytest.approx(0.0, abs=1e-20)
     assert ms0 == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("estimator,noise", [
+    ("modewise", True), ("pathwise", True), ("pathwise", False)])
+def test_ensemble_summary_rows_equal_whole_ensemble_formulas(estimator, noise):
+    # m = 2, J = 2, non-zero f and g (or no g): the time slices give the
+    # whole-ensemble rows bit for bit
+    times = np.linspace(0.0, 0.5, 9)
+    x = np.arange(GRID.n) * GRID.L / GRID.n
+    f = np.cos(3 * times)[:, None, None] * np.tile(np.sin(x), (1, 2, 1))
+    g = np.tile(np.exp(2j * x), (8, 2, 2, 1)) * np.array([1.0, 0.5])[:, None]
+    pb = _problem(times=times, u0=_mode_field(GRID, m=2), f=f,
+                  g=g if noise else None, J=2)
+    ens = solve(pb, 7, seed=4, estimator=estimator)
+    rows = ensemble_summary_rows(ens)
+    assert rows == oracles.ensemble_summary_rows_full(ens)
+    assert (rows[-1][2] > 1e-12) == noise      # the total variance
+
+
+def test_ensemble_summary_rows_memory_is_one_time_slice():
+    # the whole-ensemble variance makes an ensemble-sized temporary; here
+    # the ensemble is 18 MiB and each of its 9 time slices 2 MiB
+    pb = _problem(u0=_mode_field(GRID, m=2))
+    r = np.random.default_rng(0)
+    shape = (2048, pb.n_times, 2, GRID.n_points)
+    samples = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+    ens = solver.SolutionEnsemble(problem=pb, samples=samples,
+                                  estimator="pathwise", seed=0)
+    assert samples.nbytes >= 16 << 20
+    tracemalloc.start()
+    try:
+        ensemble_summary_rows(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < samples.nbytes / 4
 
 
 def test_readme_library_quickstart_runs():
