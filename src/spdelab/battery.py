@@ -30,18 +30,18 @@ from .symbols import (
 )
 
 
-def step_battery(J=2, T=1.0):
-    """Four step functions with distinct support/coordinate patterns."""
+def step_battery(J=2):
+    """Four step functions on [0, 1] with distinct support/coordinate patterns."""
     e1 = np.zeros(J)
     e1[0] = 1.0
     e2 = np.zeros(J)
     e2[min(1, J - 1)] = 1.0
     out = [
-        StepFunction(np.array([0.0, T]), e1[None, :]),
-        StepFunction(np.array([0.0, T / 2, T]), np.stack([e1, -e1])),
-        StepFunction(np.array([0.0, T / 3, 2 * T / 3, T]),
+        StepFunction(np.array([0.0, 1.0]), e1[None, :]),
+        StepFunction(np.array([0.0, 0.5, 1.0]), np.stack([e1, -e1])),
+        StepFunction(np.array([0.0, 1 / 3, 2 / 3, 1.0]),
                      np.stack([e1 + e2, 2.0 * e2, -0.5 * e1])),
-        StepFunction(np.array([T / 4, 3 * T / 4]), 1.5 * e2[None, :]),
+        StepFunction(np.array([0.25, 0.75]), 1.5 * e2[None, :]),
     ]
     return out
 

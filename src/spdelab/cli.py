@@ -141,8 +141,7 @@ PARAMS = {
     "verify-goperator": _OPERATOR,
     "verify-apriori": {   # runs on simulate's default grid at each level's n
         **_PROBLEM, "phi": Key("string|object", _POWER(d=1)), "levels": _LEVELS,
-        "n_samples": _count(48),
-        "estimator": Key("string", "pathwise", choices=ESTIMATORS)},
+        "n_samples": _count(48)},
     "verify-skorohod": {**_PROCESS, "n_samples": _count(100_000)},
     "kernels": {},
 }
@@ -505,7 +504,7 @@ def _run_verify_apriori(cfg: RunConfig):
     p = cfg.params
     rep = apriori_refinement(
         lambda n, n_t: _build_problem(p, n=n, n_t=n_t), _levels(p),
-        p["n_samples"], cfg.seed, estimator=p["estimator"])
+        p["n_samples"], cfg.seed)
     return _ratio_result(rep, "grid n")
 
 

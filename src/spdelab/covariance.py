@@ -34,6 +34,12 @@ import numpy as np
 from .errors import KernelValidityError
 
 JITTER_LADDER = (1e-14, 1e-12, 1e-10)
+# the Bessel kernel's antiderivatives: geometric Gauss-Legendre panels on
+# [_BESSEL_V_MIN, _BESSEL_V_MAX], each _BESSEL_PANEL_RATIO times the last,
+# with _BESSEL_GL_NODES nodes each
+_BESSEL_V_MIN, _BESSEL_V_MAX = 1e-8, 60.0
+_BESSEL_PANEL_RATIO = 1.05
+_BESSEL_GL_NODES = 16
 
 
 @dataclass
@@ -46,8 +52,6 @@ class CovarianceKernel:
     C_R: float | None                # None means "unset"
     singular_density: bool
     params: dict = field(default_factory=dict)
-    kr_kind: str = "integral"        # identity | linear | fbm | integral
-    F1: callable | None = None       # odd antiderivative of the stationary density
 
     def __post_init__(self):
         ri = 0.0 if np.isinf(self.r_exp) else 1.0 / self.r_exp
@@ -75,8 +79,7 @@ def builtin_kernel(name, **params):
             raise ValueError(f"unexpected params {params}")
         return CovarianceKernel(
             name="wiener", R=lambda t, s: np.minimum(t, s), density=None,
-            r_exp=r, s_exp=_conjugate(r), C_R=1.0, singular_density=True,
-            kr_kind="identity")
+            r_exp=r, s_exp=_conjugate(r), C_R=1.0, singular_density=True)
 
     if name == "fbm":
         H = float(params.pop("H"))
@@ -97,7 +100,7 @@ def builtin_kernel(name, **params):
 
         return CovarianceKernel(
             name="fbm", R=R, density=density, r_exp=1.0 / H, s_exp=1.0 / (1.0 - H),
-            C_R=None, singular_density=True, params={"H": H}, kr_kind="fbm")
+            C_R=None, singular_density=True, params={"H": H})
 
     if name == "linear":
         if params:
@@ -105,9 +108,7 @@ def builtin_kernel(name, **params):
         return CovarianceKernel(
             name="linear", R=lambda t, s: np.asarray(t, float) * np.asarray(s, float),
             density=lambda t, s: np.ones(np.broadcast(t, s).shape),
-            r_exp=1.0, s_exp=np.inf, C_R=1.0, singular_density=False,
-            kr_kind="linear",
-            F1=lambda u: np.asarray(u, float))
+            r_exp=1.0, s_exp=np.inf, C_R=1.0, singular_density=False)
 
     if name == "bessel":
         delta = float(params.pop("delta"))
@@ -136,7 +137,7 @@ def builtin_kernel(name, **params):
 
 
 def _stationary_kernel(name, pieces, r_exp, C_R, singular, params):
-    dens1, F1, F2 = pieces
+    dens1, F2 = pieces
 
     def R(t, s):
         t, s = np.asarray(t, float), np.asarray(s, float)
@@ -147,8 +148,7 @@ def _stationary_kernel(name, pieces, r_exp, C_R, singular, params):
 
     return CovarianceKernel(name=name, R=R, density=density, r_exp=r_exp,
                             s_exp=_conjugate(r_exp), C_R=C_R,
-                            singular_density=singular, params=params,
-                            kr_kind="integral", F1=F1)
+                            singular_density=singular, params=params)
 
 
 def _heat_pieces(delta):
@@ -159,26 +159,23 @@ def _heat_pieces(delta):
     def dens1(u):
         return np.exp(-(u * c) ** 2) / np.sqrt(4.0 * np.pi * delta)
 
-    def F1(u):
-        return 0.5 * special.erf(u * c)
-
     def F2(u):
         u = np.asarray(u, float)
         return 0.5 * u * special.erf(u * c) + np.sqrt(delta / np.pi) * (
             np.exp(-(u * c) ** 2) - 1.0)
 
-    return dens1, F1, F2
+    return dens1, F2
 
 
-def _bessel_pieces(delta, v_min=1e-8, v_max=60.0, panel_ratio=1.05, gl_nodes=16):
+def _bessel_pieces(delta):
     """Closures for the Bessel-type stationary kernel.
 
     The density has a Macdonald-function closed form, but its antiderivatives
     do not, so F1 and the first-moment integral M1 are accumulated once over
     geometric Gauss-Legendre panels and evaluated through log-space cubic
-    splines. Below v_min the exact power-law head of the density integrates
-    analytically; above v_max the remaining mass is below double precision
-    and F2 = u F1(u) - M1(u) continues linearly.
+    splines. Below _BESSEL_V_MIN the exact power-law head of the density
+    integrates analytically; above _BESSEL_V_MAX the remaining mass is below
+    double precision and F2 = u F1(u) - M1(u) continues linearly.
     """
     from scipy import special
     from scipy.interpolate import CubicSpline
@@ -192,9 +189,10 @@ def _bessel_pieces(delta, v_min=1e-8, v_max=60.0, panel_ratio=1.05, gl_nodes=16)
     def dens_abs(v):
         return c * (0.5 * v) ** (0.5 * (delta - 1.0)) * special.kv(mu, v)
 
-    n_pan = int(np.ceil(np.log(v_max / v_min) / np.log(panel_ratio)))
+    v_min, v_max = _BESSEL_V_MIN, _BESSEL_V_MAX
+    n_pan = int(np.ceil(np.log(v_max / v_min) / np.log(_BESSEL_PANEL_RATIO)))
     edges = v_min * (v_max / v_min) ** np.linspace(0.0, 1.0, n_pan + 1)
-    gx, gw = np.polynomial.legendre.leggauss(gl_nodes)
+    gx, gw = np.polynomial.legendre.leggauss(_BESSEL_GL_NODES)
     half = 0.5 * np.diff(edges)
     pts = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * gx
     wts = half[:, None] * gw
@@ -240,7 +238,7 @@ def _bessel_pieces(delta, v_min=1e-8, v_max=60.0, panel_ratio=1.05, gl_nodes=16)
         a = np.abs(np.asarray(u, float))
         return a * F1(a) - M1(a)
 
-    return dens1, F1, F2
+    return dens1, F2
 
 
 # ---------------------------------------------------------------------------

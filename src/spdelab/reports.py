@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+DRIFT_TOL = 0.25    # the largest relative step between consecutive trace ratios
+
 
 def _plain(x):
     """Recursively convert numpy types to JSON-friendly Python values."""
@@ -64,8 +66,8 @@ class RatioReport:
 
     ratio is lhs / sum(rhs_components); refinement_trace lists
     (level, ratio) pairs over increasing resolution. ``passed`` means the
-    ratio stayed finite and did not drift beyond the configured tolerance
-    across the trace.
+    ratio is finite and consecutive non-zero trace ratios differ by at most
+    DRIFT_TOL = 25% relative.
     """
 
     name: str
@@ -80,7 +82,7 @@ class RatioReport:
 
     @classmethod
     def make(cls, name, lhs, rhs_components, refinement_trace=None,
-             drift_tol=0.25, seed=None, n_samples=None, details=None):
+             seed=None, n_samples=None, details=None):
         """Build a report, guarding the 0/0 case (trivially passed)."""
         rhs_total = float(sum(rhs_components))
         lhs = float(lhs)
@@ -93,7 +95,7 @@ class RatioReport:
             passed = math.isfinite(ratio)
             ratios = [r for (_lvl, r) in trace if r != 0.0]
             for a, b in zip(ratios, ratios[1:]):
-                if not math.isfinite(b) or abs(b / a - 1.0) > drift_tol:
+                if not math.isfinite(b) or abs(b / a - 1.0) > DRIFT_TOL:
                     passed = False
         return cls(name=name, lhs=lhs, rhs_components=list(map(float, rhs_components)),
                    ratio=ratio, refinement_trace=trace, passed=passed,

@@ -36,12 +36,11 @@ import numpy as np
 from . import rng as _rng
 from .covariance import CovarianceKernel, cholesky_psd, increment_gram
 from .errors import AlignmentError, HypothesisViolationError
-from .gaussian import PathSample, QSpec, sample_paths
+from .gaussian import TIME_TOL, PathSample, QSpec, sample_paths
 from .spectral import (Field, GridSpec, check_class_s_sign, spatial_fft,
                        symbol_cumulative_integrals, symbol_on_grid)
 from .symbols import SymbolSpec
 
-TIME_TOL = 1e-9
 ESTIMATORS = ("modewise", "pathwise")
 # bytes per complex buffer of a mode block in the modewise sampler
 _MODE_BLOCK_BYTES = 2 << 20
@@ -386,11 +385,15 @@ def mode_residual(ensemble: SolutionEnsemble, k_index: int) -> dict:
 def ensemble_summary_rows(ensemble: SolutionEnsemble):
     """Per-time summary statistics (for CSV export): mean-field l2 norm,
     total variance, mean sup-norm.  One time slice at a time, whose
-    reductions add the samples in the whole ensemble's order, bit for bit."""
+    reductions add the samples in the whole ensemble's order, bit for bit.
+    Without noise (g = None) every sample is the same field, and one of
+    them is summarised: the mean of equal floats need not be bit-equal to
+    them, and np.var would sum the rounding residues."""
     dv = ensemble.problem.grid.cell_volume
+    n = 1 if ensemble.problem.g is None else ensemble.n_samples
     rows = []
     for i, t in enumerate(ensemble.problem.times):
-        x = ensemble.samples[:, i]                  # (n_samples, m, n_points)
+        x = ensemble.samples[:n, i]                 # (n, m, n_points)
         mf = np.sqrt(np.sum(np.abs(np.mean(x, axis=0)) ** 2) * dv)
         tv = float(np.sum(np.var(x, axis=0)) * dv)      # var of complex is real
         ms = float(np.mean(np.max(np.abs(x), axis=(1, 2))))

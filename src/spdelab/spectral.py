@@ -173,10 +173,11 @@ def check_class_s_sign(psi: SymbolSpec, times, grid: GridSpec):
     """SymbolClassError unless Re psi <= 0 on the grid at every time.
 
     Class S needs the sign; a growing mode gives inf, NaN or unbounded
-    ratios downstream.  A time-independent psi is evaluated once.
+    ratios downstream.  One symbol_on_grid call evaluates every time; a
+    time-independent psi is evaluated once.
     """
-    for t in times if psi.time_dependent else times[:1]:
-        symbol_on_grid(psi, t, grid, class_s=True)
+    symbol_on_grid(psi, np.asarray(times, dtype=float) if psi.time_dependent
+                   else times[0], grid, class_s=True)
 
 
 def apply_multiplier(field: Field, mult: np.ndarray) -> Field:
@@ -184,10 +185,14 @@ def apply_multiplier(field: Field, mult: np.ndarray) -> Field:
     return Field(field.grid, field.m, spatial_fft(spec, field.grid, inverse=True))
 
 
+def bessel_multiplier(phi: SymbolSpec, grid: GridSpec, alpha) -> np.ndarray:
+    """(1 + Re phi(xi))^{alpha/2} at every grid frequency, real."""
+    return (1.0 + np.real(symbol_on_grid(phi, 0.0, grid))) ** (alpha / 2.0)
+
+
 def bessel_lift(phi: SymbolSpec, alpha, field: Field) -> Field:
     """Apply (1 + phi(xi))^{alpha/2}."""
-    base = np.real(symbol_on_grid(phi, 0.0, field.grid))
-    return apply_multiplier(field, (1.0 + base) ** (0.5 * alpha) + 0j)
+    return apply_multiplier(field, bessel_multiplier(phi, field.grid, alpha))
 
 
 def lp_norm(field: Field, p) -> float:

@@ -26,11 +26,18 @@ import numpy as np
 
 from .reports import MultiplierReport
 
-DEFAULT_DYADIC_LO = -8
-DEFAULT_DYADIC_HI = 8
-DEFAULT_CAP = 1e6
+# the scans sample the dyadic radii 2^DYADIC_LO ... 2^DYADIC_HI; a
+# condition passes when its worst constant is finite and at most CAP and
+# its running sup over the levels grew by at most STABILITY_RATIO over the
+# last STABILITY_LAG of them
+DYADIC_LO = -8
+DYADIC_HI = 8
+CAP = 1e6
 STABILITY_RATIO = 1.10
 STABILITY_LAG = 4
+_STABILITY_FLOOR = 1e-9       # a running sup this small counts as stable
+_FD_REL_STEP = 1e-4           # finite-difference step relative to |xi|
+_RECT_NODES = 12              # Gauss-Legendre nodes per rectangle axis
 
 
 @dataclass(frozen=True)
@@ -263,13 +270,13 @@ def dyadic_directions(d):
     raise NotImplementedError("dyadic sampling implemented for d <= 3")
 
 
-def dyadic_samples(d, lo=DEFAULT_DYADIC_LO, hi=DEFAULT_DYADIC_HI):
+def dyadic_samples(d):
     """Return (radii, points) with points of shape (n_levels, n_dirs, d).
 
-    Radii are 2^lo ... 2^hi; directions avoid xi = 0 and the coordinate
-    hyperplanes, where the symbols may be non-smooth or undefined.
+    Radii are 2^DYADIC_LO ... 2^DYADIC_HI; directions avoid xi = 0 and the
+    coordinate hyperplanes, where the symbols may be non-smooth or undefined.
     """
-    radii = 2.0 ** np.arange(lo, hi + 1, dtype=float)
+    radii = 2.0 ** np.arange(DYADIC_LO, DYADIC_HI + 1, dtype=float)
     dirs = dyadic_directions(d)
     return radii, radii[:, None, None] * dirs[None, :, :]
 
@@ -281,11 +288,11 @@ _STENCILS = {
 }
 
 
-def fd_partial(fun, xi, alpha, rel_step=1e-4):
+def fd_partial(fun, xi, alpha):
     """Central finite-difference mixed partial d^alpha fun at points xi.
 
     xi has shape (N, d); alpha is a per-axis order tuple with entries in
-    {0, 1, 2}. The step is rel_step * |xi| per coordinate, which keeps
+    {0, 1, 2}. The step is _FD_REL_STEP * |xi| per coordinate, which keeps
     homogeneous quantities scale free.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
@@ -294,7 +301,7 @@ def fd_partial(fun, xi, alpha, rel_step=1e-4):
         raise ValueError("alpha length must match dimension")
     if any(a not in _STENCILS for a in alpha):
         raise ValueError("per-axis derivative order must be 0, 1 or 2")
-    h = rel_step * _radius(xi)[..., None]
+    h = _FD_REL_STEP * _radius(xi)[..., None]
     acc = None
     for combo in itertools.product(*(_STENCILS[a] for a in alpha)):
         offsets = np.array([c[0] for c in combo])
@@ -305,45 +312,37 @@ def fd_partial(fun, xi, alpha, rel_step=1e-4):
     return acc / h[..., 0] ** order if order else acc
 
 
-def _multi_indices(d, max_total, max_per_axis=2, include_zero=True):
-    out = []
-    for alpha in itertools.product(range(max_per_axis + 1), repeat=d):
-        if sum(alpha) <= max_total and (include_zero or sum(alpha) > 0):
-            out.append(alpha)
+def _multi_indices(d, max_total):
+    """Per-axis orders 0..2 of total at most max_total, by total order."""
+    out = [alpha for alpha in itertools.product(range(3), repeat=d)
+           if sum(alpha) <= max_total]
     return sorted(out, key=sum)
 
 
-def _cumulative_stable(per_level_sup, ratio=STABILITY_RATIO, lag=STABILITY_LAG,
-                       floor=1e-9):
+def _cumulative_stable(per_level_sup):
     """True when the running sup over dyadic levels has stopped growing."""
     cum = np.maximum.accumulate(per_level_sup)
     if not np.isfinite(cum[-1]):
         return False
-    if len(cum) <= lag:
+    if len(cum) <= STABILITY_LAG:
         return True
-    return cum[-1] <= max(cum[-1 - lag] * ratio, floor)
+    return cum[-1] <= max(cum[-1 - STABILITY_LAG] * STABILITY_RATIO,
+                          _STABILITY_FLOOR)
 
 
 # ---------------------------------------------------------------------------
 # checkers
 
 
-def check_mihlin(m: SymbolSpec, xi_samples=None, cap=DEFAULT_CAP,
-                 lo=DEFAULT_DYADIC_LO, hi=DEFAULT_DYADIC_HI):
+def check_mihlin(m: SymbolSpec):
     """Mihlin-condition scan: sup |d^a m(xi)| |xi|^{|a|} for |a| <= floor(d/2)+1.
 
-    Passed iff the constant is finite, below cap, and the running sup over
-    increasing dyadic levels has stabilized (growth over the last four
-    levels below 10%). Unbounded symbols like xi_1 or log(1+|xi|) keep
-    growing level over level and fail.
+    Passed iff the constant is finite, at most CAP, and the running sup
+    over increasing dyadic levels has stabilized (growth over the last
+    four levels at most 10%). Unbounded symbols like xi_1 or log(1+|xi|)
+    keep growing level over level and fail.
     """
-    if xi_samples is None:
-        radii, pts = dyadic_samples(m.d, lo, hi)
-    else:
-        pts = np.atleast_2d(np.asarray(xi_samples, float)).reshape(-1, 1, m.d)
-        radii = _radius(pts[:, 0, :])
-        order = np.argsort(radii)
-        radii, pts = radii[order], pts[order]
+    _, pts = dyadic_samples(m.d)
     n_lev, n_dir, d = pts.shape
     depth = m.d // 2 + 1
 
@@ -367,7 +366,7 @@ def check_mihlin(m: SymbolSpec, xi_samples=None, cap=DEFAULT_CAP,
                 worst_loc = (alpha, flat[i])
 
     stable = _cumulative_stable(per_level)
-    passed = bool(np.isfinite(worst) and worst <= cap and stable)
+    passed = bool(np.isfinite(worst) and worst <= CAP and stable)
     return MultiplierReport(
         condition_name="mihlin", worst_constant=worst,
         worst_location=(worst_loc[0], worst_loc[1].tolist()),
@@ -376,9 +375,7 @@ def check_mihlin(m: SymbolSpec, xi_samples=None, cap=DEFAULT_CAP,
                  "per_level_sup": per_level.tolist()})
 
 
-def check_marcinkiewicz(m: SymbolSpec, rectangle_budget=4096,
-                        lo=DEFAULT_DYADIC_LO, hi=DEFAULT_DYADIC_HI,
-                        nodes_per_axis=12, cap=DEFAULT_CAP):
+def check_marcinkiewicz(m: SymbolSpec):
     """Rectangle-condition scan.
 
     For every nonempty coordinate subset S, integrates the mixed first
@@ -389,14 +386,15 @@ def check_marcinkiewicz(m: SymbolSpec, rectangle_budget=4096,
     dyadic levels.
     """
     d = m.d
-    levels = np.arange(lo, hi, dtype=int)  # rectangle (2^k, 2^{k+1}]
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes_per_axis)
+    # level k is the rectangle side (2^k, 2^{k+1}]
+    levels = np.arange(DYADIC_LO, DYADIC_HI, dtype=int)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(_RECT_NODES)
 
     def f(p):
         return m.eval(0.0, p)
 
     # boundedness scan on dyadic points
-    radii, pts = dyadic_samples(d, lo, hi)
+    radii, pts = dyadic_samples(d)
     flat = pts.reshape(-1, d)
     with np.errstate(over="ignore", invalid="ignore"):
         mvals = np.abs(np.asarray(f(flat)))
@@ -406,19 +404,14 @@ def check_marcinkiewicz(m: SymbolSpec, rectangle_budget=4096,
     level_tracks = [sup_per_level]
 
     subsets = [s for k in range(1, d + 1) for s in itertools.combinations(range(d), k)]
-    fixed_vals = np.concatenate([2.0 ** np.arange(lo, hi + 1, 4, dtype=float),
-                                 -(2.0 ** np.arange(lo, hi + 1, 4, dtype=float))])
+    fixed_vals = 2.0 ** np.arange(DYADIC_LO, DYADIC_HI + 1, 4, dtype=float)
+    fixed_vals = np.concatenate([fixed_vals, -fixed_vals])
     with np.errstate(over="ignore", invalid="ignore"):
         for S in subsets:
             alpha = tuple(1 if i in S else 0 for i in range(d))
             free = [i for i in range(d) if i not in S]
-            combos = list(itertools.product(levels, repeat=len(S)))
-            if len(combos) * max(1, len(fixed_vals) ** len(free)) > rectangle_budget:
-                stride = max(1, (len(combos) * max(1, len(fixed_vals) ** len(free)))
-                             // rectangle_budget)
-                combos = combos[::stride]
             track = np.zeros(len(levels))
-            for ks in combos:
+            for ks in itertools.product(levels, repeat=len(S)):
                 # tensor quadrature nodes on the rectangle, every sign pattern
                 axes_nodes, axes_wts = [], []
                 for k in ks:
@@ -440,14 +433,14 @@ def check_marcinkiewicz(m: SymbolSpec, rectangle_budget=4096,
                             p[:, i] = fixed[col]
                         der = np.abs(fd_partial(f, p, alpha))
                         integ = float(np.sum(np.nan_to_num(der, nan=np.inf) * wts))
-                        li = int(max(ks) - lo)
+                        li = int(max(ks) - DYADIC_LO)
                         track[li] = max(track[li], integ)
                         if integ > worst:
                             worst, worst_loc = integ, (alpha, p[0])
             level_tracks.append(track)
 
     stable = all(_cumulative_stable(t) for t in level_tracks)
-    passed = bool(np.isfinite(worst) and worst <= cap and stable)
+    passed = bool(np.isfinite(worst) and worst <= CAP and stable)
     return MultiplierReport(
         condition_name="marcinkiewicz", worst_constant=worst,
         worst_location=(worst_loc[0], np.asarray(worst_loc[1]).tolist()),

@@ -17,16 +17,19 @@ from .gaussian import TIME_TOL, QSpec, canonical_partition
 from .malliavin import ElementaryProcess, JointDesign, mixed_norm_terms
 from .reports import RatioReport
 from .solver import SPDEProblem, solve
-from .spectral import (GridSpec, apply_multiplier, bessel_norm,
-                       check_class_s_sign, lp_norm, multiplier_kernel,
-                       spatial_fft, symbol_cumulative_integrals,
-                       symbol_on_grid, symbol_time_integral)
+from .spectral import (GridSpec, apply_multiplier, bessel_multiplier,
+                       bessel_norm, check_class_s_sign, lp_norm,
+                       multiplier_kernel, spatial_fft,
+                       symbol_cumulative_integrals, symbol_on_grid,
+                       symbol_time_integral)
 from .symbols import SymbolSpec
 
 _DRAW_BLOCK = 2048    # draws per RNG substream block; fixes the sample stream
 _LP_BLOCK = 8192      # complex values per square-function transform; bounds memory
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
+# the kernel envelope: the s-derivative's central-difference step relative
+# to tau, and the fit region |x| <= _ENVELOPE_INTERIOR * L
+_ENVELOPE_FD_FRAC = 0.01
+_ENVELOPE_INTERIOR = 0.5
 
 
 def _lp_power(vals, grid, p, comp_axes):
@@ -335,8 +338,7 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
 # kernel envelope
 
 
-def envelope_fields(phi: SymbolSpec, psi: SymbolSpec, tau, grid: GridSpec,
-                    fd_frac=0.01):
+def envelope_fields(phi: SymbolSpec, psi: SymbolSpec, tau, grid: GridSpec):
     """(|L_phi p|, |grad L_phi p|, |d/ds L_phi p|, periodic |x|) on the grid."""
     def lphi_kernel(t, s):
         mult = np.real(symbol_on_grid(phi, 0.0, grid)).astype(complex) \
@@ -347,7 +349,7 @@ def envelope_fields(phi: SymbolSpec, psi: SymbolSpec, tau, grid: GridSpec,
     freq = grid.freq_grid()
     grads = np.stack([multiplier_kernel(1j * freq[:, ax] * mult, grid)
                       for ax in range(grid.d)])
-    h = fd_frac * tau
+    h = _ENVELOPE_FD_FRAC * tau
     k_plus, _ = lphi_kernel(tau - h, 0.0)     # s -> s + h
     k_minus, _ = lphi_kernel(tau + h, 0.0)
     ds_vals = (k_plus - k_minus) / (2.0 * h)
@@ -359,16 +361,15 @@ def envelope_fields(phi: SymbolSpec, psi: SymbolSpec, tau, grid: GridSpec,
 
 
 def kernel_envelope_check(phi: SymbolSpec, psi: SymbolSpec, t_minus_s,
-                          grid: GridSpec, var_tol=0.2,
-                          interior_frac=0.5) -> dict:
+                          grid: GridSpec, var_tol=0.2) -> dict:
     """Fit the smallest constants in the three kernel envelope bounds.
 
     Each bound reads |field(x)| <= C min(|x|^-a, tau^{-a/gamma_psi}) with
     a = gamma_phi + d (kernel), + 1 (gradient), + gamma_psi (s-derivative).
     Reports C per tau and flags <= var_tol relative variation.  The fit runs
-    on the interior |x| <= interior_frac * L; the box must be large enough
-    that the kernel tail has decayed there, else periodic wrap-around
-    contaminates the far field and the constants drift with tau.
+    on the interior |x| <= _ENVELOPE_INTERIOR * L = L/2; the box must be
+    large enough that the kernel tail has decayed there, else periodic
+    wrap-around contaminates the far field and the constants drift with tau.
     """
     check_class_s_sign(psi, [0.0, *t_minus_s], grid)
     d = grid.d
@@ -381,7 +382,7 @@ def kernel_envelope_check(phi: SymbolSpec, psi: SymbolSpec, t_minus_s,
     sups = []
     for tau in t_minus_s:
         k_abs, g_abs, ds_abs, xdist = envelope_fields(phi, psi, float(tau), grid)
-        keep = xdist <= interior_frac * grid.L
+        keep = xdist <= _ENVELOPE_INTERIOR * grid.L
         fields = {"kernel": k_abs, "grad": g_abs, "ds": ds_abs}
         sups.append(float(np.max(k_abs)))
         for key, vals in fields.items():
@@ -416,11 +417,6 @@ def kernel_envelope_check(phi: SymbolSpec, psi: SymbolSpec, t_minus_s,
 # a-priori solution estimate
 
 
-def _bessel_mult(phi, grid, alpha):
-    base = np.real(symbol_on_grid(phi, 0.0, grid))
-    return (1.0 + base) ** (alpha / 2.0)
-
-
 def _lp_of_hat(values_hat, grid, p, comp_axes):
     """L^p norm from spectral values: ifft then Riemann; (... batch dims)."""
     vals = spatial_fft(values_hat, grid, inverse=True)
@@ -428,8 +424,8 @@ def _lp_of_hat(values_hat, grid, p, comp_axes):
 
 
 def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
-                           estimator="pathwise", name=None) -> RatioReport:
-    """Solution-space norm of the computed ensemble against the data norms.
+                           name=None) -> RatioReport:
+    """Solution-space norm of the pathwise ensemble against the data norms.
 
     lhs sums the four norm pieces of the solution space (u at order
     2 g_psi/g_phi, Du = L_psi u + f at order 0, Su = g at order
@@ -446,13 +442,13 @@ def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
     alpha_g = 2.0 * pb.psi.gamma / (qprime * pb.phi.gamma)
     alpha_0 = s_ratio * (1.0 - 1.0 / p)
 
-    ens = solve(pb, int(n_samples), seed, estimator=estimator)
+    ens = solve(pb, int(n_samples), seed, estimator="pathwise")
     u_hat = spatial_fft(ens.samples, grid)
 
     # E int_0^T ||u||^p at order alpha_u (trapezoid in t, mean over draws)
-    mu = _bessel_mult(pb.phi, grid, alpha_u)
+    mu = bessel_multiplier(pb.phi, grid, alpha_u)
     norms_u = _lp_of_hat(u_hat * mu, grid, p, comp_axes=2)       # (n, n_t)
-    term_u = float(np.mean(_trapz(norms_u ** p, pb.times, axis=1))) ** (1.0 / p)
+    term_u = float(np.mean(np.trapezoid(norms_u ** p, pb.times, axis=1))) ** (1.0 / p)
 
     # Du = L_psi u + f at order 0
     if pb.psi.time_dependent:
@@ -464,11 +460,11 @@ def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
         f_hat = spatial_fft(pb.f, grid)
         du_hat = du_hat + f_hat[None]
     norms_du = _lp_of_hat(du_hat, grid, p, comp_axes=2)
-    term_du = float(np.mean(_trapz(norms_du ** p, pb.times, axis=1))) ** (1.0 / p)
+    term_du = float(np.mean(np.trapezoid(norms_du ** p, pb.times, axis=1))) ** (1.0 / p)
 
     # Su = g at order alpha_g; deterministic g => exact step-in-time integral
     if pb.g is not None:
-        mg = _bessel_mult(pb.phi, grid, alpha_g)
+        mg = bessel_multiplier(pb.phi, grid, alpha_g)
         g_hat = spatial_fft(pb.g, grid)
         norms_g = _lp_of_hat(g_hat * mg, grid, p, comp_axes=(1, 2))  # (n_t-1,)
         term_g = float(np.sum(norms_g ** p * np.diff(pb.times))) ** (1.0 / p)
@@ -476,12 +472,12 @@ def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
         term_g = 0.0
 
     u0_hat = spatial_fft(pb.u0.values, grid)
-    m0 = _bessel_mult(pb.phi, grid, alpha_0)
+    m0 = bessel_multiplier(pb.phi, grid, alpha_0)
     term_0 = float(_lp_of_hat((u0_hat * m0)[None], grid, p, comp_axes=1)[0])
 
     if pb.f is not None:
         norms_f = _lp_of_hat(f_hat[None], grid, p, comp_axes=2)[0]
-        term_f = float(_trapz(norms_f ** p, pb.times)) ** (1.0 / p)
+        term_f = float(np.trapezoid(norms_f ** p, pb.times)) ** (1.0 / p)
     else:
         term_f = 0.0
 
@@ -492,20 +488,19 @@ def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
         refinement_trace=[(float(grid.n), lhs / sum(rhs) if sum(rhs) else 0.0)],
         seed=int(seed), n_samples=int(n_samples),
         details={"term_u": term_u, "term_du": term_du, "term_g": term_g,
-                 "term_u0": term_0, "term_f": term_f, "estimator": estimator,
+                 "term_u0": term_0, "term_f": term_f, "estimator": ens.estimator,
                  "alpha_u": alpha_u, "alpha_g": alpha_g, "alpha_0": alpha_0})
 
 
-def apriori_refinement(problem_builder, levels, n_samples, seed,
-                       estimator="pathwise", name=None) -> RatioReport:
+def apriori_refinement(problem_builder, levels, n_samples, seed) -> RatioReport:
     """Run the a-priori check over (n, n_t) levels and combine the trace."""
     trace = []
     last = None
     for n, n_t in levels:
         rep = apriori_estimate_check(problem_builder(int(n), int(n_t)),
-                                     n_samples, seed, estimator=estimator)
+                                     n_samples, seed)
         trace.append((float(n), rep.ratio))
         last = rep
-    return RatioReport.make(name or last.name, last.lhs, last.rhs_components,
+    return RatioReport.make(last.name, last.lhs, last.rhs_components,
                             refinement_trace=trace, seed=int(seed),
                             n_samples=int(n_samples), details=last.details)

@@ -275,15 +275,17 @@ def modewise_masked(problem, n_samples, seed):
 
 def ensemble_summary_rows_full(ensemble):
     """The per-time summary rows from mean and variance over the whole
-    ensemble at once (the library reduces one time slice at a time)."""
+    ensemble at once (the library reduces one time slice at a time).
+    Without noise every sample is the same field and one is summarised."""
     grid = ensemble.problem.grid
-    mean = np.mean(ensemble.samples, axis=0)
-    var = np.var(ensemble.samples, axis=0)
+    samples = ensemble.samples[:1 if ensemble.problem.g is None else None]
+    mean = np.mean(samples, axis=0)
+    var = np.var(samples, axis=0)
     rows = []
     for i, t in enumerate(ensemble.problem.times):
         mf = np.sqrt(np.sum(np.abs(mean[i]) ** 2) * grid.cell_volume)
         tv = float(np.sum(np.real(var[i])) * grid.cell_volume)
-        ms = float(np.mean(np.max(np.abs(ensemble.samples[:, i]), axis=(1, 2))))
+        ms = float(np.mean(np.max(np.abs(samples[:, i]), axis=(1, 2))))
         rows.append((float(t), float(mf), tv, ms))
     return rows
 

@@ -198,6 +198,11 @@ def test_wrong_sign_psi_exits_2(tmp_path, capsys, command, params):
                   "n_samples": 2}),
     ("verify-apriori", {"lambdas": [1.0, "0.5"], "g": "constant",
                         "levels": [[8, 2]], "n_samples": 2}),
+    # modewise draws each mode on its own, which put term_u about 23% low
+    # at p = 4 and biased the check toward PASS; it now solves pathwise
+    # only, and an estimator key is unknown
+    ("verify-apriori", {"estimator": "modewise", "p": 4.0, "levels": [[8, 2]],
+                        "n_samples": 2}),
 ])
 def test_bad_value_exits_2_where_it_enters(tmp_path, capsys, command, params):
     # each of these used to raise a traceback or to run to exit 0

@@ -117,13 +117,13 @@ def test_pathwise_solve_builds_each_table_once(monkeypatch):
     assert calls["symbol_cumulative_integrals"] == 2
     # per cell of the solution-time and quadrature tables, one call for the
     # first 17 Simpson nodes and one per doubling after it (a cell that
-    # stops at 64 subintervals takes 3); then the class-S check at each
-    # solution time
+    # stops at 64 subintervals takes 3); then one for the class-S check at
+    # every solution time
     q_grid = solver._quad_grid(times, pb.quad_refine)[0]
     stops = [oracles.symbol_time_integral_nodes(pb.psi, b, a, GRID)[1]
              for table in (times, q_grid) for a, b in zip(table[:-1], table[1:])]
     assert calls["symbol_on_grid"] == sum(
-        1 + int(np.log2(n // 16)) for n in stops) + len(times)
+        1 + int(np.log2(n // 16)) for n in stops) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +456,25 @@ def test_ensemble_summary_rows_equal_whole_ensemble_formulas(estimator, noise):
     assert (rows[-1][2] > 1e-12) == noise      # the total variance
 
 
+def test_noise_free_summary_does_not_depend_on_n_samples():
+    # every sample is the same field: the rows read one of them, where the
+    # mean of n equal floats was off in its last bit and np.var summed the
+    # rounding residues into a total variance of about 1e-32
+    x = np.arange(GRID.n) * GRID.L / GRID.n
+    u0 = Field(GRID, 1, np.exp(-(x - np.pi) ** 2)[None])
+    pb = _problem(times=np.linspace(0.0, 1.0, 3), u0=u0)
+    rows = [ensemble_summary_rows(solve(pb, n, seed=0)) for n in (3, 4, 7)]
+    assert rows[0] == rows[1] == rows[2]
+    assert all(tv == 0.0 for _, _, tv, _ in rows[0])
+
+
 def test_ensemble_summary_rows_memory_is_one_time_slice():
     # the whole-ensemble variance makes an ensemble-sized temporary; here
-    # the ensemble is 18 MiB and each of its 9 time slices 2 MiB
-    pb = _problem(u0=_mode_field(GRID, m=2))
+    # the ensemble is 18 MiB and each of its 9 time slices 2 MiB; with
+    # noise, so that every sample is summarised
+    times = np.linspace(0.0, 0.5, 9)
+    pb = _problem(times=times, u0=_mode_field(GRID, m=2),
+                  g=np.tile(_constant_g(times, GRID), (1, 2, 1, 1)))
     r = np.random.default_rng(0)
     shape = (2048, pb.n_times, 2, GRID.n_points)
     samples = r.standard_normal(shape) + 1j * r.standard_normal(shape)

@@ -6,7 +6,8 @@ unnormalized ``multiplier_kernel``); rectangle increments of R live in
 ``spectral.symbol_on_grid``.  A new copy elsewhere fails here.  Every
 definition is reached from somewhere: a function or class that nothing
 else in the package names is either public or deleted, and so is a method
-that the package never takes as an attribute.
+that the package never takes as an attribute.  Every option is set: a
+parameter with a default that no call passes is a constant in disguise.
 """
 
 import ast
@@ -14,9 +15,12 @@ import re
 from pathlib import Path
 
 import spdelab
+from spdelab import symbols
 
 SOURCES = {p.name: p.read_text(encoding="utf-8")
            for p in sorted(Path(spdelab.__file__).parent.glob("*.py"))}
+TESTS = {p.name: p.read_text(encoding="utf-8")
+         for p in sorted(Path(__file__).parent.glob("*.py"))}
 
 
 def test_fftn_only_in_spectral():
@@ -80,3 +84,77 @@ def test_every_definition_has_a_caller_or_is_public():
         if name not in attrs
         and (method or name not in names and name not in allowed))
     assert unused == []
+
+
+# options that calls reach only through a variable: builtin_symbol(**params)
+# calls the builtin symbol constructors, and cli's forcing `maker` one of
+# battery's two forcings (lp_forcing is also called by name)
+INDIRECT = {ctor.__name__ for ctor in symbols._BUILTIN_SYMBOLS.values()} \
+    | {"lp_forcing_mixed"}
+# options of functions in spdelab.__all__ that only a library caller sets:
+# a report's name, and d1p_norm's QSpec
+PUBLIC_OPTIONS = {"apriori_estimate_check(name)", "d1p_norm(q)",
+                  "g_operator_check(name)", "lp_inequality_check(name)"}
+
+
+def _options(tree):
+    """(callee, positional params, params with a default) of every def and
+    dataclass.  A method's callee is its name and its positional params
+    skip self; an __init__'s callee is its class, as is a dataclass's."""
+    owner = {id(item): node for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) for item in node.body}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            yield (node.name, [f.target.id for f in fields],
+                   [f.target.id for f in fields if f.value is not None])
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            pos = [x.arg for x in a.posonlyargs + a.args]
+            opt = pos[len(pos) - len(a.defaults):] + [
+                k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            cls = owner.get(id(node))
+            if cls is None:
+                yield node.name, pos, opt
+            else:
+                static = "staticmethod" in map(ast.unparse, node.decorator_list)
+                yield (cls.name if node.name == "__init__" else node.name,
+                       pos if static else pos[1:], opt)
+
+
+def _calls(tree):
+    """(callee, positional count, keywords) of every call; a *args passes
+    every positional param, a **kwargs (keywords None) every keyword, and
+    cls(...) in a class calls that class."""
+    in_class = {id(call): node.name for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) for call in ast.walk(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) \
+                or getattr(node.func, "attr", None)
+            if name == "cls":
+                name = in_class.get(id(node), name)
+            n_pos = (float("inf") if any(isinstance(x, ast.Starred)
+                                         for x in node.args)
+                     else len(node.args))
+            kws = {k.arg for k in node.keywords}
+            yield name, n_pos, (None if None in kws else kws)
+
+
+def test_every_option_is_set_by_some_call():
+    # a default that no call in the package or its tests overrides is a
+    # constant: it doubles the configurations a reader has to rule out
+    trees = [ast.parse(text) for text in SOURCES.values()]
+    calls = {}
+    for tree in trees + [ast.parse(text) for text in TESTS.values()]:
+        for name, n_pos, kws in _calls(tree):
+            calls.setdefault(name, []).append((n_pos, kws))
+    assert {o.split("(")[0] for o in PUBLIC_OPTIONS} <= set(spdelab.__all__)
+    unset = {f"{name}({param})" for tree in trees
+             for name, pos, opt in _options(tree)
+             if name not in INDIRECT for param in opt
+             if not any(kws is None or param in kws
+                        or param in pos and pos.index(param) < n_pos
+                        for n_pos, kws in calls.get(name, ()))}
+    assert sorted(unset - PUBLIC_OPTIONS) == []
