@@ -8,8 +8,11 @@ the same config and seed write byte-identical CSV/JSON (plots are
 content-deterministic but excluded from the byte guarantee).  Exit code:
 0 all checks passed, 1 a check failed (report still written), 2 bad
 config, including a config that violates a check's hypotheses or a
-symbol's class.  ``SPDELAB_THREADS`` caps battery-level parallelism;
-artifact writes stay serialized in the main thread.
+symbol's class.  The config's top-level keys (``TOP``), the ``--seed`` and
+``--out`` flags that override two of them, and each command's params
+(``PARAMS``) are checked by the same ``Key`` rules.  ``SPDELAB_THREADS``,
+a positive integer or unset, caps battery-level parallelism; anything else
+is a bad config.  Artifact writes stay serialized in the main thread.
 """
 
 from __future__ import annotations
@@ -56,22 +59,20 @@ COMMANDS = (
     "verify-apriori", "verify-skorohod", "kernels",
 )
 
-_TOP_KEYS = {"command", "seed", "output_dir", "emit_plots", "params"}
-
 
 # ---------------------------------------------------------------------------
-# the params of each command
+# the top-level keys of a config, and the params of each command
 
-# One param's rule.  `kinds` are its JSON kinds ("int|null"), where a null
+# One key's rule.  `kinds` are its JSON kinds ("int|null"), where a null
 # stands for the default.  A number must be finite; `above` (>), `least`
-# (>=) and `most` (<=) bound a number, or the length of a list.  `each`
-# rules a list's elements, `keys` an object's keys (others are refused),
-# and `choices` lists the values allowed.  A callable default of a symbol
-# is completed with the grid's dimension.
+# (>=) and `most` (<=) bound a number, or the length of a list or string.
+# `each` rules a list's elements, `keys` an object's keys (others are
+# refused), and `choices` lists the values allowed.  A callable default of
+# a symbol is completed with the grid's dimension.
 Key = namedtuple("Key", "kinds default above least most choices each keys",
                  defaults=(None, None, None, None, (), None, None))
 _KINDS = {"int": int, "number": (int, float), "string": str, "list": list,
-          "object": dict, "null": type(None)}
+          "object": dict, "null": type(None), "bool": bool}
 _OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 _MAX_ARRAY_BYTES = 2 ** 32    # 4 GiB, the largest array a config may ask for
 
@@ -146,13 +147,19 @@ PARAMS = {
     "kernels": {},
 }
 
+# the keys of a config; it may name only the command it is run with
+TOP = {"command": Key("string", choices=COMMANDS),
+       "seed": Key("int", 0, least=0), "emit_plots": Key("bool", False),
+       "output_dir": Key("string", "runs", least=1),
+       "params": Key("object", {})}
+
 
 def _fill(table, given, where=""):
     """The values of `given` checked against `table`, defaults filled in;
     a key that `table` does not name is refused."""
     unknown = sorted(set(given) - set(table))
     if unknown:
-        raise SchemaError(f"unknown params {[where + k for k in unknown]}; "
+        raise SchemaError(f"unknown keys {[where + k for k in unknown]}; "
                           f"allowed {[where + k for k in sorted(table)]}")
     return {key: _check(rule, given[key], where + key) if key in given
             else rule.default for key, rule in table.items()}
@@ -163,10 +170,10 @@ def _check(rule, val, name):
     kinds = rule.kinds.split("|")
     if val is None and "null" in kinds:
         return rule.default
-    size = len(val) if isinstance(val, list) else val
+    size = len(val) if isinstance(val, (list, str)) else val
     bounds = [(op, v) for op, v in ((">", rule.above), (">=", rule.least),
                                     ("<=", rule.most)) if v is not None]
-    if isinstance(val, bool) \
+    if isinstance(val, bool) and "bool" not in kinds \
             or not isinstance(val, tuple(_KINDS[k] for k in kinds)) \
             or isinstance(val, (int, float)) \
             and not abs(val) <= sys.float_info.max \
@@ -175,9 +182,9 @@ def _check(rule, val, name):
         what = f"one of {list(rule.choices)}" if rule.choices else " or ".join(
             ("an " if k[0] in "aio" else "a ") + k for k in kinds)
         if bounds:
-            what += " of length" * ("list" in kinds) + " " + " and ".join(
-                f"{op} {v}" for op, v in bounds)
-        raise SchemaError(f"param {name!r} must be {what}, got {val!r}")
+            what += " of length" * ("list" in kinds or "string" in kinds) \
+                + " " + " and ".join(f"{op} {v}" for op, v in bounds)
+        raise SchemaError(f"{name!r} must be {what}, got {val!r}")
     if rule.each is not None:
         return [_check(rule.each, v, f"{name}[{i}]") for i, v in enumerate(val)]
     if rule.keys is not None:
@@ -222,6 +229,7 @@ class RunConfig:
     output_dir: str
     emit_plots: bool
     config_hash: str
+    threads: int | None = None     # SPDELAB_THREADS; None: the pool's default
 
 
 def _canonical(obj) -> str:
@@ -234,45 +242,28 @@ def load_config(command, path=None, seed=None, out=None) -> RunConfig:
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise SchemaError("config root must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise SchemaError(f"unknown top-level config keys: {sorted(unknown)}")
-    if command not in COMMANDS:
-        raise SchemaError(f"unknown command {command!r}; have {COMMANDS}")
-    if "command" in raw and raw["command"] != command:
-        raise SchemaError(
-            f"config names command {raw['command']!r} but {command!r} was invoked")
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise SchemaError("params must be a JSON object")
-    resolved = _fill(PARAMS[command], params)
+    _check(TOP["command"], command, "command")
+    top = _fill(dict(TOP, command=Key("string", choices=(command,))),
+                _check(Key("object"), raw, "config root"))
+    top.update({key: _check(TOP[key], val, key) for key, val
+                in (("seed", seed), ("output_dir", out)) if val is not None})
+    resolved = _fill(PARAMS[command], top["params"])
     size = _largest_array(command, resolved)
     if size > _MAX_ARRAY_BYTES:
         raise SchemaError(f"{command} would allocate 2^{math.log2(size):.1f} "
                           "bytes in one array, over the cap of "
                           f"{_MAX_ARRAY_BYTES >> 30} GiB")
-    eff_seed = seed if seed is not None else raw.get("seed", 0)
-    if not isinstance(eff_seed, int) or isinstance(eff_seed, bool):
-        raise SchemaError("seed must be an integer")
-    out_dir = out if out is not None else raw.get("output_dir", "runs")
-    emit = bool(raw.get("emit_plots", False))
+    threads = os.environ.get("SPDELAB_THREADS") or None      # "" is unset
+    if threads is not None:
+        threads = _check(Key("int", least=1), int(threads) if
+                         threads.isdecimal() else threads, "SPDELAB_THREADS")
     # hash what determines the numbers (not where they are written), as given
-    given = {"command": command, "params": params, "seed": eff_seed}
+    given = {"command": command, "params": top["params"], "seed": top["seed"]}
     digest = hashlib.sha256(_canonical(given).encode("utf-8")).hexdigest()
-    return RunConfig(command=command, params=resolved, seed=eff_seed,
-                     output_dir=str(out_dir), emit_plots=emit,
-                     config_hash=digest)
-
-
-def _map_jobs(fn, items):
-    n = os.environ.get("SPDELAB_THREADS")
-    n = max(1, int(n)) if n else None
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    return RunConfig(command=command, params=resolved, seed=top["seed"],
+                     output_dir=top["output_dir"],
+                     emit_plots=top["emit_plots"], config_hash=digest,
+                     threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +404,8 @@ def _run_verify_skorohod(cfg: RunConfig):
         name, proc, kern = case
         return skorohod_moment_check(proc, kern, QSpec((1.0,) * p["J"]),
                                      p["n_samples"], cfg.seed, name=name)
-    reports = _map_jobs(job, cases)
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        reports = list(pool.map(job, cases))
     rows = [{"case": r.name, "lhs": r.lhs, "rhs": r.rhs,
              "z_score": r.z_score, "passed": r.passed} for r in reports]
     return all(r.passed for r in reports), {

@@ -205,38 +205,27 @@ class JointDesign:
         return np.einsum("pj,njp->n", refined_coeffs, delta)
 
     def functional_values(self, delta):
-        """Arrays (n, I): F_i values, shape' values, and beta(phi_i)."""
+        """Arrays (n, I): F_i values and shape' values."""
         n = delta.shape[0]
         I = len(self.process.terms)
         Fv = np.empty((n, I))
         dv = np.empty((n, I))
-        b = np.empty((n, I))
         for i, (F, _, _) in enumerate(self.process.terms):
             y = self.beta(self.H_ref[i], delta)
             Fv[:, i] = F.value(y)
             dv[:, i] = F.dvalue(y)
-            b[:, i] = self.beta(self.phi_ref[i], delta)
-        return Fv, dv, b
+        return Fv, dv
 
     # -- Skorohod ----------------------------------------------------------
-
-    def skorohod(self, delta):
-        """delta(u) samples, shape (n, m)."""
-        Fv, dv, b = self.functional_values(delta)
-        out = np.zeros((delta.shape[0], self.process.m))
-        for i, (_, k, _) in enumerate(self.process.terms):
-            scal = b[:, i] * Fv[:, i] - dv[:, i] * self.ip_H_phi[i, i]
-            out += scal[:, None] * k[None, :]
-        return out
 
     def running_skorohod(self, delta):
         """Partial integrals delta(u 1_{(0,tau]}) at every partition node.
 
-        Returns (n, P+1, m); node 0 is the zero integral.  Exact at the
-        nodes because truncating phi_i at a node keeps it a step function
-        on the same partition.
+        Returns (n, P+1, m); node 0 is the zero integral and the last node
+        delta(u) itself.  Exact at the nodes because truncating phi_i at a
+        node keeps it a step function on the same partition.
         """
-        Fv, dv, _ = self.functional_values(delta)
+        Fv, dv = self.functional_values(delta)
         n = delta.shape[0]
         out = np.zeros((n, self.P + 1, self.process.m))
         for i, (_, k, _) in enumerate(self.process.terms):
@@ -311,7 +300,7 @@ def d_phi(F: CylinderFunctional, phi: StepFunction,
 def skorohod_elementary(u: ElementaryProcess, kernel, q: QSpec,
                         n_samples, seed):
     design = JointDesign(u, kernel, q)
-    return design.skorohod(design.draw(int(n_samples), seed))
+    return design.running_skorohod(design.draw(int(n_samples), seed))[:, -1]
 
 
 @dataclass
@@ -350,8 +339,8 @@ def skorohod_moment_check(u: ElementaryProcess, kernel, q: QSpec, n_samples,
     """E ||delta(u)||^2 versus E ||u||^2_{K x H} + E <Du, S(Du)>, paired."""
     design = JointDesign(u, kernel, q)
     delta = design.draw(int(n_samples), seed)
-    Fv, dv, _ = design.functional_values(delta)
-    A = np.sum(design.skorohod(delta) ** 2, axis=1)
+    Fv, dv = design.functional_values(delta)
+    A = np.sum(design.running_skorohod(delta)[:, -1] ** 2, axis=1)
     B = design.h_norm_sq_u(Fv)
     C = design.trace_swap_term(dv)
     diff = A - B - C
@@ -380,7 +369,7 @@ def d1p_norm(u: ElementaryProcess, kernel, p, n_samples, seed,
         q = QSpec((1.0,) * u.terms[0][2].J)
     design = JointDesign(u, kernel, q)
     delta = design.draw(int(n_samples), seed)
-    Fv, dv, _ = design.functional_values(delta)
+    Fv, dv = design.functional_values(delta)
     eu = float(np.mean(design.abs_h_norm_u(Fv) ** p))
     edu = float(np.mean(design.abs_hh_norm_du(dv) ** p))
     return float((eu + edu) ** (1.0 / p))
@@ -393,7 +382,7 @@ def mixed_norm_terms(design: JointDesign, delta, p, q_exp, r_exp):
              E (int (int ||D_theta u_s||^r dtheta)^{q/r} ds)^{p/q});
     time integrals are exact piecewise sums over the process's own partition.
     """
-    Fv, dv, _ = design.functional_values(delta)
+    Fv, dv = design.functional_values(delta)
     cells = design.coarse_widths
     M = design.u_cell_norms(Fv)                       # (n, Pc)
     term1 = np.mean(np.sum(M ** q_exp * cells[None, :], axis=1) ** (p / q_exp))

@@ -386,14 +386,15 @@ def ensemble_summary_rows(ensemble: SolutionEnsemble):
     """Per-time summary statistics (for CSV export): mean-field l2 norm,
     total variance, mean sup-norm.  One time slice at a time, whose
     reductions add the samples in the whole ensemble's order, bit for bit.
-    Without noise (g = None) every sample is the same field, and one of
-    them is summarised: the mean of equal floats need not be bit-equal to
-    them, and np.var would sum the rounding residues."""
+    At the first time, and at every time without noise (g = None), every
+    sample is the same field, and one of them is summarised: the mean of
+    equal floats need not be bit-equal to them, and np.var would sum the
+    rounding residues."""
     dv = ensemble.problem.grid.cell_volume
     n = 1 if ensemble.problem.g is None else ensemble.n_samples
     rows = []
     for i, t in enumerate(ensemble.problem.times):
-        x = ensemble.samples[:n, i]                 # (n, m, n_points)
+        x = ensemble.samples[:n if i else 1, i]     # (n, m, n_points)
         mf = np.sqrt(np.sum(np.abs(np.mean(x, axis=0)) ** 2) * dv)
         tv = float(np.sum(np.var(x, axis=0)) * dv)      # var of complex is real
         ms = float(np.mean(np.max(np.abs(x), axis=(1, 2))))

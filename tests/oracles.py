@@ -276,16 +276,19 @@ def modewise_masked(problem, n_samples, seed):
 def ensemble_summary_rows_full(ensemble):
     """The per-time summary rows from mean and variance over the whole
     ensemble at once (the library reduces one time slice at a time).
-    Without noise every sample is the same field and one is summarised."""
+    At the first time, and at every time without noise, every sample is
+    the same field and one is summarised."""
     grid = ensemble.problem.grid
     samples = ensemble.samples[:1 if ensemble.problem.g is None else None]
     mean = np.mean(samples, axis=0)
     var = np.var(samples, axis=0)
+    mean[0], var[0] = samples[0, 0], 0.0
     rows = []
     for i, t in enumerate(ensemble.problem.times):
         mf = np.sqrt(np.sum(np.abs(mean[i]) ** 2) * grid.cell_volume)
         tv = float(np.sum(np.real(var[i])) * grid.cell_volume)
-        ms = float(np.mean(np.max(np.abs(samples[:, i]), axis=(1, 2))))
+        x = samples[:, i] if i else samples[:1, 0]
+        ms = float(np.mean(np.max(np.abs(x), axis=(1, 2))))
         rows.append((float(t), float(mf), tv, ms))
     return rows
 
@@ -339,7 +342,7 @@ def du_cell_norms_fine(design, dv):
 
 def mixed_norm_terms_fine(design, delta, p, q_exp, r_exp):
     """The two maximal-inequality rhs terms as Riemann sums on fine cells."""
-    Fv, dv, _ = design.functional_values(delta)
+    Fv, dv = design.functional_values(delta)
     cells = np.diff(design.partition)
     M = u_cell_norms_fine(design, Fv)
     term1 = np.mean(np.sum(M ** q_exp * cells, axis=1) ** (p / q_exp))

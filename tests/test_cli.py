@@ -95,13 +95,36 @@ def test_bad_simulate_param_exits_2(tmp_path, capsys, params):
     assert not (tmp_path / "r" / "simulate.csv").exists()
 
 
-def _assert_rejected(tmp_path, capsys, command, params):
-    cfg = _write_cfg(tmp_path, "bad.json", {"params": params})
+def _assert_rejected(tmp_path, capsys, command, params, *flags, **top):
+    cfg = _write_cfg(tmp_path, "bad.json", {"params": params, **top})
     assert cli.main([command, "--config", cfg,
-                     "--out", str(tmp_path / "r")]) == 2
+                     "--out", str(tmp_path / "r"), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
     assert not (tmp_path / "r" / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("threads,flags,top", [
+    # a seed < 0 raised a ValueError traceback where draws were made, and
+    # so did --out "" and SPDELAB_THREADS=abc
+    (None, ["--seed", "-3"], {}),
+    (None, ["--out", ""], {}),
+    ("abc", [], {}),
+    # these ran: 0 and -4 threads on one thread, "no" wrote a plot and 0
+    # none, a null output_dir wrote into ./None and 5 into ./5
+    ("0", [], {}),
+    ("-4", [], {}),
+    (None, [], {"emit_plots": 0}),
+    (None, [], {"emit_plots": "no"}),
+    (None, [], {"output_dir": None}),
+    (None, [], {"output_dir": 5}),
+])
+def test_bad_top_level_value_exits_2(tmp_path, capsys, monkeypatch, threads,
+                                     flags, top):
+    if threads is not None:
+        monkeypatch.setenv("SPDELAB_THREADS", threads)
+    _assert_rejected(tmp_path, capsys, "verify-skorohod", {"n_samples": 8},
+                     *flags, **top)
 
 
 @pytest.mark.parametrize("levels", [[], [0], ["a"], 64, [-4]])
@@ -258,8 +281,10 @@ def test_non_finite_lambda_exits_2(tmp_path, capsys, command, params, lambdas):
     _assert_rejected(tmp_path, capsys, command, dict(params, lambdas=lambdas))
 
 
-# The JSON types each param key accepts; any other type must exit 2.
+# The JSON types each key of the tables accepts; any other type must exit 2.
 _ACCEPTS = {
+    "command": {str}, "seed": {int}, "emit_plots": {bool},
+    "output_dir": {str}, "params": {dict},
     **dict.fromkeys(("psi", "phi"), {str, dict, type(None)}),
     "kernel": {str, dict},
     "grid": {dict, type(None)},
@@ -274,7 +299,8 @@ _ACCEPTS = {
 }
 # the Python types json.load gives for each JSON kind the table names
 _JSON_TYPES = {"int": {int}, "number": {int, float}, "string": {str},
-               "list": {list}, "object": {dict}, "null": {type(None)}}
+               "list": {list}, "object": {dict}, "null": {type(None)},
+               "bool": {bool}}
 # empty containers and strings iterate as empty sequences: draw them often
 _JSON_VALUES = {
     type(None): st.none(),
@@ -302,13 +328,26 @@ _SMALL = {
 }
 
 
-# every known key of every command with each JSON type it never accepts,
-# and one unknown key per command
-_BAD_CASES = [(command, key, kind) for command in cli.COMMANDS
-              for key in sorted(cli.PARAMS[command])
-              for kind in _JSON_VALUES
+# each table with the command it is tried with, and where in a config its
+# keys sit: a command's params under "params", TOP's keys at the top
+_TABLES = [(command, table, "params") for command, table in cli.PARAMS.items()] \
+    + [("kernels", cli.TOP, None)]
+
+
+def _config(where, key, value, params=()):
+    """A config of `params` with `key` set to `value` among them, where
+    `where` is "params", or beside them at the top."""
+    config = {"params": dict(params)}
+    (config[where] if where else config)[key] = value
+    return config
+
+
+# every known key of every table with each JSON type it never accepts, and
+# one unknown key per table
+_BAD_CASES = [(command, where, key, kind) for command, table, where in _TABLES
+              for key in sorted(table) for kind in _JSON_VALUES
               if kind not in _ACCEPTS.get((command, key), _ACCEPTS.get(key))] \
-    + [(command, None, int) for command in cli.COMMANDS]
+    + [(command, where, None, int) for command, _, where in _TABLES]
 
 
 def test_small_configs_cover_every_command_and_run(tmp_path):
@@ -316,8 +355,7 @@ def test_small_configs_cover_every_command_and_run(tmp_path):
     # the kinds the table declares for each key are the ones written above
     declared = {(command, key): {t for kind in rule.kinds.split("|")
                                  for t in _JSON_TYPES[kind]}
-                for command, table in cli.PARAMS.items()
-                for key, rule in table.items()}
+                for command, table, _ in _TABLES for key, rule in table.items()}
     assert declared == {(command, key): _ACCEPTS.get((command, key),
                                                      _ACCEPTS.get(key))
                         for command, key in declared}
@@ -402,18 +440,19 @@ def test_scipy_loads_only_for_heat_and_bessel_kernels(tmp_path):
 @given(st.data())
 def test_unknown_key_or_wrong_type_exits_2(tmp_path_factory, data):
     cfg = tmp_path_factory.getbasetemp() / "bad.json"
-    for command, key, kind in _BAD_CASES:
-        allowed = cli.PARAMS[command]
+    for command, where, key, kind in _BAD_CASES:
+        allowed = cli.PARAMS[command] if where else cli.TOP
         if key is None:
             key = data.draw(st.text(min_size=1, max_size=8).filter(
                 lambda k: k not in allowed))
-        params = dict(_SMALL[command], **{key: data.draw(_JSON_VALUES[kind])})
-        cfg.write_text(json.dumps({"params": params}), encoding="utf-8")
+        config = _config(where, key, data.draw(_JSON_VALUES[kind]),
+                         _SMALL[command])
+        cfg.write_text(json.dumps(config), encoding="utf-8")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = cli.main([command, "--config", str(cfg),
                              "--out", str(cfg.parent / "r")])
-        assert code == 2, (command, params)
+        assert code == 2, (command, config)
         assert err.getvalue().startswith("config error")
         assert "Traceback" not in err.getvalue()
 
@@ -426,7 +465,7 @@ def _outside(rule, valid):
     if rule.keys is not None:
         for key, sub in rule.keys.items():
             yield from ({**valid, key: bad} for bad in _outside(sub, valid[key]))
-    elif isinstance(valid, list):          # the bounds limit the length
+    elif isinstance(valid, (list, str)):   # the bounds limit the length
         if rule.least is not None:
             yield valid[:rule.least - 1]
         if rule.most is not None:
@@ -448,7 +487,7 @@ def _inside(rule, valid):
     if rule.keys is not None:
         for key, sub in rule.keys.items():
             yield from ({**valid, key: ok} for ok in _inside(sub, valid[key]))
-    elif isinstance(valid, list):
+    elif isinstance(valid, (list, str)):
         if rule.least is not None:
             yield (valid * rule.least)[:max(rule.least, 1)]
         if rule.each is not None:
@@ -462,20 +501,22 @@ def _inside(rule, valid):
                 yield bound
 
 
-# every bound and every choice of the table, with a value just outside it
-_OUT_OF_RANGE = [(command, key, bad) for command, table in cli.PARAMS.items()
+# every bound and every choice of the tables, with a value just outside it
+_OUT_OF_RANGE = [(command, where, key, bad) for command, table, where in _TABLES
                  for key, rule in table.items()
                  for bad in _outside(rule, rule.default)]
 
 
 def test_out_of_range_values_exit_2(tmp_path):
-    # the bounds are read from the table; any config that runs past them,
+    # the bounds are read from the tables; any config that runs past them,
     # or reaches a traceback, is a bug
-    assert {command for command, _, _ in _OUT_OF_RANGE} == \
+    assert {command for command, where, _, _ in _OUT_OF_RANGE if where} == \
         set(cli.COMMANDS) - {"kernels"}
+    assert {key for _, where, key, _ in _OUT_OF_RANGE if not where} == \
+        {"command", "seed", "output_dir"}
     cfg = tmp_path / "bad.json"
-    for command, key, bad in _OUT_OF_RANGE:
-        cfg.write_text(json.dumps({"params": {key: bad}}), encoding="utf-8")
+    for command, where, key, bad in _OUT_OF_RANGE:
+        cfg.write_text(json.dumps(_config(where, key, bad)), encoding="utf-8")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = cli.main([command, "--config", str(cfg),
@@ -488,33 +529,37 @@ def test_out_of_range_values_exit_2(tmp_path):
 def test_values_just_inside_the_bounds_load(tmp_path):
     # the bounds are tight: the value next to each one passes the table
     cfg = tmp_path / "ok.json"
-    cases = [(command, key, ok) for command, table in cli.PARAMS.items()
+    cases = [(command, where, key, ok) for command, table, where in _TABLES
              for key, rule in table.items() for ok in _inside(rule, rule.default)]
     assert len(cases) >= len(_OUT_OF_RANGE) // 2
-    for command, key, ok in cases:
-        cfg.write_text(json.dumps({"params": {key: ok}}), encoding="utf-8")
-        assert cli.load_config(command, path=str(cfg)).params[key] == ok
+    for command, where, key, ok in cases:
+        cfg.write_text(json.dumps(_config(where, key, ok)), encoding="utf-8")
+        config = cli.load_config(command, path=str(cfg))
+        assert (config.params if where else vars(config))[key] == ok
 
 
 def test_readme_tables_list_the_params():
-    # README.md has one table per command: every key, and each default
-    # that is a plain number
+    # README.md has one table for the top-level keys and one per command:
+    # every key, and each default that is a plain number, bool or string
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
-    for command, table in cli.PARAMS.items():
-        if not table:
-            continue
-        section = text.split(f"**`{command}`**\n\n", 1)[1].split("\n\n")[0]
+    titles = [(f"`{command}`", table) for command, table in cli.PARAMS.items()
+              if table] + [("Top-level keys", cli.TOP)]
+    for title, table in titles:
+        section = text.split(f"**{title}**\n\n", 1)[1].split("\n\n")[0]
         cells = {row.split("|")[1].strip(" `"): row.split("|")[2].strip()
                  for row in section.splitlines()[2:]}
         want = {f"grid.{k}" if key == "grid" else key: sub
                 for key, rule in table.items()
                 for k, sub in (rule.keys or {None: rule}).items()}
-        assert set(cells) == set(want), command
+        assert set(cells) == set(want), title
         for key, rule in want.items():
-            if isinstance(rule.default, (int, float)) \
+            if isinstance(rule.default, (bool, str)):
+                assert cells[key].strip("`") == \
+                    json.dumps(rule.default).strip('"'), (title, key)
+            elif isinstance(rule.default, (int, float)) \
                     and "π" not in cells[key]:
-                assert float(cells[key]) == rule.default, (command, key)
+                assert float(cells[key]) == rule.default, (title, key)
 
 
 def test_process_choices_are_the_battery():

@@ -435,7 +435,7 @@ def test_ensemble_summary_rows():
     assert t0 == 0.0
     # u0 = e^{i3x}: L2 norm over the period is sqrt(L)
     assert mf0 == pytest.approx(np.sqrt(GRID.L), rel=1e-12)
-    assert tv0 == pytest.approx(0.0, abs=1e-20)
+    assert tv0 == 0.0          # every sample is u0 at t = 0
     assert ms0 == pytest.approx(1.0, rel=1e-12)
 
 
@@ -451,6 +451,7 @@ def test_ensemble_summary_rows_equal_whole_ensemble_formulas(estimator, noise):
     pb = _problem(times=times, u0=_mode_field(GRID, m=2), f=f,
                   g=g if noise else None, J=2)
     ens = solve(pb, 7, seed=4, estimator=estimator)
+    assert np.all(ens.samples[:, 0] == ens.samples[0, 0])   # all start at u0
     rows = ensemble_summary_rows(ens)
     assert rows == oracles.ensemble_summary_rows_full(ens)
     assert (rows[-1][2] > 1e-12) == noise      # the total variance

@@ -8,10 +8,13 @@ definition is reached from somewhere: a function or class that nothing
 else in the package names is either public or deleted, and so is a method
 that the package never takes as an attribute.  Every option is set: a
 parameter with a default that no call passes is a constant in disguise.
+Every value a run takes from outside, its config, flags and environment,
+is checked by the ``Key`` rules of ``cli``.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import spdelab
@@ -158,3 +161,34 @@ def test_every_option_is_set_by_some_call():
                         or param in pos and pos.index(param) < n_pos
                         for n_pos, kws in calls.get(name, ()))}
     assert sorted(unset - PUBLIC_OPTIONS) == []
+
+
+# the SchemaErrors that cli raises outside the Key rules of _check and
+# _fill: the rules across keys that README.md lists, and a library error
+# met while building objects from the config
+CROSS_KEY_RULES = {
+    "load_config": 1,              # the 4 GiB cap on one array
+    "_symbol": 1,                  # a symbol has the grid's d
+    "_window": 1,                  # the forcing window needs a < b
+    "_forcing_arrays": 1,          # g noise needs a non-empty lambdas
+    "_run_verify_goperator": 1,    # a time-independent psi
+    "_schema_errors": 1,           # a library error, reported as SchemaError
+}
+
+
+def test_config_values_checked_only_by_the_key_rules():
+    # an inline check beside the tables, as there were for the top-level
+    # keys and SPDELAB_THREADS, fails here
+    tree = ast.parse(SOURCES["cli.py"])
+    owner = {id(node): getattr(top, "name", "<module>")
+             for top in tree.body for node in ast.walk(top)}
+    nodes = list(ast.walk(tree))
+    raises = Counter(owner[id(node)] for node in nodes
+                     if isinstance(node, ast.Raise)
+                     and isinstance(node.exc, ast.Call)
+                     and getattr(node.exc.func, "id", None) == "SchemaError")
+    assert raises == Counter({"_check": 1, "_fill": 1, **CROSS_KEY_RULES})
+    environ = {owner[id(node)] for node in nodes
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("environ", "getenv")}
+    assert environ == {"load_config"}
