@@ -218,14 +218,14 @@ class JointDesign:
 
     # -- Skorohod ----------------------------------------------------------
 
-    def running_skorohod(self, delta):
+    def running_skorohod(self, delta, Fv, dv):
         """Partial integrals delta(u 1_{(0,tau]}) at every partition node.
 
-        Returns (n, P+1, m); node 0 is the zero integral and the last node
-        delta(u) itself.  Exact at the nodes because truncating phi_i at a
-        node keeps it a step function on the same partition.
+        Fv, dv are functional_values(delta).  Returns (n, P+1, m); node 0 is
+        the zero integral and the last node delta(u) itself.  Exact at the
+        nodes because truncating phi_i at a node keeps it a step function on
+        the same partition.
         """
-        Fv, dv = self.functional_values(delta)
         n = delta.shape[0]
         out = np.zeros((n, self.P + 1, self.process.m))
         for i, (_, k, _) in enumerate(self.process.terms):
@@ -300,7 +300,8 @@ def d_phi(F: CylinderFunctional, phi: StepFunction,
 def skorohod_elementary(u: ElementaryProcess, kernel, q: QSpec,
                         n_samples, seed):
     design = JointDesign(u, kernel, q)
-    return design.running_skorohod(design.draw(int(n_samples), seed))[:, -1]
+    delta = design.draw(int(n_samples), seed)
+    return design.running_skorohod(delta, *design.functional_values(delta))[:, -1]
 
 
 @dataclass
@@ -340,7 +341,7 @@ def skorohod_moment_check(u: ElementaryProcess, kernel, q: QSpec, n_samples,
     design = JointDesign(u, kernel, q)
     delta = design.draw(int(n_samples), seed)
     Fv, dv = design.functional_values(delta)
-    A = np.sum(design.running_skorohod(delta)[:, -1] ** 2, axis=1)
+    A = np.sum(design.running_skorohod(delta, Fv, dv)[:, -1] ** 2, axis=1)
     B = design.h_norm_sq_u(Fv)
     C = design.trace_swap_term(dv)
     diff = A - B - C
@@ -375,14 +376,14 @@ def d1p_norm(u: ElementaryProcess, kernel, p, n_samples, seed,
     return float((eu + edu) ** (1.0 / p))
 
 
-def mixed_norm_terms(design: JointDesign, delta, p, q_exp, r_exp):
+def mixed_norm_terms(design: JointDesign, Fv, dv, p, q_exp, r_exp):
     """The two right-hand terms of the maximal inequality, per draw then meaned.
 
     Returns (E (int ||u||^q ds)^{p/q},
-             E (int (int ||D_theta u_s||^r dtheta)^{q/r} ds)^{p/q});
-    time integrals are exact piecewise sums over the process's own partition.
+             E (int (int ||D_theta u_s||^r dtheta)^{q/r} ds)^{p/q})
+    from the design's functional_values (Fv, dv) of the draws; time
+    integrals are exact piecewise sums over the process's own partition.
     """
-    Fv, dv = design.functional_values(delta)
     cells = design.coarse_widths
     M = design.u_cell_norms(Fv)                       # (n, Pc)
     term1 = np.mean(np.sum(M ** q_exp * cells[None, :], axis=1) ** (p / q_exp))

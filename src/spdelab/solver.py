@@ -14,16 +14,21 @@ convolution has two independent estimators:
   Exponents below _EXP_FLOOR (about -346) enter as exact zeros, which
   keeps the stacked products out of subnormal arithmetic.
 * pathwise -- Riemann sums against sampled increments of beta on a refined
-  grid; preserves the joint real-field structure.
+  grid; preserves the joint real-field structure, with float64 samples.
 
 Both estimators evaluate the integrand a(t,s) = exp(int_s^t psi) g(s) at
 the midpoints of the same refined quadrature partition, with every exponent
 read from one table of cumulative symbol integrals on it, so they agree to
 Monte-Carlo error rather than to quadrature error.  The pathwise estimator
 and the forced part advance the solution one solution cell at a time, by
-the evolution law T(t,r) T(r,s) = T(t,s).  Both estimators run their final
-inverse transform in place, and solve adds the deterministic part into the
-sampled ensemble in place.
+the evolution law T(t,r) T(r,s) = T(t,s).
+
+psi is Hermitian (checked by SPDEProblem), so real u0, f and g give a real
+solution, and the deterministic parts and the pathwise estimator solve it
+on the half spectrum; complex data goes as 2m real components (real parts,
+then imaginary parts) on the same beta.  Pathwise inverse-transforms each
+finished time slice into one real ensemble, modewise its complex ensemble
+in place, and solve adds the deterministic part into either in place.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from . import rng as _rng
 from .covariance import CovarianceKernel, cholesky_psd, increment_gram
 from .errors import AlignmentError, HypothesisViolationError
 from .gaussian import TIME_TOL, PathSample, QSpec, sample_paths
-from .spectral import (Field, GridSpec, check_class_s_sign, spatial_fft,
+from .spectral import (Field, GridSpec, check_class_s_sign, check_hermitian,
+                       spatial_fft, spatial_irfft, spatial_rfft,
                        symbol_cumulative_integrals, symbol_on_grid)
 from .symbols import SymbolSpec
 
@@ -61,7 +67,9 @@ class SPDEProblem:
     Simpson node its symbol tables evaluate when solve builds them: per
     cell the 17 nodes of the 16-subinterval rule, and the new midpoints of
     each doubling the cell needs (up to 64 subintervals; see
-    spectral.symbol_time_integral).
+    spectral.symbol_time_integral).  psi must also be Hermitian on the grid
+    (spectral.check_hermitian), else SymbolClassError; that is checked on
+    the same values, at the solution times only.
     """
 
     psi: SymbolSpec
@@ -103,7 +111,8 @@ class SPDEProblem:
                 raise ValueError(f"g must have shape {want}")
         if self.quad_refine < 1:
             raise ValueError("quad_refine must be >= 1")
-        check_class_s_sign(self.psi, self.times, self.grid)
+        check_hermitian(self.psi, check_class_s_sign(self.psi, self.times,
+                                                     self.grid), self.grid)
 
     @property
     def grid(self) -> GridSpec:
@@ -121,13 +130,20 @@ class SPDEProblem:
     def T(self):
         return float(self.times[-1])
 
+    @property
+    def real_data(self) -> bool:
+        """True when u0, f and g are real, so that the solution is real."""
+        return not any(np.any(a.imag) for a in (self.u0.values, self.f, self.g)
+                       if a is not None)
+
     @cached_property
     def cums(self) -> np.ndarray:
-        """int_0^{t_i} psi dr at every solution time, (n_times, n_points).
+        """int_0^{t_i} psi dr at every solution time on the half spectrum,
+        (n_times, grid.half.n_points).
 
         Built on first use and shared by the deterministic parts; read-only.
         """
-        out = symbol_cumulative_integrals(self.psi, self.times, self.grid)
+        out = symbol_cumulative_integrals(self.psi, self.times, self.grid.half)
         out.setflags(write=False)
         return out
 
@@ -135,7 +151,9 @@ class SPDEProblem:
 @dataclass
 class SolutionEnsemble:
     problem: SPDEProblem
-    samples: np.ndarray              # (n_samples, n_times, m, n_points)
+    # (n_samples, n_times, m, n_points); float64 for real data, except
+    # modewise noise, which is complex
+    samples: np.ndarray
     estimator: str
     seed: int
     paths: PathSample | None = None
@@ -150,12 +168,26 @@ class SolutionEnsemble:
 # deterministic parts
 
 
+def _components(problem: SPDEProblem, data, axis):
+    """data, with its m components on `axis`, as real components: its real
+    part, followed for complex data by its imaginary part."""
+    if problem.real_data:
+        return data.real
+    return np.concatenate((data.real, data.imag), axis=axis)
+
+
+def _recombined(problem: SPDEProblem, out):
+    """The solution from its real components on axis -2 (see _components)."""
+    if problem.real_data:
+        return out
+    return out[..., :problem.m, :] + 1j * out[..., problem.m:, :]
+
+
 def deterministic_homogeneous(problem: SPDEProblem) -> np.ndarray:
     """T(t_i, 0) u0 for every solution time; (n_times, m, n_points)."""
-    grid = problem.grid
-    u0_hat = spatial_fft(problem.u0.values, grid)
-    out_hat = np.exp(problem.cums[:, None, :]) * u0_hat[None, :, :]
-    return spatial_fft(out_hat, grid, inverse=True)
+    u0_hat = spatial_rfft(_components(problem, problem.u0.values, 0), problem.grid)
+    out_hat = np.exp(problem.cums[:, None, :]) * u0_hat[None]
+    return _recombined(problem, spatial_irfft(out_hat, problem.grid))
 
 
 def deterministic_forced(problem: SPDEProblem) -> np.ndarray:
@@ -164,17 +196,17 @@ def deterministic_forced(problem: SPDEProblem) -> np.ndarray:
     One step per cell, F_{i+1} = E_i (F_i + dt_i/2 f_i) + dt_i/2 f_{i+1}
     with E_i = exp(int_{t_i}^{t_{i+1}} psi).
     """
-    grid = problem.grid
-    out_hat = np.zeros((problem.n_times, problem.m, grid.n_points), dtype=complex)
-    if problem.f is not None:
-        cums = problem.cums
-        f_hat = spatial_fft(problem.f, grid)
-        half = np.diff(problem.times) / 2.0
-        for i in range(problem.n_times - 1):
-            step = np.exp(cums[i + 1] - cums[i])      # Re <= 0, no overflow
-            out_hat[i + 1] = (step * (out_hat[i] + half[i] * f_hat[i])
-                              + half[i] * f_hat[i + 1])
-    return spatial_fft(out_hat, grid, inverse=True)
+    if problem.f is None:
+        return np.zeros((problem.n_times, problem.m, problem.grid.n_points))
+    cums = problem.cums
+    f_hat = spatial_rfft(_components(problem, problem.f, 1), problem.grid)
+    out_hat = np.zeros(f_hat.shape, dtype=complex)
+    half = np.diff(problem.times) / 2.0
+    for i in range(problem.n_times - 1):
+        step = np.exp(cums[i + 1] - cums[i])      # Re <= 0, no overflow
+        out_hat[i + 1] = (step * (out_hat[i] + half[i] * f_hat[i])
+                          + half[i] * f_hat[i + 1])
+    return _recombined(problem, spatial_irfft(out_hat, problem.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -281,33 +313,39 @@ def stochastic_convolution_pathwise(problem: SPDEProblem,
                                     paths: PathSample) -> np.ndarray:
     """Riemann-sum sampler against given beta paths on the refined edges.
 
-    One step per cell, u_{i+1} = E_i u_i + sum_{c in cell i}
-    exp(int_{mid_c}^{t_{i+1}} psi) g_c dB_c.
+    One step per cell on the half spectrum, u_{i+1} = E_i u_i +
+    sum_{c in cell i} exp(int_{mid_c}^{t_{i+1}} psi) g_c dB_c; each u_{i+1}
+    is inverse-transformed into its time slice of the ensemble as soon as it
+    is made.  (n_samples, n_times, m, n_points), float64 for real data.
     """
     grid = problem.grid
-    n_t, m = problem.n_times, problem.m
+    n_t = problem.n_times
     n = paths.paths.shape[0]
-    out_hat = np.zeros((n, n_t, m, grid.n_points), dtype=complex)
-    if problem.g is not None:
-        n_sub = problem.quad_refine
-        q_grid, edges, mid_idx, sol_idx = _quad_grid(problem.times, n_sub)
-        if len(paths.times) != len(edges) or \
-                np.max(np.abs(paths.times - edges)) > TIME_TOL:
-            raise AlignmentError("paths must live on the refined subcell edges")
-        if paths.paths.shape[1] != problem.q.J:
-            raise AlignmentError("path factor count does not match QSpec")
-        cums = symbol_cumulative_integrals(problem.psi, q_grid, grid)
-        g_hat = spatial_fft(problem.g, grid)
-        dB = np.diff(paths.paths, axis=-1)                        # (n, J, C)
-        for i in range(n_t - 1):
-            cell = slice(i * n_sub, (i + 1) * n_sub)
-            top = cums[sol_idx[i + 1]]
-            g_loc = np.exp(top - cums[mid_idx[cell]])[:, None, None, :] * g_hat[i]
-            np.multiply(np.exp(top - cums[sol_idx[i]]), out_hat[:, i],
-                        out=out_hat[:, i + 1])
-            out_hat[:, i + 1] += np.einsum("njc,cmjk->nmk", dB[:, :, cell],
-                                           g_loc, optimize=True)
-    return spatial_fft(out_hat, grid, inverse=True, out=out_hat)
+    if problem.g is None:
+        return np.zeros((n, n_t, problem.m, grid.n_points))
+    n_sub = problem.quad_refine
+    q_grid, edges, mid_idx, sol_idx = _quad_grid(problem.times, n_sub)
+    if len(paths.times) != len(edges) or \
+            np.max(np.abs(paths.times - edges)) > TIME_TOL:
+        raise AlignmentError("paths must live on the refined subcell edges")
+    if paths.paths.shape[1] != problem.q.J:
+        raise AlignmentError("path factor count does not match QSpec")
+    cums = symbol_cumulative_integrals(problem.psi, q_grid, grid.half)
+    g_hat = spatial_rfft(_components(problem, problem.g, 1), grid)
+    dB = np.diff(paths.paths, axis=-1)                        # (n, J, C)
+    m2 = g_hat.shape[1]                                       # real components
+    u_hat = np.zeros((n, m2, grid.half.n_points), dtype=complex)
+    work = np.empty_like(u_hat)
+    out = np.zeros((n, n_t, m2, grid.n_points))
+    for i in range(n_t - 1):
+        cell = slice(i * n_sub, (i + 1) * n_sub)
+        top = cums[sol_idx[i + 1]]
+        g_loc = np.exp(top - cums[mid_idx[cell]])[:, None, None, :] * g_hat[i]
+        u_hat *= np.exp(top - cums[sol_idx[i]])
+        u_hat += np.einsum("njc,cmjk->nmk", dB[:, :, cell], g_loc, optimize=True)
+        np.copyto(work, u_hat)
+        spatial_irfft(work, grid, out=out[:, i + 1])
+    return _recombined(problem, out)
 
 
 def refined_path_times(problem: SPDEProblem):
@@ -324,7 +362,7 @@ def solve(problem: SPDEProblem, n_samples, seed,
     det = deterministic_homogeneous(problem) + deterministic_forced(problem)
     paths = None
     if problem.g is None:
-        samples = np.broadcast_to(det, (n_samples,) + det.shape).astype(complex)
+        samples = np.broadcast_to(det, (n_samples,) + det.shape).copy()
     else:
         if estimator == "modewise":
             samples = stochastic_convolution_modewise(problem, n_samples, seed)
@@ -396,7 +434,7 @@ def ensemble_summary_rows(ensemble: SolutionEnsemble):
     for i, t in enumerate(ensemble.problem.times):
         x = ensemble.samples[:n if i else 1, i]     # (n, m, n_points)
         mf = np.sqrt(np.sum(np.abs(np.mean(x, axis=0)) ** 2) * dv)
-        tv = float(np.sum(np.var(x, axis=0)) * dv)      # var of complex is real
+        tv = float(np.sum(np.var(x, axis=0)) * dv)      # also real for complex x
         ms = float(np.mean(np.max(np.abs(x), axis=(1, 2))))
         rows.append((float(t), float(mf), tv, ms))
     return rows

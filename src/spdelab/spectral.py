@@ -8,6 +8,8 @@ two-parameter evolution operator exp(int_s^t psi(r, xi) dr).
 Conventions:
   * frequencies are 2 pi k / L with k in fft order,
   * transforms use norm="ortho" so discrete Parseval is exact,
+  * a real field has a Hermitian spectrum, so its transform keeps only the
+    half spectrum, the frequencies of GridSpec.half,
   * L^p norms are Riemann sums with cell volume (L/n)^d,
   * the symbol value at xi = 0 follows the limit rule (SymbolSpec.at_zero).
 """
@@ -63,6 +65,35 @@ class GridSpec:
     def x_grid(self):
         """Spatial sample points as a flat (n^d, d) array."""
         return _x_grid(self.d, self.n, self.L)
+
+    @property
+    def half(self) -> HalfGrid:
+        """The half spectrum that spatial_rfft keeps."""
+        return HalfGrid(self.d, self.n, self.L)
+
+
+@dataclass(frozen=True)
+class HalfGrid:
+    """The real-to-complex half spectrum of a GridSpec: the frequencies whose
+    last index is 0..n/2 in fft order.  It has GridSpec's d, n_points and
+    freq_grid(), so the symbol tables run on it unchanged and give the full
+    grid's values at the kept frequencies."""
+
+    d: int
+    n: int
+    L: float
+
+    @property
+    def shape(self):
+        return (self.n,) * (self.d - 1) + (self.n // 2 + 1,)
+
+    @property
+    def n_points(self):
+        return self.n ** (self.d - 1) * (self.n // 2 + 1)
+
+    def freq_grid(self):
+        full = _freq_grid(self.d, self.n, self.L).reshape((self.n,) * self.d + (-1,))
+        return full[..., :self.n // 2 + 1, :].reshape(-1, self.d)
 
 
 @lru_cache(maxsize=32)
@@ -123,6 +154,34 @@ def spatial_fft(arr, grid: GridSpec, inverse=False, out=None) -> np.ndarray:
     return res.reshape(lead + (grid.n_points,))
 
 
+def spatial_rfft(arr, grid: GridSpec) -> np.ndarray:
+    """Unitary DFT of a real arr over its trailing (n_points,) axis, on the
+    half spectrum: shape (..., grid.half.n_points)."""
+    lead = arr.shape[:-1]
+    res = np.fft.rfftn(arr.reshape(lead + grid.shape), norm="ortho",
+                       axes=tuple(range(len(lead), len(lead) + grid.d)))
+    return res.reshape(lead + (grid.half.n_points,))
+
+
+def spatial_irfft(arr, grid: GridSpec, out=None) -> np.ndarray:
+    """Inverse of spatial_rfft: a real (..., n_points) array, or out.
+
+    The contiguous arr is overwritten: as in np.fft.irfftn, the leading
+    grid axes are inverted first, here in place, then the irfft of the last
+    axis writes out, which may be a strided view.
+    """
+    lead = arr.shape[:-1]
+    if out is None:
+        out = np.empty(lead + (grid.n_points,))
+    spec = arr.reshape(lead + grid.half.shape)
+    if grid.d > 1:
+        np.fft.ifftn(spec, axes=tuple(range(len(lead), spec.ndim - 1)),
+                     norm="ortho", out=spec)
+    np.fft.irfft(spec, grid.n, axis=-1, norm="ortho",
+                 out=out.reshape(lead + grid.shape))
+    return out
+
+
 def multiplier_kernel(mult, grid: GridSpec) -> np.ndarray:
     """Convolution kernel (flat, (n_points,)) of the Fourier multiplier mult.
 
@@ -174,10 +233,25 @@ def check_class_s_sign(psi: SymbolSpec, times, grid: GridSpec):
 
     Class S needs the sign; a growing mode gives inf, NaN or unbounded
     ratios downstream.  One symbol_on_grid call evaluates every time; a
-    time-independent psi is evaluated once.
+    time-independent psi is evaluated once.  Returns the values, (n_points,)
+    or (len(times), n_points).
     """
-    symbol_on_grid(psi, np.asarray(times, dtype=float) if psi.time_dependent
-                   else times[0], grid, class_s=True)
+    return symbol_on_grid(psi, np.asarray(times, dtype=float)
+                          if psi.time_dependent else times[0], grid, class_s=True)
+
+
+def check_hermitian(psi: SymbolSpec, vals, grid: GridSpec):
+    """SymbolClassError unless psi's grid values vals (..., n_points) are
+    Hermitian: the value at -xi is the conjugate of the value at xi, exactly,
+    with -xi taken modulo the grid (so a Nyquist frequency needs a real
+    value).  Then the evolution keeps a real field real.
+    """
+    mirror = vals.reshape(vals.shape[:-1] + grid.shape)
+    for ax in range(vals.ndim - 1, mirror.ndim):     # index k -> -k mod n
+        mirror = np.roll(np.flip(mirror, ax), 1, ax)
+    if not np.array_equal(mirror.reshape(vals.shape), np.conj(vals)):
+        raise SymbolClassError(f"psi {psi.name!r} is not Hermitian on the grid: "
+                               "a real solution needs psi(-xi) = conj psi(xi)")
 
 
 def apply_multiplier(field: Field, mult: np.ndarray) -> Field:

@@ -105,12 +105,13 @@ def maximal_inequality_check(u: ElementaryProcess, kernel: CovarianceKernel,
     for bi, lo in enumerate(range(0, n, _DRAW_BLOCK)):
         nb = min(_DRAW_BLOCK, n - lo)
         delta = design.draw(nb, seed, block=bi)
-        sq = np.sum(design.running_skorohod(delta) ** 2, axis=2)   # (nb, P+1)
+        Fv, dv = design.functional_values(delta)
+        sq = np.sum(design.running_skorohod(delta, Fv, dv) ** 2, axis=2)  # (nb, P+1)
         sup = np.stack([np.max(sq[:, idx], axis=1) for idx in nodes]) \
             ** (p / 2.0)                                          # (levels, nb)
         diff = np.diff(sup, axis=0, prepend=sup[:1])
         sums += np.sum([sup, sup * sup, diff, diff * diff], axis=2)
-        t1, t2 = mixed_norm_terms(design, delta, p, q_exp, r)
+        t1, t2 = mixed_norm_terms(design, Fv, dv, p, q_exp, r)
         t1_acc += t1 * nb
         t2_acc += t2 * nb
     rhs = [t1_acc / n, t2_acc / n]

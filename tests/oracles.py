@@ -215,6 +215,37 @@ def forced_trapezoid(problem):
     return spatial_fft(out_hat, grid, inverse=True)
 
 
+def pathwise_full_spectrum(problem, paths):
+    """The pathwise solution, homogeneous + forced + stochastic convolution,
+    with every part on the complex full spectrum: the cell recurrences of
+    the solver before it solved real fields on the half spectrum.
+    (n, n_times, m, n_points) complex."""
+    grid, times, n_sub = problem.grid, problem.times, problem.quad_refine
+    cums = symbol_cumulative_integrals(problem.psi, times, grid)
+    det_hat = np.exp(cums[:, None, :]) * spatial_fft(problem.u0.values, grid)[None]
+    if problem.f is not None:
+        f_hat = spatial_fft(problem.f, grid)
+        half = np.diff(times) / 2.0
+        forced = np.zeros_like(det_hat)
+        for i in range(problem.n_times - 1):
+            forced[i + 1] = (np.exp(cums[i + 1] - cums[i])
+                             * (forced[i] + half[i] * f_hat[i])
+                             + half[i] * f_hat[i + 1])
+        det_hat += forced
+    q_grid, _, mid_idx, sol_idx = _quad_grid(times, n_sub)
+    q_cums = symbol_cumulative_integrals(problem.psi, q_grid, grid)
+    g_hat = spatial_fft(problem.g, grid)
+    dB = np.diff(paths.paths, axis=-1)
+    out_hat = np.zeros((dB.shape[0],) + det_hat.shape, dtype=complex)
+    for i in range(problem.n_times - 1):
+        cell = slice(i * n_sub, (i + 1) * n_sub)
+        top = q_cums[sol_idx[i + 1]]
+        g_loc = np.exp(top - q_cums[mid_idx[cell]])[:, None, None, :] * g_hat[i]
+        out_hat[:, i + 1] = (np.exp(top - q_cums[sol_idx[i]]) * out_hat[:, i]
+                             + np.einsum("njc,cmjk->nmk", dB[:, :, cell], g_loc))
+    return spatial_fft(out_hat + det_hat[None], grid, inverse=True)
+
+
 def integrand_exponents(problem):
     """int_mid^t psi per (t_{i+1}, subcell, mode), -inf past t_{i+1}."""
     n_t, n_sub = problem.n_times, problem.quad_refine

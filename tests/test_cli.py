@@ -600,15 +600,20 @@ def test_largest_array_sizes():
 
 
 def test_largest_array_bounds_the_samples(monkeypatch):
-    # the size function bounds the array the solver really allocates
+    # the size function bounds the array the solver really allocates: it
+    # counts 16 bytes per entry, the complex samples of modewise, and the
+    # real samples of pathwise take half of that
     params = {"grid": {"n": 16}, "n_t": 4, "n_samples": 3, "m": 2,
               "g": "constant", "quad_refine": 1}
     seen = []
     monkeypatch.setattr(cli, "ensemble_summary_rows",
                         lambda ens: seen.append(ens.samples.nbytes) or [])
-    cli._run_simulate(cli.RunConfig("simulate", cli._fill(
-        cli.PARAMS["simulate"], params), 0, "", False, ""))
-    assert seen == [_largest("simulate", params)]
+    for estimator in ("modewise", "pathwise"):
+        cli._run_simulate(cli.RunConfig("simulate", cli._fill(
+            cli.PARAMS["simulate"], dict(params, estimator=estimator)),
+            0, "", False, ""))
+    assert seen == [_largest("simulate", params),
+                    _largest("simulate", params) // 2]
 
 
 @pytest.mark.parametrize("params,code", [
@@ -798,6 +803,31 @@ def test_simulate_without_noise_has_zero_variance(tmp_path):
     assert np.all(tv == 0.0)
     l2 = np.array([float(r["mean_l2"]) for r in rows])
     assert np.all(np.diff(l2) < 0.0)        # pure heat decay of the bump
+
+
+def test_simulate_defaults_to_pathwise(tmp_path):
+    cfg = _write_cfg(tmp_path, "sim.json", {"params": {"grid": {"n": 8},
+                                                       "n_t": 2}})
+    out = tmp_path / "runs"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "simulate.json").read_text())["report"]
+    assert report["estimator"] == "pathwise"
+    assert "details" not in report
+    assert all(float(r["mean_sup"]) > 0 for r in _read_rows(out / "simulate.csv"))
+
+
+def test_modewise_simulate_leaves_mean_sup_empty(tmp_path):
+    # modewise draws each mode on its own: a sup norm of its samples is not
+    # one of the solution, so no number is written, and PASS does not read it
+    cfg = _write_cfg(tmp_path, "sim.json", {"params": dict(SIM_PARAMS, n_t=2)})
+    out = tmp_path / "runs"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "simulate.json").read_text())["report"]
+    assert all(r["mean_sup"] == "" for r in report["rows"])
+    assert "second moments only" in report["details"]["samples"]
+    rows = _read_rows(out / "simulate.csv")
+    assert [r["mean_sup"] for r in rows] == ["", "", ""]
+    assert all(float(r["total_variance"]) >= 0 for r in rows)
 
 
 def test_verify_skorohod_reports_eight_cases(tmp_path):

@@ -133,7 +133,7 @@ def test_exact_case_closed_form(kernel):
     design = JointDesign(u, kernel, Q1)
     delta = design.draw(20000, seed=21)
     b = np.einsum("pj,njp->n", design.phi_ref[0], delta)
-    got = design.running_skorohod(delta)[:, -1]
+    got = design.running_skorohod(delta, *design.functional_values(delta))[:, -1]
     want = (b ** 2 - 1.0)[:, None] * k
     assert np.max(np.abs(got - want)) < 1e-12
     # E||delta(u)||^2 = 2 ||k||^2, fourth-moment variance from the oracle
@@ -180,7 +180,7 @@ def test_running_skorohod_nodes(kernel):
     design = JointDesign(u, kernel, Q1)
     assert np.allclose(design.partition, [0.0, 0.5, 1.0])
     delta = design.draw(300, seed=17)
-    run = design.running_skorohod(delta)
+    run = design.running_skorohod(delta, *design.functional_values(delta))
     assert run.shape == (300, 3, 1)
     assert np.all(run[:, 0, :] == 0.0)
     # manual node value at tau = 0.5
@@ -254,7 +254,8 @@ def test_mixed_norm_terms_deterministic():
     design = JointDesign(u, WIENER, Q1)
     delta = design.draw(100, seed=7)
     p, q_exp, r_exp = 4.0, 2.0, 2.0
-    t1, t2 = mixed_norm_terms(design, delta, p, q_exp, r_exp)
+    t1, t2 = mixed_norm_terms(design, *design.functional_values(delta),
+                              p, q_exp, r_exp)
     assert t2 == 0.0
     # int ||u||^2 ds = |k|^2 (1^2 * 0.5 + 2^2 * 0.5) = 4 * 2.5
     want = (4.0 * 2.5) ** (p / q_exp)
@@ -273,7 +274,7 @@ def test_mixed_norm_terms_match_fine_oracle(case):
     design = _sup_level_design(proc, kernel)
     delta = design.draw(200, seed=11)
     r = float(kernel.r_exp)
-    got = mixed_norm_terms(design, delta, 4.0, 2.0, r)
+    got = mixed_norm_terms(design, *design.functional_values(delta), 4.0, 2.0, r)
     want = oracles.mixed_norm_terms_fine(design, delta, 4.0, 2.0, r)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 

@@ -21,7 +21,7 @@ from spdelab.solver import (
     stochastic_convolution_modewise,
     stochastic_convolution_pathwise,
 )
-from spdelab.spectral import Field, GridSpec, symbol_on_grid
+from spdelab.spectral import Field, GridSpec, spatial_fft, symbol_on_grid
 from spdelab.symbols import SymbolSpec, builtin_symbol
 
 WIENER = builtin_kernel("wiener")
@@ -81,6 +81,37 @@ def test_problem_rejects_growing_psi():
     with pytest.raises(SymbolClassError):
         _problem(psi=late)
     _problem(psi=late, times=np.linspace(0.0, 0.25, 5))
+
+
+def _symbol(ev, time_dependent=False, d=1):
+    return SymbolSpec(eval=ev, gamma=2.0, kappa=1.0, mu=1.0, n_depth=4,
+                      time_dependent=time_dependent, d=d)
+
+
+def _transport(t, xi):
+    # -|xi|^2 + i xi_0, with xi_0 = 0 on the Nyquist frequencies, where -xi
+    # is xi itself on the grid: Hermitian there too
+    r2 = np.sum(xi ** 2, axis=-1)
+    nyquist = np.max(np.abs(xi[..., 0]))
+    return -r2 + 1j * np.where(np.abs(xi[..., 0]) < nyquist, xi[..., 0], 0.0)
+
+
+def test_problem_rejects_non_hermitian_psi():
+    # each damps every mode (Re psi <= 0), but psi(-xi) != conj psi(xi) on
+    # the grid, so the solution of real data would not be real
+    def radial(t, xi):
+        r = np.sqrt(np.sum(xi ** 2, axis=-1))
+        return -r * r - 1j * r
+
+    def odd(t, xi):                 # Hermitian but at the Nyquist frequency
+        return -np.sum(xi ** 2, axis=-1) + 1j * xi[..., 0]
+
+    def late(t, xi):                # Hermitian at t = 0 only
+        return radial(t, xi).real + 1j * t * radial(t, xi).imag
+    for psi in (_symbol(radial), _symbol(odd), _symbol(late, True)):
+        with pytest.raises(SymbolClassError, match="Hermitian"):
+            _problem(psi=psi)
+    _problem(psi=_symbol(_transport))
 
 
 def test_solve_rejects_psi_growing_between_solution_times():
@@ -213,7 +244,6 @@ def test_estimators_match_ito_mode_variance():
     pb = _problem(times=times, u0=Field.zeros(GRID), g=g)
     want = oracles.ito_mode_variance(-float(k * k), 1.0, 0.5)
     n = 4000
-    from spdelab.spectral import spatial_fft
     for est in ("modewise", "pathwise"):
         ens = solve(pb, n, seed=7, estimator=est)
         uhat = spatial_fft(ens.samples, GRID)
@@ -275,6 +305,78 @@ def test_cell_steps_match_pair_oracles(psi, times, m, J, quad_refine, kernel):
                 oracles.pathwise_masked(pb, paths)) < 1e-12
     assert np.array_equal(stochastic_convolution_modewise(pb, 5, seed=9),
                           oracles.modewise_masked(pb, 5, seed=9))
+
+
+def _wave_data(grid, times, data, m=2, J=2):
+    """u0, f and g varying over time, component, factor and mode: cosines,
+    or for complex data plane waves e^{i k.x} plus a cosine."""
+    x = grid.x_grid()
+    comp = np.arange(1, m + 1)[:, None]
+    phase = comp * (x @ np.arange(1, grid.d + 1))[None]              # (m, N)
+    wave = np.exp(1j * phase) + np.cos(2 * phase) if data == "complex" \
+        else np.cos(phase)
+    f = (1.0 + times)[:, None, None] * wave[None] \
+        + np.sin(phase[None] + times[:, None, None])
+    fac = np.arange(1, J + 1)[None, None, :, None]
+    cell = np.arange(len(times) - 1)[:, None, None, None]
+    g = (1.0 + cell) / fac * (wave[None, :, None]
+                              + 0.5 * np.sin(fac * phase[None, :, None] + cell))
+    return Field(grid, m, wave), f, g
+
+
+@pytest.mark.parametrize("psi", ["heat_osc", "transport"])
+@pytest.mark.parametrize("data", ["real", "complex"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_pathwise_matches_full_spectrum_reference(psi, data, d):
+    # the half-spectrum solve against the complex full-spectrum recurrences;
+    # complex data goes as real and imaginary components on the same paths
+    grid = GridSpec(d=d, n=16, L=2.0 * np.pi)
+    times = _TIMES["nonuniform"]
+    u0, f, g = _wave_data(grid, times, data)
+    sym = builtin_symbol("heat_osc", gamma=2.0, d=d) if psi == "heat_osc" \
+        else _symbol(_transport, d=d)
+    pb = SPDEProblem(psi=sym, u0=u0, kernel=_KERNELS["fbm"], q=QSpec((1.0, 0.5)),
+                     times=times, f=f, g=g, quad_refine=3)
+    ens = solve(pb, 5, seed=4, estimator="pathwise")
+    want = oracles.pathwise_full_spectrum(pb, ens.paths)
+    assert ens.samples.dtype == (np.float64 if data == "real" else complex)
+    assert _rel(ens.samples, want) < 1e-14
+
+
+def test_pathwise_samples_are_real_fields():
+    # float64 samples of real data, whose spectrum is Hermitian:
+    # u-hat(-k) = conj u-hat(k) for every mode k
+    times = _TIMES["uniform"]
+    u0, f, g = _wave_data(GRID, times, "real", m=1, J=1)
+    pb = _problem(times=times, u0=u0, f=f, g=g)
+    ens = solve(pb, 8, seed=2, estimator="pathwise")
+    assert ens.samples.dtype == np.float64
+    u_hat = spatial_fft(ens.samples, GRID)
+    mirror = u_hat[..., (-np.arange(GRID.n)) % GRID.n]
+    assert np.max(np.abs(mirror - np.conj(u_hat))) < 1e-14 * np.max(np.abs(u_hat))
+
+
+def test_pathwise_solve_peak_memory_is_near_the_real_ensemble():
+    # the sim-pathwise-tdep problem on a 32^2 grid: the full-spectrum solve
+    # held a complex ensemble and full-grid tables, 2.9x the bytes of the
+    # real ensemble at its peak; the half-spectrum solve writes each time
+    # slice into the real ensemble, 1.65x
+    grid = GridSpec(d=2, n=32, L=2.0 * np.pi)
+    times = np.linspace(0.0, 1.0, 17)
+    x = grid.x_grid()
+    bump = np.exp(-np.sum((x - np.pi) ** 2, axis=-1))[None]
+    pb = SPDEProblem(psi=builtin_symbol("heat_osc", d=2), u0=Field(grid, 1, bump),
+                     kernel=_KERNELS["fbm"], q=QSpec((1.0, 0.5)), times=times,
+                     f=np.tile(bump, (17, 1, 1)), g=np.tile(bump, (16, 1, 2, 1)))
+    tracemalloc.start()
+    try:
+        ens = solve(pb, 64, seed=0, estimator="pathwise")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    real_bytes = ens.samples.size * 8
+    assert real_bytes == 64 * 17 * grid.n_points * 8
+    assert peak < 2.0 * real_bytes
 
 
 @pytest.mark.parametrize("case", ["zero_factor", "zero_first_cell", "linear",

@@ -1,7 +1,8 @@
 """Each numerical primitive has exactly one implementation in the package.
 
-The unitary DFT lives in ``spectral`` (``spatial_fft``, plus the
-unnormalized ``multiplier_kernel``); rectangle increments of R live in
+The unitary DFT lives in ``spectral`` (``spatial_fft``, its real-to-complex
+pair ``spatial_rfft``/``spatial_irfft``, and the unnormalized
+``multiplier_kernel``); rectangle increments of R live in
 ``covariance.cross_increments``; a symbol is evaluated on the grid only by
 ``spectral.symbol_on_grid``.  A new copy elsewhere fails here.  Every
 definition is reached from somewhere: a function or class that nothing
@@ -27,8 +28,9 @@ TESTS = {p.name: p.read_text(encoding="utf-8")
 
 
 def test_fftn_only_in_spectral():
+    # every numpy.fft call: fftn, rfftn, irfft and the rest
     hits = sorted({name for name, text in SOURCES.items()
-                   if re.search(r"np\.fft\.i?fftn\b", text)})
+                   if re.search(r"\bnp\.fft\.|\bnumpy\.fft\b", text)})
     assert hits == ["spectral.py"]
 
 

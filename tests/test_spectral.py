@@ -17,6 +17,8 @@ from spdelab.spectral import (
     lp_norm,
     multiplier_kernel,
     spatial_fft,
+    spatial_irfft,
+    spatial_rfft,
     symbol_cumulative_integrals,
     symbol_on_grid,
     symbol_time_integral,
@@ -316,3 +318,38 @@ def test_kernel_p_psi_mass():
     want = np.exp(-xc ** 2 / (4 * 0.3)) / np.sqrt(4 * np.pi * 0.3)
     err = np.max(np.abs(ker.real - want))
     assert err < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the real-to-complex half spectrum
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_half_spectrum_transform_pair(d):
+    # spatial_rfft keeps spatial_fft's values at the half grid's
+    # frequencies; spatial_irfft inverts it into a strided real view
+    grid = GridSpec(d=d, n=8, L=3.0)
+    x = np.random.default_rng(d).standard_normal((4, 2, grid.n_points))
+    half = spatial_rfft(x, grid)
+    kept = spatial_fft(x, grid).reshape((4, 2) + grid.shape)[..., :grid.n // 2 + 1]
+    assert half.shape == (4, 2, grid.half.n_points)
+    assert np.max(np.abs(half - kept.reshape(half.shape))) < 1e-14
+    freqs = grid.freq_grid().reshape(grid.shape + (d,))[..., :grid.n // 2 + 1, :]
+    assert np.array_equal(grid.half.freq_grid(), freqs.reshape(-1, d))
+    out = np.zeros((4, 3, 2, grid.n_points))
+    spatial_irfft(half, grid, out=out[:, 1])
+    assert np.max(np.abs(out[:, 1] - x)) < 1e-14
+    assert not out[:, 0].any() and not out[:, 2].any()
+
+
+def test_half_grid_table_is_the_full_table_at_the_kept_frequencies():
+    # the quadrature table of the sim-pathwise-tdep benchmark problem,
+    # heat_osc on the 64^2 grid over 16 cells refined 8x: bit for bit, so
+    # every Simpson cell took the same rung on both grids
+    grid = GridSpec(d=2, n=64, L=2.0 * np.pi)
+    psi = builtin_symbol("heat_osc", d=2)
+    q_grid = _quad_grid(np.linspace(0.0, 1.0, 17), 8)[0]
+    full = symbol_cumulative_integrals(psi, q_grid, grid)
+    half = symbol_cumulative_integrals(psi, q_grid, grid.half)
+    kept = full.reshape((len(q_grid),) + grid.shape)[..., :grid.n // 2 + 1]
+    assert np.array_equal(half, kept.reshape(half.shape))

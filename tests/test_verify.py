@@ -8,8 +8,10 @@ from spdelab.errors import HypothesisViolationError
 from spdelab.gaussian import QSpec, StepFunction
 from spdelab.malliavin import (
     ElementaryProcess,
+    JointDesign,
     constant_functional,
     linear_functional,
+    skorohod_moment_check,
 )
 from spdelab.solver import SPDEProblem
 from spdelab.spectral import Field, GridSpec, spatial_fft
@@ -79,6 +81,22 @@ def test_maximal_deterministic_derivative_term_vanishes():
     assert rep.rhs_components[1] == 0.0
     assert rep.rhs_components[0] == pytest.approx(1.0, rel=1e-12)  # ||u||^2 = T
     assert np.isfinite(rep.ratio) and rep.lhs > rep.rhs_components[0]
+
+
+def test_functional_values_once_per_draw_block(monkeypatch):
+    # the running Skorohod sums and the mixed norms share each block's
+    # functional values; both used to evaluate them, and so did the moment
+    # check beside its running_skorohod call
+    calls = []
+    evaluate = JointDesign.functional_values
+    monkeypatch.setattr(JointDesign, "functional_values", lambda design, delta:
+                        calls.append(len(delta)) or evaluate(design, delta))
+    maximal_inequality_check(U_LIN, WIENER, Q1, 4.0, 2.0,
+                             2 * verify._DRAW_BLOCK + 1, seed=11, sup_levels=(16,))
+    assert calls == [verify._DRAW_BLOCK, verify._DRAW_BLOCK, 1]
+    calls.clear()
+    skorohod_moment_check(U_LIN, WIENER, Q1, 500, seed=3)
+    assert calls == [500]
 
 
 def test_maximal_deterministic_runs():
