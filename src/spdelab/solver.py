@@ -168,16 +168,17 @@ class SolutionEnsemble:
 # deterministic parts
 
 
-def _components(problem: SPDEProblem, data, axis):
+def real_components(data, axis, real):
     """data, with its m components on `axis`, as real components: its real
-    part, followed for complex data by its imaginary part."""
-    if problem.real_data:
+    part, followed unless `real` (the data is real) by its imaginary part.
+    The Euclidean norm over the components is unchanged."""
+    if real:
         return data.real
     return np.concatenate((data.real, data.imag), axis=axis)
 
 
 def _recombined(problem: SPDEProblem, out):
-    """The solution from its real components on axis -2 (see _components)."""
+    """The solution from its real components on axis -2 (real_components)."""
     if problem.real_data:
         return out
     return out[..., :problem.m, :] + 1j * out[..., problem.m:, :]
@@ -185,7 +186,8 @@ def _recombined(problem: SPDEProblem, out):
 
 def deterministic_homogeneous(problem: SPDEProblem) -> np.ndarray:
     """T(t_i, 0) u0 for every solution time; (n_times, m, n_points)."""
-    u0_hat = spatial_rfft(_components(problem, problem.u0.values, 0), problem.grid)
+    u0_hat = spatial_rfft(real_components(problem.u0.values, 0,
+                                          problem.real_data), problem.grid)
     out_hat = np.exp(problem.cums[:, None, :]) * u0_hat[None]
     return _recombined(problem, spatial_irfft(out_hat, problem.grid))
 
@@ -199,7 +201,8 @@ def deterministic_forced(problem: SPDEProblem) -> np.ndarray:
     if problem.f is None:
         return np.zeros((problem.n_times, problem.m, problem.grid.n_points))
     cums = problem.cums
-    f_hat = spatial_rfft(_components(problem, problem.f, 1), problem.grid)
+    f_hat = spatial_rfft(real_components(problem.f, 1, problem.real_data),
+                         problem.grid)
     out_hat = np.zeros(f_hat.shape, dtype=complex)
     half = np.diff(problem.times) / 2.0
     for i in range(problem.n_times - 1):
@@ -331,7 +334,7 @@ def stochastic_convolution_pathwise(problem: SPDEProblem,
     if paths.paths.shape[1] != problem.q.J:
         raise AlignmentError("path factor count does not match QSpec")
     cums = symbol_cumulative_integrals(problem.psi, q_grid, grid.half)
-    g_hat = spatial_rfft(_components(problem, problem.g, 1), grid)
+    g_hat = spatial_rfft(real_components(problem.g, 1, problem.real_data), grid)
     dB = np.diff(paths.paths, axis=-1)                        # (n, J, C)
     m2 = g_hat.shape[1]                                       # real components
     u_hat = np.zeros((n, m2, grid.half.n_points), dtype=complex)
@@ -427,14 +430,16 @@ def ensemble_summary_rows(ensemble: SolutionEnsemble):
     At the first time, and at every time without noise (g = None), every
     sample is the same field, and one of them is summarised: the mean of
     equal floats need not be bit-equal to them, and np.var would sum the
-    rounding residues."""
+    rounding residues.  The sup-norm needs the joint law of the field,
+    which the modewise estimator does not sample: its sup-norm is None."""
     dv = ensemble.problem.grid.cell_volume
     n = 1 if ensemble.problem.g is None else ensemble.n_samples
+    joint = ensemble.estimator == "pathwise"
     rows = []
     for i, t in enumerate(ensemble.problem.times):
         x = ensemble.samples[:n if i else 1, i]     # (n, m, n_points)
         mf = np.sqrt(np.sum(np.abs(np.mean(x, axis=0)) ** 2) * dv)
         tv = float(np.sum(np.var(x, axis=0)) * dv)      # also real for complex x
-        ms = float(np.mean(np.max(np.abs(x), axis=(1, 2))))
+        ms = float(np.mean(np.max(np.abs(x), axis=(1, 2)))) if joint else None
         rows.append((float(t), float(mf), tv, ms))
     return rows

@@ -240,18 +240,18 @@ def check_class_s_sign(psi: SymbolSpec, times, grid: GridSpec):
                           if psi.time_dependent else times[0], grid, class_s=True)
 
 
-def check_hermitian(psi: SymbolSpec, vals, grid: GridSpec):
-    """SymbolClassError unless psi's grid values vals (..., n_points) are
-    Hermitian: the value at -xi is the conjugate of the value at xi, exactly,
-    with -xi taken modulo the grid (so a Nyquist frequency needs a real
-    value).  Then the evolution keeps a real field real.
+def check_hermitian(sym: SymbolSpec, vals, grid: GridSpec):
+    """SymbolClassError unless a symbol's grid values vals (..., n_points)
+    are Hermitian: the value at -xi is the conjugate of the value at xi,
+    exactly, with -xi taken modulo the grid (so a Nyquist frequency needs a
+    real value).  Then its multiplier keeps a real field real.
     """
     mirror = vals.reshape(vals.shape[:-1] + grid.shape)
     for ax in range(vals.ndim - 1, mirror.ndim):     # index k -> -k mod n
         mirror = np.roll(np.flip(mirror, ax), 1, ax)
     if not np.array_equal(mirror.reshape(vals.shape), np.conj(vals)):
-        raise SymbolClassError(f"psi {psi.name!r} is not Hermitian on the grid: "
-                               "a real solution needs psi(-xi) = conj psi(xi)")
+        raise SymbolClassError(f"symbol {sym.name!r} is not Hermitian on the "
+                               "grid: a real result needs sym(-xi) = conj sym(xi)")
 
 
 def apply_multiplier(field: Field, mult: np.ndarray) -> Field:

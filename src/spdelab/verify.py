@@ -16,16 +16,17 @@ from .errors import HypothesisViolationError
 from .gaussian import TIME_TOL, QSpec, canonical_partition
 from .malliavin import ElementaryProcess, JointDesign, mixed_norm_terms
 from .reports import RatioReport
-from .solver import SPDEProblem, solve
+from .solver import SPDEProblem, real_components, solve
 from .spectral import (GridSpec, apply_multiplier, bessel_multiplier,
-                       bessel_norm, check_class_s_sign, lp_norm,
-                       multiplier_kernel, spatial_fft,
-                       symbol_cumulative_integrals, symbol_on_grid,
-                       symbol_time_integral)
+                       bessel_norm, check_class_s_sign, check_hermitian,
+                       lp_norm, multiplier_kernel, spatial_fft, spatial_irfft,
+                       spatial_rfft, symbol_cumulative_integrals,
+                       symbol_on_grid, symbol_time_integral)
 from .symbols import SymbolSpec
 
 _DRAW_BLOCK = 2048    # draws per RNG substream block; fixes the sample stream
-_LP_BLOCK = 8192      # complex values per square-function transform; bounds memory
+# half-spectrum complex values per square-function transform; bounds memory
+_LP_BLOCK = 8192
 # the kernel envelope: the s-derivative's central-difference step relative
 # to tau, and the fit region |x| <= _ENVELOPE_INTERIOR * L
 _ENVELOPE_FD_FRAC = 0.01
@@ -169,11 +170,17 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
     Midpoint rule in t and s (s strictly below t), counting measure with
     weight 1/n_theta in theta; n_theta = 1 collapses to the scalar form.
 
-    For each t the earlier cells s go through one inverse transform per
-    block of `_LP_BLOCK` complex values, and the s-sum runs in order of s.
-    The blocks bound the transient arrays, which would otherwise grow with
-    n_t times the field size.  For a time-independent psi the multiplier
-    depends only on the lag between the cells, so one row per lag is built.
+    The multipliers must be Hermitian on the grid (spectral.check_hermitian
+    on psi at the midpoints and on Re phi, so phi must be even), else
+    SymbolClassError.  Then a real f has a real square function, and f
+    runs on the half spectrum; a complex f goes as 2m real components
+    (solver.real_components), which keeps the component norm.  For each t
+    the earlier cells s go through one inverse transform per block of
+    `_LP_BLOCK` half-spectrum complex values, and the s-sum runs in order
+    of s.  The blocks bound the transient arrays, which would otherwise
+    grow with n_t times the field size.  For a time-independent psi the
+    multiplier depends only on the lag between the cells, so one row per
+    lag is built.
     """
     if not (p >= q_exp >= max(2.0, r_exp) and r_exp >= 1.0):
         raise HypothesisViolationError(
@@ -189,11 +196,13 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
         mids = 0.5 * (edges[:-1] + edges[1:])
         dt = (b - a) / n_t
         X = grid.x_grid()
-        check_class_s_sign(psi, mids, grid)
+        check_hermitian(psi, check_class_s_sign(psi, mids, grid), grid)
+        check_hermitian(phi, np.real(symbol_on_grid(phi, 0.0, grid)), grid)
         fv = _sample_time_slices(f_fn, mids, X, theta)
-        f_hat = spatial_fft(fv, grid)
-        phim = np.real(symbol_on_grid(phi, 0.0, grid))
-        cums = symbol_cumulative_integrals(psi, mids, grid)
+        fv = real_components(fv, 2, not np.any(fv.imag))
+        f_hat = spatial_rfft(fv, grid)
+        phim = np.real(symbol_on_grid(phi, 0.0, grid.half))
+        cums = symbol_cumulative_integrals(psi, mids, grid.half)
         if not psi.time_dependent:
             # cums[0] = 0 and the exponent depends only on the lag it - s:
             # row k becomes the lag-k multiplier, built in place
@@ -206,12 +215,11 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
             for lo in range(0, it, rows):
                 s = slice(lo, min(lo + rows, it))
                 if psi.time_dependent:
-                    mult = phim * np.exp(cums[it] - cums[s])     # (block, n_pts)
+                    mult = phim * np.exp(cums[it] - cums[s])     # (block, half)
                 else:
                     mult = cums[it - s.stop + 1:it - lo + 1][::-1]
-                lf = spatial_fft(mult[:, None, None] * f_hat[s], grid,
-                                 inverse=True)
-                hn2 = np.sum(np.abs(lf) ** 2, axis=2)        # (block, th, n_pts)
+                lf = spatial_irfft(mult[:, None, None] * f_hat[s], grid)
+                hn2 = np.sum(lf * lf, axis=2)                # (block, th, n_pts)
                 th_int = np.sum(w_th * hn2 ** (r_exp / 2.0),
                                 axis=1) ** (q_exp / r_exp)
                 terms = (dt * (mids[it] - mids[s]) ** wpow)[:, None] * th_int
@@ -288,7 +296,9 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
         F_k = e^{dt psi} F_{k-1} + e^{dt psi/2} f_k,
         (G f)_k = phi/psi (F_k - F_{k-1} - f_k) = w(dt) F_{k-1} + w(dt/2) f_k,
     exactly, including psi = 0 modes, where w(h) = phi h.  One step per
-    time cell replaces the sum over the earlier cells.  Needs p >= 2.
+    time cell replaces the sum over the earlier cells; each (G f)_k
+    overwrites f_k's spectrum, and one inverse transform per forcing per
+    level brings them all back.  Needs p >= 2.
     """
     if not p >= 2.0:
         raise HypothesisViolationError(f"G check needs p >= 2; got p={p}")
@@ -317,14 +327,14 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
             fv = _sample_time_slices(f_fn, mids, X, np.array([0.5]))[:, 0]
             f_hat = spatial_fft(fv, grid)
             F = np.zeros_like(f_hat[0])                             # F_{k-1}
-            lhs_p = rhs_p = 0.0
             for k in range(n_t):
-                gf = spatial_fft(carry * F + own * f_hat[k], grid, inverse=True)
+                gk = carry * F + own * f_hat[k]
                 F = decay * F + half * f_hat[k]
-                lhs_p += dt * _lp_power(gf, grid, p, comp_axes=0)
-                rhs_p += dt * _lp_power(fv[k], grid, p, comp_axes=0)
-            lhs = float(lhs_p) ** (1.0 / p)
-            rhs = float(rhs_p) ** (1.0 / p)
+                f_hat[k] = gk                       # f_hat[k] becomes (G f)_k
+            gf = spatial_fft(f_hat, grid, inverse=True, out=f_hat)
+            # the per-cell powers, added in order of k
+            lhs = float(np.cumsum(dt * _lp_power(gf, grid, p, 1))[-1]) ** (1.0 / p)
+            rhs = float(np.cumsum(dt * _lp_power(fv, grid, p, 1))[-1]) ** (1.0 / p)
             r = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
             if r >= level_ratio:
                 level_ratio = r
@@ -419,8 +429,9 @@ def kernel_envelope_check(phi: SymbolSpec, psi: SymbolSpec, t_minus_s,
 
 
 def _lp_of_hat(values_hat, grid, p, comp_axes):
-    """L^p norm from spectral values: ifft then Riemann; (... batch dims)."""
-    vals = spatial_fft(values_hat, grid, inverse=True)
+    """L^p norm from half-spectrum values, which it may overwrite: irfft
+    then Riemann; (... batch dims)."""
+    vals = spatial_irfft(values_hat, grid)
     return _lp_power(vals, grid, p, comp_axes) ** (1.0 / p)
 
 
@@ -432,11 +443,15 @@ def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
     2 g_psi/g_phi, Du = L_psi u + f at order 0, Su = g at order
     2 g_psi/(q' g_phi), and the initial value); rhs holds the three data
     norms.  Deterministic f and g make the g-norm Malliavin term vanish.
+    The norms are taken on the half spectrum, complex data as its real
+    components (solver.real_components), and the ensemble's norms one
+    solution time at a time, so no transform of the whole ensemble is held.
     """
     if problem.phi is None:
         raise ValueError("a-priori check needs the Bessel-scale symbol phi")
     pb = problem
-    grid, p, qe = pb.grid, pb.p, pb.q_exp
+    grid, half, p, qe = pb.grid, pb.grid.half, pb.p, pb.q_exp
+    real = pb.real_data
     qprime = qe / (qe - 1.0)
     s_ratio = 2.0 * pb.psi.gamma / pb.phi.gamma
     alpha_u = s_ratio
@@ -444,40 +459,42 @@ def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
     alpha_0 = s_ratio * (1.0 - 1.0 / p)
 
     ens = solve(pb, int(n_samples), seed, estimator="pathwise")
-    u_hat = spatial_fft(ens.samples, grid)
-
-    # E int_0^T ||u||^p at order alpha_u (trapezoid in t, mean over draws)
-    mu = bessel_multiplier(pb.phi, grid, alpha_u)
-    norms_u = _lp_of_hat(u_hat * mu, grid, p, comp_axes=2)       # (n, n_t)
+    mu = bessel_multiplier(pb.phi, half, alpha_u)
+    psim = np.broadcast_to(symbol_on_grid(
+        pb.psi, pb.times if pb.psi.time_dependent else 0.0, half),
+        (pb.n_times, half.n_points))
+    f_hat = None if pb.f is None else \
+        spatial_rfft(real_components(pb.f, 1, real), grid)
+    # per draw and time, ||u||_p at order alpha_u and ||Du||_p at order 0,
+    # with Du = L_psi u + f
+    norms_u = np.empty((ens.n_samples, pb.n_times))
+    norms_du = np.empty_like(norms_u)
+    for i in range(pb.n_times):
+        u_hat = spatial_rfft(real_components(ens.samples[:, i], 1, real), grid)
+        norms_u[:, i] = _lp_of_hat(u_hat * mu, grid, p, comp_axes=1)
+        u_hat *= psim[i]
+        if f_hat is not None:
+            u_hat += f_hat[i]
+        norms_du[:, i] = _lp_of_hat(u_hat, grid, p, comp_axes=1)
+    # E int_0^T ||.||^p (trapezoid in t, mean over draws)
     term_u = float(np.mean(np.trapezoid(norms_u ** p, pb.times, axis=1))) ** (1.0 / p)
-
-    # Du = L_psi u + f at order 0
-    if pb.psi.time_dependent:
-        psim = symbol_on_grid(pb.psi, pb.times, grid)[None, :, None, :]
-    else:
-        psim = symbol_on_grid(pb.psi, 0.0, grid)[None, None, None, :]
-    du_hat = psim * u_hat
-    if pb.f is not None:
-        f_hat = spatial_fft(pb.f, grid)
-        du_hat = du_hat + f_hat[None]
-    norms_du = _lp_of_hat(du_hat, grid, p, comp_axes=2)
     term_du = float(np.mean(np.trapezoid(norms_du ** p, pb.times, axis=1))) ** (1.0 / p)
 
     # Su = g at order alpha_g; deterministic g => exact step-in-time integral
     if pb.g is not None:
-        mg = bessel_multiplier(pb.phi, grid, alpha_g)
-        g_hat = spatial_fft(pb.g, grid)
+        mg = bessel_multiplier(pb.phi, half, alpha_g)
+        g_hat = spatial_rfft(real_components(pb.g, 1, real), grid)
         norms_g = _lp_of_hat(g_hat * mg, grid, p, comp_axes=(1, 2))  # (n_t-1,)
         term_g = float(np.sum(norms_g ** p * np.diff(pb.times))) ** (1.0 / p)
     else:
         term_g = 0.0
 
-    u0_hat = spatial_fft(pb.u0.values, grid)
-    m0 = bessel_multiplier(pb.phi, grid, alpha_0)
-    term_0 = float(_lp_of_hat((u0_hat * m0)[None], grid, p, comp_axes=1)[0])
+    u0_hat = spatial_rfft(real_components(pb.u0.values, 0, real), grid)
+    m0 = bessel_multiplier(pb.phi, half, alpha_0)
+    term_0 = float(_lp_of_hat(u0_hat * m0, grid, p, comp_axes=0))
 
-    if pb.f is not None:
-        norms_f = _lp_of_hat(f_hat[None], grid, p, comp_axes=2)[0]
+    if f_hat is not None:
+        norms_f = _lp_of_hat(f_hat, grid, p, comp_axes=1)
         term_f = float(np.trapezoid(norms_f ** p, pb.times)) ** (1.0 / p)
     else:
         term_f = 0.0

@@ -308,7 +308,7 @@ def ensemble_summary_rows_full(ensemble):
     """The per-time summary rows from mean and variance over the whole
     ensemble at once (the library reduces one time slice at a time).
     At the first time, and at every time without noise, every sample is
-    the same field and one is summarised."""
+    the same field and one is summarised.  Modewise has no sup-norm."""
     grid = ensemble.problem.grid
     samples = ensemble.samples[:1 if ensemble.problem.g is None else None]
     mean = np.mean(samples, axis=0)
@@ -320,7 +320,8 @@ def ensemble_summary_rows_full(ensemble):
         tv = float(np.sum(np.real(var[i])) * grid.cell_volume)
         x = samples[:, i] if i else samples[:1, 0]
         ms = float(np.mean(np.max(np.abs(x), axis=(1, 2))))
-        rows.append((float(t), float(mf), tv, ms))
+        rows.append((float(t), float(mf), tv,
+                     ms if ensemble.estimator == "pathwise" else None))
     return rows
 
 

@@ -171,6 +171,14 @@ def test_wrong_sign_psi_exits_2(tmp_path, capsys, command, params):
     _assert_rejected(tmp_path, capsys, command, params)
 
 
+def test_lp_odd_phi_exits_2(tmp_path, capsys):
+    # ran to PASS: the square function runs on the half spectrum, which
+    # needs an even Re phi, and coordinate is odd in xi
+    _assert_rejected(tmp_path, capsys, "verify-lp", {
+        "phi": {"name": "coordinate", "d": 1},
+        "psi": {"name": "heat", "gamma": 1.0}})
+
+
 @pytest.mark.parametrize("command,params", [
     ("simulate", {"n_t": 2.5}),
     ("simulate", {"n_samples": True}),

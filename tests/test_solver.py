@@ -530,7 +530,7 @@ def test_refined_path_times_structure():
 
 def test_ensemble_summary_rows():
     pb = _problem()
-    ens = solve(pb, 3, seed=2)
+    ens = solve(pb, 3, seed=2, estimator="pathwise")    # modewise has no sup
     rows = ensemble_summary_rows(ens)
     assert len(rows) == pb.n_times
     t0, mf0, tv0, ms0 = rows[0]

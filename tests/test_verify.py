@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
-from spdelab import battery, verify
+from spdelab import battery, cli, verify
 from spdelab.covariance import builtin_kernel
-from spdelab.errors import HypothesisViolationError
+from spdelab.errors import HypothesisViolationError, SymbolClassError
 from spdelab.gaussian import QSpec, StepFunction
 from spdelab.malliavin import (
     ElementaryProcess,
@@ -14,8 +16,8 @@ from spdelab.malliavin import (
     skorohod_moment_check,
 )
 from spdelab.solver import SPDEProblem
-from spdelab.spectral import Field, GridSpec, spatial_fft
-from spdelab.symbols import builtin_symbol
+from spdelab.spectral import Field, GridSpec, spatial_fft, spatial_irfft
+from spdelab.symbols import SymbolSpec, builtin_symbol
 from spdelab.verify import (
     apriori_estimate_check,
     apriori_refinement,
@@ -264,6 +266,14 @@ POWER2_2D = builtin_symbol("power", gamma=2.0, d=2)
 HEAT_2D = builtin_symbol("heat", gamma=2.0, d=2)
 
 
+def _twisted(forcing, k=3):
+    """e^{ikx} times a battery forcing: complex values, split into real and
+    imaginary components on the half spectrum."""
+    def f(t, x, theta):
+        return np.exp(1j * k * x[:, 0]) * forcing(t, x, theta)
+    return f
+
+
 @pytest.mark.parametrize("phi,psi,forcing,p,q,r,n_theta,levels", [
     (POWER2, HEAT, battery.lp_forcing(), 2.0, 2.0, 2.0, 1, LP_LEVELS),
     (POWER2, HEAT_OSC, battery.lp_forcing(), 4.0, 3.0, 2.0, 1, LP_LEVELS),
@@ -273,6 +283,8 @@ HEAT_2D = builtin_symbol("heat", gamma=2.0, d=2)
      ((128, 24),)),                         # 8 cells per transform
     (POWER2_2D, HEAT_2D, battery.lp_forcing_mixed(m=2), 2.0, 2.0, 2.0, 4,
      ((8, 6), (16, 8))),                    # 2-D, 4 cells per transform
+    (POWER2, HEAT_OSC, _twisted(battery.lp_forcing_mixed(m=2)), 4.0, 2.0,
+     4.0 / 3.0, 2, LP_LEVELS),              # complex f
 ])
 def test_lp_matches_pair_oracle(phi, psi, forcing, p, q, r, n_theta, levels):
     rep = lp_inequality_check(phi, psi, forcing, p, q, r, levels=levels,
@@ -284,16 +296,34 @@ def test_lp_matches_pair_oracle(phi, psi, forcing, p, q, r, n_theta, levels):
 def test_lp_batches_transforms(monkeypatch):
     calls = []
 
-    def counting_fft(arr, grid, inverse=False):
-        calls.append(inverse)
-        return spatial_fft(arr, grid, inverse=inverse)
+    def counting_irfft(arr, grid):
+        calls.append(arr.shape)
+        return spatial_irfft(arr, grid)
 
-    monkeypatch.setattr(verify, "spatial_fft", counting_fft)
+    monkeypatch.setattr(verify, "spatial_irfft", counting_irfft)
     for n, n_t in ((32, 16), (64, 32), (128, 64)):
         calls.clear()
         lp_inequality_check(POWER2, HEAT, battery.lp_forcing(), 2.0, 2.0, 2.0,
                             levels=((n, n_t),))
         assert 0 < len(calls) < n_t * (n_t - 1) // 2
+
+
+def _radial(t, xi):                  # Re psi <= 0, but psi(-xi) = psi(xi)
+    r = np.abs(xi[..., 0])
+    return -r * r - 1j * r
+
+
+@pytest.mark.parametrize("phi,psi", [
+    # coordinate is odd in xi, and Re phi must be even
+    (builtin_symbol("coordinate", d=1), builtin_symbol("heat", gamma=1.0)),
+    (POWER2, SymbolSpec(eval=_radial, gamma=2.0, kappa=1.0, mu=1.0,
+                        n_depth=4, time_dependent=False, d=1, name="radial")),
+])
+def test_lp_rejects_multipliers_that_are_not_hermitian(phi, psi):
+    # the half spectrum needs Hermitian multipliers
+    with pytest.raises(SymbolClassError, match="Hermitian"):
+        lp_inequality_check(phi, psi, battery.lp_forcing(), 2.0, 2.0, 2.0,
+                            levels=((16, 4),))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +388,20 @@ def test_g_operator_matches_pair_oracle(phi, psi, m, p, levels):
     rep = g_operator_check(phi, psi, forcings, p, levels=levels)
     _assert_matches_pairs(rep, levels, _max_ratio_pairs(
         oracles.g_operator_pairs(phi, psi, forcings, p, levels)))
+
+
+def test_g_operator_one_inverse_transform_per_forcing_per_level(monkeypatch):
+    calls = []
+
+    def counting_fft(arr, grid, inverse=False, out=None):
+        calls.append(inverse)
+        return spatial_fft(arr, grid, inverse=inverse, out=out)
+
+    monkeypatch.setattr(verify, "spatial_fft", counting_fft)
+    levels = ((32, 12), (64, 24))
+    g_operator_check(POWER2, HEAT, battery.g_operator_forcings(), 2.0,
+                     levels=levels)
+    assert calls.count(True) == 3 * len(levels)      # not one per time cell
 
 
 def test_g_operator_closed_form_with_mean_mode():
@@ -470,6 +514,23 @@ def test_apriori_deterministic_has_no_g_term():
     rep = apriori_estimate_check(pb, 4, seed=1)
     assert rep.details["term_g"] == 0.0
     assert np.isfinite(rep.ratio) and rep.ratio > 0
+
+
+def test_apriori_peak_is_below_five_ensembles():
+    # the default config's finest level, (128, 64) with 48 samples: the
+    # full-spectrum transform of the whole ensemble and the products made
+    # from it held about 9 times the real ensemble's bytes at once
+    params = cli._fill(cli.PARAMS["verify-apriori"], {})
+    n, n_t = params["levels"][-1]
+    pb = cli._build_problem(params, n=n, n_t=n_t)
+    ensemble_bytes = 8 * params["n_samples"] * pb.n_times * pb.m * n
+    tracemalloc.start()
+    try:
+        apriori_estimate_check(pb, params["n_samples"], seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * ensemble_bytes
 
 
 def test_apriori_refinement_trace():
