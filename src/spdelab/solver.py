@@ -26,14 +26,16 @@ the evolution law T(t,r) T(r,s) = T(t,s).
 psi is Hermitian (checked by SPDEProblem), so real u0, f and g give a real
 solution, and the deterministic parts and the pathwise estimator solve it
 on the half spectrum; complex data goes as 2m real components (real parts,
-then imaginary parts) on the same beta.  Pathwise inverse-transforms each
-finished time slice into one real ensemble, modewise its complex ensemble
-in place, and solve adds the deterministic part into either in place.
+then imaginary parts) on the same beta.  Modewise inverse-transforms its
+complex ensemble in place, and solve adds the deterministic part into it.
+Pathwise is a stream: it inverse-transforms each finished time slice into
+one reused buffer, adds the deterministic part and hands the slice on, so
+a pathwise ensemble is never held whole unless its `samples` are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -148,20 +150,58 @@ class SPDEProblem:
         return out
 
 
-@dataclass
 class SolutionEnsemble:
-    problem: SPDEProblem
-    # (n_samples, n_times, m, n_points); float64 for real data, except
-    # modewise noise, which is complex
-    samples: np.ndarray
-    estimator: str
-    seed: int
-    paths: PathSample | None = None
-    meta: dict = field(default_factory=dict)
+    """Samples of u, (n_samples, n_times, m, n_points): float64 for real
+    data, except modewise noise, which is complex.
 
-    @property
-    def n_samples(self):
-        return self.samples.shape[0]
+    time_slices() yields them one solution time at a time.  `samples` is
+    the whole array: a modewise solve with noise stores it; otherwise it is
+    filled from time_slices() the first time it is read, and then kept.
+    """
+
+    def __init__(self, problem: SPDEProblem, samples, estimator, seed,
+                 paths: PathSample | None = None, *, det=None, n_samples=None,
+                 stream=None):
+        self.problem, self.estimator, self.seed = problem, estimator, seed
+        self.paths = paths
+        if samples is not None:
+            self.samples = samples
+            n_samples = len(samples)
+        self.n_samples = n_samples
+        # the deterministic part, (n_times, m, n_points), and the pathwise
+        # stream that solve started (stochastic_convolution_pathwise)
+        self._det, self._stream = det, stream
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        return _stacked(self.time_slices(), self.problem.n_times)
+
+    def time_slices(self):
+        """Iterator over the samples at each solution time, each
+        (n_samples, m, n_points); a slice is valid until the next is taken.
+
+        Reads `samples` once they exist.  Without noise every sample is
+        the deterministic part: read-only broadcast views of it.  Else the
+        pathwise recurrence runs: the first call takes the stream that solve
+        started, a later one starts the recurrence again.
+        """
+        if "samples" in vars(self):
+            return (self.samples[:, i] for i in range(self.problem.n_times))
+        if self.problem.g is None:
+            return (np.broadcast_to(d, (self.n_samples,) + d.shape)
+                    for d in self._det)
+        stream, self._stream = self._stream, None
+        return stream or stochastic_convolution_pathwise(
+            self.problem, self.paths, det=self._det)
+
+
+def _stacked(slices, n_times):
+    """The n_times slices of an iterator stacked on axis 1 of one array."""
+    for i, x in enumerate(slices):
+        if not i:
+            out = np.empty((len(x), n_times) + x.shape[1:], dtype=x.dtype)
+        out[:, i] = x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +352,23 @@ def stochastic_convolution_modewise(problem: SPDEProblem, n_samples,
     return spatial_fft(out_hat, grid, inverse=True, out=out_hat)
 
 
-def stochastic_convolution_pathwise(problem: SPDEProblem,
-                                    paths: PathSample) -> np.ndarray:
+def stochastic_convolution_pathwise(problem: SPDEProblem, paths: PathSample,
+                                    det=None):
     """Riemann-sum sampler against given beta paths on the refined edges.
 
     One step per cell on the half spectrum, u_{i+1} = E_i u_i +
-    sum_{c in cell i} exp(int_{mid_c}^{t_{i+1}} psi) g_c dB_c; each u_{i+1}
-    is inverse-transformed into its time slice of the ensemble as soon as it
-    is made.  (n_samples, n_times, m, n_points), float64 for real data.
+    sum_{c in cell i} exp(int_{mid_c}^{t_{i+1}} psi) g_c dB_c.  The paths
+    are checked and the symbol table is built at the call.  Given det
+    (n_times, m, n_points), the deterministic part, it returns a generator
+    of det[i] + u_i at each solution time in turn, (n_samples, m, n_points),
+    float64 for real data: each u_i is inverse-transformed into one buffer,
+    reused at every time (complex data is recombined per slice, see
+    _recombined), so a slice is valid until the next is taken.  Without
+    det it returns the stochastic convolution alone, stacked from the same
+    generator: (n_samples, n_times, m, n_points), zeros if g is None.
     """
     grid = problem.grid
-    n_t = problem.n_times
-    n = paths.paths.shape[0]
+    n_t, n = problem.n_times, paths.paths.shape[0]
     if problem.g is None:
         return np.zeros((n, n_t, problem.m, grid.n_points))
     n_sub = problem.quad_refine
@@ -336,19 +381,28 @@ def stochastic_convolution_pathwise(problem: SPDEProblem,
     cums = symbol_cumulative_integrals(problem.psi, q_grid, grid.half)
     g_hat = spatial_rfft(real_components(problem.g, 1, problem.real_data), grid)
     dB = np.diff(paths.paths, axis=-1)                        # (n, J, C)
-    m2 = g_hat.shape[1]                                       # real components
-    u_hat = np.zeros((n, m2, grid.half.n_points), dtype=complex)
-    work = np.empty_like(u_hat)
-    out = np.zeros((n, n_t, m2, grid.n_points))
-    for i in range(n_t - 1):
-        cell = slice(i * n_sub, (i + 1) * n_sub)
-        top = cums[sol_idx[i + 1]]
-        g_loc = np.exp(top - cums[mid_idx[cell]])[:, None, None, :] * g_hat[i]
-        u_hat *= np.exp(top - cums[sol_idx[i]])
-        u_hat += np.einsum("njc,cmjk->nmk", dB[:, :, cell], g_loc, optimize=True)
-        np.copyto(work, u_hat)
-        spatial_irfft(work, grid, out=out[:, i + 1])
-    return _recombined(problem, out)
+
+    def slices():
+        m2 = g_hat.shape[1]                                   # real components
+        u_hat = np.zeros((n, m2, grid.half.n_points), dtype=complex)
+        work = np.empty_like(u_hat)
+        out = np.zeros((n, m2, grid.n_points))
+        for i in range(n_t):
+            if i:
+                cell = slice((i - 1) * n_sub, i * n_sub)
+                top = cums[sol_idx[i]]
+                grow = np.exp(top - cums[mid_idx[cell]])[:, None, None, :]
+                u_hat *= np.exp(top - cums[sol_idx[i - 1]])
+                u_hat += np.einsum("njc,cmjk->nmk", dB[:, :, cell],
+                                   grow * g_hat[i - 1], optimize=True)
+                np.copyto(work, u_hat)
+                spatial_irfft(work, grid, out=out)
+            u = _recombined(problem, out)
+            if det is not None:
+                u += det[i]     # det + u bit for bit: addition commutes
+            yield u
+
+    return _stacked(slices(), n_t) if det is None else slices()
 
 
 def refined_path_times(problem: SPDEProblem):
@@ -359,24 +413,26 @@ def refined_path_times(problem: SPDEProblem):
 
 def solve(problem: SPDEProblem, n_samples, seed,
           estimator="modewise") -> SolutionEnsemble:
-    """u = homogeneous + forced + stochastic convolution, per sample."""
+    """u = homogeneous + forced + stochastic convolution, per sample.
+
+    The deterministic part, the paths and the modewise samples are made
+    here, as are the pathwise symbol table and every check.  The pathwise
+    recurrence runs as the ensemble's time slices are read, and without
+    noise the slices broadcast the deterministic part (SolutionEnsemble).
+    """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     det = deterministic_homogeneous(problem) + deterministic_forced(problem)
-    paths = None
-    if problem.g is None:
-        samples = np.broadcast_to(det, (n_samples,) + det.shape).copy()
-    else:
-        if estimator == "modewise":
-            samples = stochastic_convolution_modewise(problem, n_samples, seed)
-        else:
-            paths = sample_paths(problem.kernel, refined_path_times(problem),
-                                 problem.q, n_samples, seed)
-            samples = stochastic_convolution_pathwise(problem, paths)
+    samples = paths = stream = None
+    if problem.g is not None and estimator == "modewise":
+        samples = stochastic_convolution_modewise(problem, n_samples, seed)
         samples += det      # in place; addition commutes, so det + sto bit for bit
-    return SolutionEnsemble(problem=problem, samples=samples,
-                            estimator=estimator, seed=int(seed), paths=paths,
-                            meta={"kernel": problem.kernel.name})
+    elif problem.g is not None:
+        paths = sample_paths(problem.kernel, refined_path_times(problem),
+                             problem.q, n_samples, seed)
+        stream = stochastic_convolution_pathwise(problem, paths, det=det)
+    return SolutionEnsemble(problem, samples, estimator, int(seed), paths=paths,
+                            det=det, n_samples=int(n_samples), stream=stream)
 
 
 def mode_residual(ensemble: SolutionEnsemble, k_index: int) -> dict:
@@ -384,7 +440,8 @@ def mode_residual(ensemble: SolutionEnsemble, k_index: int) -> dict:
 
     u-hat(t,k) - u0-hat(k) - int_0^t (psi(k) u-hat + f-hat) ds - M(t,k)
     with the psi-term by left-endpoint Riemann, the f-term by trapezoid,
-    and M the raw stochastic mode increment from the stored paths.
+    and M the raw stochastic mode increment from the stored paths.  The
+    mode is read from each slice of time_slices() by one inner product.
     """
     pb = ensemble.problem
     if pb.psi.time_dependent:
@@ -392,8 +449,13 @@ def mode_residual(ensemble: SolutionEnsemble, k_index: int) -> dict:
     if pb.g is not None and ensemble.paths is None:
         raise ValueError("mode residual needs a pathwise ensemble")
     grid = pb.grid
-    uhat = spatial_fft(ensemble.samples, grid)[:, :, :, k_index]    # (n, n_t, m)
-    u0k = spatial_fft(pb.u0.values, grid)[:, k_index]               # (m,)
+    # mode k_index of an array over the grid points: one inner product with
+    # e^{-ik.x}, scaled as spatial_fft's unitary DFT
+    k = np.array(np.unravel_index(k_index, grid.shape))
+    turns = (k @ np.indices(grid.shape).reshape(grid.d, -1)) % grid.n
+    wave = np.exp(-2j * np.pi * turns / grid.n) / np.sqrt(grid.n_points)
+    uhat = np.stack([x @ wave for x in ensemble.time_slices()], axis=1)  # (n, n_t, m)
+    u0k = pb.u0.values @ wave                                       # (m,)
     psik = symbol_on_grid(pb.psi, 0.0, grid)[k_index]
     t = pb.times
     dt = np.diff(t)
@@ -401,13 +463,12 @@ def mode_residual(ensemble: SolutionEnsemble, k_index: int) -> dict:
     ipsi[:, 1:] = np.cumsum(psik * uhat[:, :-1] * dt[None, :, None], axis=1)
     i_f = np.zeros((pb.n_times, pb.m), dtype=complex)
     if pb.f is not None:
-        fk = spatial_fft(pb.f, grid)[:, :, k_index]
+        fk = pb.f @ wave                                            # (n_t, m)
         mids = 0.5 * (fk[1:] + fk[:-1]) * dt[:, None]
         i_f[1:] = np.cumsum(mids, axis=0)
     M = np.zeros_like(uhat)
     if pb.g is not None:
-        g_sub = np.repeat(spatial_fft(pb.g, grid)[..., k_index],
-                          pb.quad_refine, axis=0)                   # (C, m, J)
+        g_sub = np.repeat(pb.g @ wave, pb.quad_refine, axis=0)      # (C, m, J)
         dB = np.diff(ensemble.paths.paths, axis=-1)                 # (n, J, C)
         inc = np.einsum("njc,cmj->ncm", dB, g_sub)
         csum = np.cumsum(inc, axis=1)
@@ -425,8 +486,9 @@ def mode_residual(ensemble: SolutionEnsemble, k_index: int) -> dict:
 
 def ensemble_summary_rows(ensemble: SolutionEnsemble):
     """Per-time summary statistics (for CSV export): mean-field l2 norm,
-    total variance, mean sup-norm.  One time slice at a time, whose
-    reductions add the samples in the whole ensemble's order, bit for bit.
+    total variance, mean sup-norm.  Reduces each slice of time_slices() in
+    turn, so a pathwise ensemble is never held whole; the reductions add
+    the samples in the whole ensemble's order, bit for bit.
     At the first time, and at every time without noise (g = None), every
     sample is the same field, and one of them is summarised: the mean of
     equal floats need not be bit-equal to them, and np.var would sum the
@@ -436,8 +498,9 @@ def ensemble_summary_rows(ensemble: SolutionEnsemble):
     n = 1 if ensemble.problem.g is None else ensemble.n_samples
     joint = ensemble.estimator == "pathwise"
     rows = []
-    for i, t in enumerate(ensemble.problem.times):
-        x = ensemble.samples[:n if i else 1, i]     # (n, m, n_points)
+    slices = zip(ensemble.problem.times, ensemble.time_slices())
+    for i, (t, x) in enumerate(slices):
+        x = x[:n if i else 1]                       # (n, m, n_points)
         mf = np.sqrt(np.sum(np.abs(np.mean(x, axis=0)) ** 2) * dv)
         tv = float(np.sum(np.var(x, axis=0)) * dv)      # also real for complex x
         ms = float(np.mean(np.max(np.abs(x), axis=(1, 2)))) if joint else None

@@ -445,7 +445,8 @@ def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
     norms.  Deterministic f and g make the g-norm Malliavin term vanish.
     The norms are taken on the half spectrum, complex data as its real
     components (solver.real_components), and the ensemble's norms one
-    solution time at a time, so no transform of the whole ensemble is held.
+    slice of its time_slices() at a time, so neither the ensemble nor a
+    transform of it is held whole.
     """
     if problem.phi is None:
         raise ValueError("a-priori check needs the Bessel-scale symbol phi")
@@ -469,8 +470,8 @@ def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
     # with Du = L_psi u + f
     norms_u = np.empty((ens.n_samples, pb.n_times))
     norms_du = np.empty_like(norms_u)
-    for i in range(pb.n_times):
-        u_hat = spatial_rfft(real_components(ens.samples[:, i], 1, real), grid)
+    for i, x in enumerate(ens.time_slices()):
+        u_hat = spatial_rfft(real_components(x, 1, real), grid)
         norms_u[:, i] = _lp_of_hat(u_hat * mu, grid, p, comp_axes=1)
         u_hat *= psim[i]
         if f_hat is not None:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -622,6 +623,25 @@ def test_largest_array_bounds_the_samples(monkeypatch):
             0, "", False, ""))
     assert seen == [_largest("simulate", params),
                     _largest("simulate", params) // 2]
+
+
+def test_pathwise_simulate_holds_one_time_slice():
+    # the summary reduces the stream of time slices: the 32.5 MiB ensemble
+    # (65 times) is never built
+    params = cli._fill(cli.PARAMS["simulate"], {
+        "grid": {"n": 256}, "n_t": 64, "n_samples": 256, "g": "constant",
+        "quad_refine": 2, "estimator": "pathwise"})
+    ensemble_bytes = 8 * 256 * 65 * 256
+    assert ensemble_bytes >= 16 << 20
+    tracemalloc.start()
+    try:
+        passed = cli._run_simulate(cli.RunConfig("simulate", params, 0, "",
+                                                 False, ""))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed
+    assert peak < ensemble_bytes / 4
 
 
 @pytest.mark.parametrize("params,code", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from spdelab import covariance, solver, spectral
+from spdelab import cli, covariance, solver, spectral
 from spdelab.covariance import builtin_kernel
 from spdelab.errors import (AlignmentError, HypothesisViolationError,
                             SymbolClassError)
@@ -505,6 +505,46 @@ def test_mode_residual_requirements():
         mode_residual(ens_mw, 0)
 
 
+def test_mode_residual_memory_is_below_the_ensemble():
+    # the full-spectrum transform of the whole ensemble took 4x the real
+    # ensemble's bytes to read one mode; each slice's mode is one product
+    params = cli._fill(cli.PARAMS["simulate"], {
+        "grid": {"n": 256}, "n_samples": 64, "g": "constant"})
+    pb = cli._build_problem(params)
+    ens = solve(pb, 64, seed=0, estimator="pathwise")
+    real_bytes = 8 * 64 * pb.n_times * pb.m * pb.grid.n_points
+    tracemalloc.start()
+    try:
+        res = mode_residual(ens, k_index=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(res["max_abs"]) and len(res["per_time_max"]) == pb.n_times
+    assert peak < real_bytes
+
+
+def test_mode_pseudo_covariance_tells_the_estimators_apart():
+    # a bump g keeps one phase per mode: the pathwise u-hat_k of the real
+    # field is e^{i theta} times a real Gaussian, so |E u_k^2| = E|u_k|^2;
+    # modewise draws each mode from a circular law, where E u_k^2 = 0
+    params = cli._fill(cli.PARAMS["simulate"], {
+        "grid": {"n": 32}, "n_t": 4, "g": "constant"})
+    pb = cli._build_problem(params)
+
+    def mean_se(a):
+        return a.mean(), np.sqrt(np.mean(np.abs(a - a.mean()) ** 2) / len(a))
+
+    for estimator in solver.ESTIMATORS:
+        ens = solve(pb, 4000, seed=0, estimator=estimator)
+        u = spatial_fft(ens.samples[:, -1, 0], pb.grid)[:, 3]
+        (second, se2), (pseudo, sep) = mean_se(np.abs(u) ** 2), mean_se(u ** 2)
+        assert second > 20 * se2
+        if estimator == "pathwise":
+            assert abs(abs(pseudo) - second) <= np.hypot(se2, sep)
+        else:
+            assert abs(pseudo) < 2 * sep
+
+
 # ---------------------------------------------------------------------------
 # alignment and summaries
 
@@ -541,20 +581,31 @@ def test_ensemble_summary_rows():
     assert ms0 == pytest.approx(1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("estimator,noise", [
-    ("modewise", True), ("pathwise", True), ("pathwise", False)])
-def test_ensemble_summary_rows_equal_whole_ensemble_formulas(estimator, noise):
-    # m = 2, J = 2, non-zero f and g (or no g): the time slices give the
-    # whole-ensemble rows bit for bit
+@pytest.mark.parametrize("estimator,noise,data", [
+    pytest.param(estimator, noise, data, id=f"{estimator}-{noise}"
+                 + ("-real" if data == "real" else ""))
+    for data in ("complex", "real") for estimator in solver.ESTIMATORS
+    for noise in (True, False)])
+def test_ensemble_summary_rows_equal_whole_ensemble_formulas(estimator, noise,
+                                                             data):
+    # m = 2, J = 2, non-zero f and g (or no g), complex (e^{ikx}) or real:
+    # the time slices give the whole-ensemble rows bit for bit, and each
+    # slice of time_slices() is its time in `samples`, bit for bit
     times = np.linspace(0.0, 0.5, 9)
     x = np.arange(GRID.n) * GRID.L / GRID.n
     f = np.cos(3 * times)[:, None, None] * np.tile(np.sin(x), (1, 2, 1))
-    g = np.tile(np.exp(2j * x), (8, 2, 2, 1)) * np.array([1.0, 0.5])[:, None]
-    pb = _problem(times=times, u0=_mode_field(GRID, m=2), f=f,
-                  g=g if noise else None, J=2)
+    wave = np.exp(2j * x) if data == "complex" else np.cos(2 * x)
+    g = np.tile(wave, (8, 2, 2, 1)) * np.array([1.0, 0.5])[:, None]
+    u0 = _mode_field(GRID, m=2) if data == "complex" else \
+        Field(GRID, 2, np.tile(np.cos(3 * x), (2, 1)))
+    pb = _problem(times=times, u0=u0, f=f, g=g if noise else None, J=2)
     ens = solve(pb, 7, seed=4, estimator=estimator)
+    rows = ensemble_summary_rows(ens)       # before `samples` is built
+    slices = [s.copy() for s in ens.time_slices()]
+    assert len(slices) == pb.n_times
+    assert all(s.dtype == ens.samples.dtype and np.array_equal(s, ens.samples[:, i])
+               for i, s in enumerate(slices))
     assert np.all(ens.samples[:, 0] == ens.samples[0, 0])   # all start at u0
-    rows = ensemble_summary_rows(ens)
     assert rows == oracles.ensemble_summary_rows_full(ens)
     assert (rows[-1][2] > 1e-12) == noise      # the total variance
 

@@ -533,6 +533,22 @@ def test_apriori_peak_is_below_five_ensembles():
     assert peak < 5 * ensemble_bytes
 
 
+def test_apriori_peak_is_below_half_an_ensemble():
+    # the default config's finest level: the norms read each time slice
+    # of the stream, so the ensemble (3.05 MiB) is never built
+    params = cli._fill(cli.PARAMS["verify-apriori"], {})
+    n, n_t = params["levels"][-1]
+    pb = cli._build_problem(params, n=n, n_t=n_t)
+    ensemble_bytes = 8 * params["n_samples"] * pb.n_times * pb.m * n
+    tracemalloc.start()
+    try:
+        apriori_estimate_check(pb, params["n_samples"], seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ensemble_bytes / 2
+
+
 def test_apriori_refinement_trace():
     rep = apriori_refinement(lambda n, n_t: _apriori_problem(n, n_t),
                              ((16, 8), (32, 16)), 48, seed=3)
