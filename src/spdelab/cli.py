@@ -127,7 +127,7 @@ PARAMS = {
         "phi": Key(_SYMBOL, _POWER), "grid": _grid(64), "m": _count(1),
         "alpha": Key("number", 2.0, least=0), "count": _count(16),
         "band_frac": Key("number", 0.5, above=0),
-        # lp_norm is no norm below p = 1, and the equivalence needs 1 < p
+        # the L^p sum is no norm below p = 1, and the equivalence needs 1 < p
         "p": Key("number", 2.0, above=1)},
     # the multiplier battery's dyadic sampling covers d <= 3
     "verify-multiplier": {"d": Key("int", 1, least=1, most=3)},
@@ -208,14 +208,19 @@ def _largest_array(command, p):
     big = 0
     for n, n_t in p.get("levels", [(p["grid"]["n"], p.get("n_t", 1))]
                         if "grid" in p else []):
-        cells = 2 * p.get("quad_refine", 0) * n_t + 1   # the quadrature grid
+        N = p.get("quad_refine", 0) * n_t + 1      # the refined path nodes
         per_point = {    # complex entries per grid point
             "verify-lp": n_t * p.get("n_theta", 1) * m,
             "verify-goperator": n_t * m, "verify-kernelenv": d,
             "verify-bessel": p.get("count", 1) * m,
-        }.get(command, max(S * (n_t + 1) * m, cells, n_t * m * J))
+        }.get(command, max(S * (n_t + 1) * m, 2 * N - 1, n_t * m * J))
+        # with noise, the Gram of the path nodes (pathwise) or the complex
+        # Gram of their increments (modewise)
+        gram = 16 * (N - 1) ** 2 if p.get("estimator") == "modewise" \
+            else 8 * N * N
         # past d = 64 any grid is over the cap; min keeps n^d a small int
-        big = max(big, 16 * per_point * n ** min(d, 64), 8 * S * J * cells)
+        big = max(big, 16 * per_point * n ** min(d, 64),
+                  8 * S * J * (2 * N - 1), J and gram)
     return big
 
 

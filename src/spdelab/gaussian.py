@@ -10,7 +10,7 @@ all downstream formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,8 +111,6 @@ class PathSample:
 
     times: np.ndarray              # (n_times,)
     paths: np.ndarray              # (n_samples, J, n_times)
-    seed: int
-    meta: dict = field(default_factory=dict)
 
 
 def sample_paths(kernel: CovarianceKernel, times, q: QSpec, n_samples, seed) -> PathSample:
@@ -129,8 +127,7 @@ def sample_paths(kernel: CovarianceKernel, times, q: QSpec, n_samples, seed) -> 
         gen = _rng.substream(seed, _rng.PATHS, j)
         z = gen.standard_normal((len(times), n_samples))
         paths[:, j, :] = (L @ z).T
-    return PathSample(times=times, paths=paths, seed=int(seed),
-                      meta={"kernel": kernel.name, "J": q.J})
+    return PathSample(times=times, paths=paths)
 
 
 # ---------------------------------------------------------------------------

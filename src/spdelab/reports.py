@@ -34,6 +34,13 @@ def _plain(x):
     return x
 
 
+def ratio_of(lhs, rhs):
+    """lhs / rhs, where 0/0 reads 0 and x/0 reads inf."""
+    if rhs == 0.0:
+        return 0.0 if lhs == 0.0 else math.inf
+    return lhs / rhs
+
+
 @dataclass
 class MultiplierReport:
     """Outcome of one multiplier-condition scan.
@@ -84,15 +91,11 @@ class RatioReport:
     def make(cls, name, lhs, rhs_components, refinement_trace=None,
              seed=None, n_samples=None, details=None):
         """Build a report, guarding the 0/0 case (trivially passed)."""
-        rhs_total = float(sum(rhs_components))
-        lhs = float(lhs)
-        if rhs_total == 0.0 and lhs == 0.0:
-            ratio, passed = 0.0, True
-            trace = list(refinement_trace or [])
-        else:
-            ratio = lhs / rhs_total if rhs_total != 0.0 else float("inf")
-            trace = list(refinement_trace or [])
-            passed = math.isfinite(ratio)
+        lhs, rhs_total = float(lhs), float(sum(rhs_components))
+        ratio = ratio_of(lhs, rhs_total)
+        trace = list(refinement_trace or [])
+        passed = math.isfinite(ratio)
+        if lhs != 0.0 or rhs_total != 0.0:      # else 0/0: passed
             ratios = [r for (_lvl, r) in trace if r != 0.0]
             for a, b in zip(ratios, ratios[1:]):
                 if not math.isfinite(b) or abs(b / a - 1.0) > DRIFT_TOL:

@@ -159,10 +159,10 @@ class SolutionEnsemble:
     filled from time_slices() the first time it is read, and then kept.
     """
 
-    def __init__(self, problem: SPDEProblem, samples, estimator, seed,
+    def __init__(self, problem: SPDEProblem, samples, estimator,
                  paths: PathSample | None = None, *, det=None, n_samples=None,
                  stream=None):
-        self.problem, self.estimator, self.seed = problem, estimator, seed
+        self.problem, self.estimator = problem, estimator
         self.paths = paths
         if samples is not None:
             self.samples = samples
@@ -412,7 +412,7 @@ def refined_path_times(problem: SPDEProblem):
 
 
 def solve(problem: SPDEProblem, n_samples, seed,
-          estimator="modewise") -> SolutionEnsemble:
+          estimator="pathwise") -> SolutionEnsemble:
     """u = homogeneous + forced + stochastic convolution, per sample.
 
     The deterministic part, the paths and the modewise samples are made
@@ -431,8 +431,8 @@ def solve(problem: SPDEProblem, n_samples, seed,
         paths = sample_paths(problem.kernel, refined_path_times(problem),
                              problem.q, n_samples, seed)
         stream = stochastic_convolution_pathwise(problem, paths, det=det)
-    return SolutionEnsemble(problem, samples, estimator, int(seed), paths=paths,
-                            det=det, n_samples=int(n_samples), stream=stream)
+    return SolutionEnsemble(problem, samples, estimator, paths=paths, det=det,
+                            n_samples=int(n_samples), stream=stream)
 
 
 def mode_residual(ensemble: SolutionEnsemble, k_index: int) -> dict:

@@ -1,16 +1,16 @@
-"""Periodic grid, unitary FFT contract, and multiplier operators.
+"""Periodic grid, unitary FFT contract, and the symbol tables.
 
 Everything lives on the torus [0, L)^d sampled at n points per axis, so
-every operator here is an exact Fourier multiplier: the pseudo-differential
+every operator is an exact Fourier multiplier: the pseudo-differential
 operator with symbol psi, the Bessel lift (1 + phi)^{alpha/2}, and the
-two-parameter evolution operator exp(int_s^t psi(r, xi) dr).
+two-parameter evolution operator exp(int_s^t psi(r, xi) dr).  This module
+gives their values on the grid; a caller multiplies a transform by them.
 
 Conventions:
   * frequencies are 2 pi k / L with k in fft order,
   * transforms use norm="ortho" so discrete Parseval is exact,
   * a real field has a Hermitian spectrum, so its transform keeps only the
     half spectrum, the frequencies of GridSpec.half,
-  * L^p norms are Riemann sums with cell volume (L/n)^d,
   * the symbol value at xi = 0 follows the limit rule (SymbolSpec.at_zero).
 """
 
@@ -131,12 +131,9 @@ class Field:
     def zeros(cls, grid, m=1):
         return cls(grid, m, np.zeros((m, grid.n_points), dtype=complex))
 
-    def copy(self):
-        return Field(self.grid, self.m, self.values.copy())
-
 
 # ---------------------------------------------------------------------------
-# transforms and multipliers
+# transforms and symbol values
 
 
 def spatial_fft(arr, grid: GridSpec, inverse=False, out=None) -> np.ndarray:
@@ -254,38 +251,13 @@ def check_hermitian(sym: SymbolSpec, vals, grid: GridSpec):
                                "grid: a real result needs sym(-xi) = conj sym(xi)")
 
 
-def apply_multiplier(field: Field, mult: np.ndarray) -> Field:
-    spec = spatial_fft(field.values, field.grid) * mult
-    return Field(field.grid, field.m, spatial_fft(spec, field.grid, inverse=True))
-
-
 def bessel_multiplier(phi: SymbolSpec, grid: GridSpec, alpha) -> np.ndarray:
     """(1 + Re phi(xi))^{alpha/2} at every grid frequency, real."""
     return (1.0 + np.real(symbol_on_grid(phi, 0.0, grid))) ** (alpha / 2.0)
 
 
-def bessel_lift(phi: SymbolSpec, alpha, field: Field) -> Field:
-    """Apply (1 + phi(xi))^{alpha/2}."""
-    return apply_multiplier(field, bessel_multiplier(phi, field.grid, alpha))
-
-
-def lp_norm(field: Field, p) -> float:
-    """Riemann L^p norm with the Euclidean norm over the m components."""
-    ptw = np.sqrt(np.sum(np.abs(field.values) ** 2, axis=0))
-    if np.isinf(p):
-        return float(np.max(ptw))
-    if p <= 0:
-        raise ValueError("p must be positive")
-    return float((np.sum(ptw ** p) * field.grid.cell_volume) ** (1.0 / p))
-
-
-def bessel_norm(field: Field, phi: SymbolSpec, alpha, p) -> float:
-    """The norm ||(1 + L_phi)^{alpha/2} u||_{L^p} on the grid."""
-    return lp_norm(bessel_lift(phi, alpha, field), p)
-
-
 # ---------------------------------------------------------------------------
-# evolution operator
+# the evolution operator's symbol tables
 
 
 # symbol_time_integral's Simpson ladder: the subintervals of a cell's first
@@ -349,19 +321,6 @@ def symbol_time_integral(psi: SymbolSpec, t, s, grid: GridSpec):
             coarse = fine
         trap += mid
         k *= 2
-
-
-def evolution_multiplier(psi: SymbolSpec, t, s, grid: GridSpec):
-    return np.exp(symbol_time_integral(psi, t, s, grid))
-
-
-def evolution_apply(psi: SymbolSpec, t, s, field: Field) -> Field:
-    """Apply the evolution operator from time s to time t >= s."""
-    if t < s:
-        raise ValueError("evolution requires t >= s")
-    if t == s:
-        return field.copy()
-    return apply_multiplier(field, evolution_multiplier(psi, t, s, field.grid))
 
 
 def symbol_cumulative_integrals(psi: SymbolSpec, times, grid: GridSpec):

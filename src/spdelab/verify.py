@@ -15,12 +15,11 @@ from .covariance import CovarianceKernel
 from .errors import HypothesisViolationError
 from .gaussian import TIME_TOL, QSpec, canonical_partition
 from .malliavin import ElementaryProcess, JointDesign, mixed_norm_terms
-from .reports import RatioReport
+from .reports import RatioReport, ratio_of
 from .solver import SPDEProblem, real_components, solve
-from .spectral import (GridSpec, apply_multiplier, bessel_multiplier,
-                       bessel_norm, check_class_s_sign, check_hermitian,
-                       lp_norm, multiplier_kernel, spatial_fft, spatial_irfft,
-                       spatial_rfft, symbol_cumulative_integrals,
+from .spectral import (GridSpec, bessel_multiplier, check_class_s_sign,
+                       check_hermitian, multiplier_kernel, spatial_fft,
+                       spatial_irfft, spatial_rfft, symbol_cumulative_integrals,
                        symbol_on_grid, symbol_time_integral)
 from .symbols import SymbolSpec
 
@@ -122,7 +121,7 @@ def maximal_inequality_check(u: ElementaryProcess, kernel: CovarianceKernel,
     level_rows = []
     for li, lev in enumerate(sup_levels):
         lhs = float(sums[0, li] / n)
-        ratio = lhs / denom if denom > 0 else (0.0 if lhs == 0 else np.inf)
+        ratio = ratio_of(lhs, denom)
         trace.append((float(lev), float(ratio)))
         level_rows.append({"level": int(lev), "lhs": lhs,
                            "lhs_se": float(lhs_se[li]), "rhs": list(rhs),
@@ -230,8 +229,7 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
         for f_cell in fv:
             xn = _lp_power(f_cell, grid, p, comp_axes=1)                # (th,)
             rhs += dt * float(np.sum(w_th * xn ** (r_exp / p))) ** (p / r_exp)
-        ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
-        trace.append((float(n), float(ratio)))
+        trace.append((float(n), float(ratio_of(lhs, rhs))))
     return RatioReport.make(
         name or "littlewood-paley", lhs, [rhs], refinement_trace=trace,
         details={"p": p, "q": q_exp, "r": r_exp, "n_theta": n_theta,
@@ -246,18 +244,21 @@ def bessel_equivalence_check(phi: SymbolSpec, alpha, p, fields) -> dict:
     """Empirical sandwich constants for the lifted norm.
 
     For each field, ratio = ||(1+L_phi)^{a/2} u||_p / (||u||_p +
-    ||L_phi^{a/2} u||_p); reports the min (C1_hat) and max (C2_hat).
+    ||L_phi^{a/2} u||_p); reports the min (C1_hat) and max (C2_hat).  Per
+    field, one transform and one inverse of the two multipliers
+    (1 + Re phi)^{a/2} and max(Re phi, 0)^{a/2}, stacked.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     ratios = []
     for u in fields:
         base = np.real(symbol_on_grid(phi, 0.0, u.grid))
-        num = bessel_norm(u, phi, alpha, p)
-        mult = np.maximum(base, 0.0) ** (alpha / 2.0)
-        den = lp_norm(u, p) + lp_norm(apply_multiplier(u, mult), p)
-        ratios.append(num / den if den > 0 else np.nan)
-    ratios = [float(r) for r in ratios]
+        mults = np.stack((1.0 + base, np.maximum(base, 0.0))) ** (alpha / 2.0)
+        lifted = spatial_fft(mults[:, None] * spatial_fft(u.values, u.grid),
+                             u.grid, inverse=True)               # (2, m, n_pts)
+        num, lphi = _lp_power(lifted, u.grid, p, comp_axes=1) ** (1.0 / p)
+        den = _lp_power(u.values, u.grid, p, comp_axes=0) ** (1.0 / p) + lphi
+        ratios.append(float(num / den) if den > 0 else np.nan)
     finite = [r for r in ratios if np.isfinite(r)]
     return {
         "name": f"bessel-equivalence[{phi.name},alpha={alpha}]",
@@ -335,7 +336,7 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
             # the per-cell powers, added in order of k
             lhs = float(np.cumsum(dt * _lp_power(gf, grid, p, 1))[-1]) ** (1.0 / p)
             rhs = float(np.cumsum(dt * _lp_power(fv, grid, p, 1))[-1]) ** (1.0 / p)
-            r = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
+            r = ratio_of(lhs, rhs)
             if r >= level_ratio:
                 level_ratio = r
                 worst = (lhs, [rhs])
@@ -504,7 +505,7 @@ def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
     rhs = [term_0, term_f, term_g]
     return RatioReport.make(
         name or f"apriori[{pb.kernel.name}]", lhs, rhs,
-        refinement_trace=[(float(grid.n), lhs / sum(rhs) if sum(rhs) else 0.0)],
+        refinement_trace=[(float(grid.n), ratio_of(lhs, sum(rhs)))],
         seed=int(seed), n_samples=int(n_samples),
         details={"term_u": term_u, "term_du": term_du, "term_g": term_g,
                  "term_u0": term_0, "term_f": term_f, "estimator": ens.estimator,

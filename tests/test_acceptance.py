@@ -30,8 +30,9 @@ from spdelab.malliavin import (
     skorohod_elementary,
     skorohod_moment_check,
 )
-from spdelab.solver import SPDEProblem, solve
-from spdelab.spectral import Field, GridSpec, evolution_apply
+from spdelab.solver import SPDEProblem, _quad_grid, solve
+from spdelab.spectral import (Field, GridSpec, spatial_fft,
+                              symbol_cumulative_integrals)
 from spdelab.symbols import builtin_symbol, check_marcinkiewicz, check_mihlin
 from spdelab.verify import (
     apriori_refinement,
@@ -109,22 +110,42 @@ def test_criterion_03_moment_identity_battery():
 
 
 def test_criterion_04_evolution_composition_law():
+    # T(t,s) = exp of a difference of symbol_cumulative_integrals, the
+    # tables the solver evolves with: T(t,r) T(r,s) from the table on
+    # (s, r, t) against T(t,s) from the table on (s, t), on one field
     grid = GridSpec(d=1, n=64, L=2.0 * np.pi)
     f = battery.bessel_field_battery(grid, m=1, count=1, seed=4)[0]
-    fn = np.linalg.norm(f.values)
+    f_hat = spatial_fft(f.values, grid)
+    fn = np.linalg.norm(f_hat)
     triples = [(0.0, 0.3, 0.7), (0.1, 0.4, 1.0), (0.2, 0.35, 0.5)]
     errs = {}
     for psi, tol in ((HEAT, 1e-12), (HEAT_OSC, 1e-6)):
         worst = 0.0
         for s, r, t in triples:
-            two = evolution_apply(psi, t, r, evolution_apply(psi, r, s, f))
-            one = evolution_apply(psi, t, s, f)
-            worst = max(worst, np.linalg.norm(two.values - one.values) / fn)
+            c3 = symbol_cumulative_integrals(psi, [s, r, t], grid)
+            c2 = symbol_cumulative_integrals(psi, [s, t], grid)
+            two = np.exp(c3[2] - c3[1]) * (np.exp(c3[1] - c3[0]) * f_hat)
+            one = np.exp(c2[1] - c2[0]) * f_hat
+            worst = max(worst, np.linalg.norm(two - one) / fn)
         assert worst <= tol, f"{psi.name}: {worst} > {tol}"
         errs[psi.name] = worst
+    # the deterministic parts read the solution-time table, the stochastic
+    # convolution the refined quadrature table: they agree at the solution
+    # times
+    times = np.linspace(0.0, 1.0, 17)
+    q_grid, _, _, sol_idx = _quad_grid(times, 8)
+    for psi in (HEAT, HEAT_OSC):
+        pb = SPDEProblem(psi=psi, u0=f, kernel=builtin_kernel("wiener"), q=Q1,
+                         times=times, quad_refine=8)
+        quad = symbol_cumulative_integrals(psi, q_grid, grid.half)[sol_idx]
+        gap = np.max(np.abs(pb.cums - quad)) / np.max(np.abs(quad))
+        assert gap <= 1e-12, f"{psi.name}: tables differ by {gap}"
+        errs[psi.name + " tables"] = gap
     _report(4, "evolution composition law",
             f"heat {errs['heat']:.2e} <= 1e-12, "
-            f"heat_osc {errs['heat_osc']:.2e} <= 1e-6")
+            f"heat_osc {errs['heat_osc']:.2e} <= 1e-6; solution-time and "
+            f"quadrature tables within {errs['heat tables']:.1e} (heat), "
+            f"{errs['heat_osc tables']:.1e} (heat_osc) <= 1e-12")
 
 
 def _mode_variances(ens):

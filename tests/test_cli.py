@@ -198,7 +198,7 @@ def test_lp_odd_phi_exits_2(tmp_path, capsys):
     ("verify-lp", {"a": 1, "b": 0, "levels": [[32, 16]]}),
     ("verify-apriori", {"box": -1, "levels": [[32, 16]]}),
     # alpha < 0 raised a ValueError traceback; p <= 1 ran to PASS, but
-    # lp_norm is no norm there and the equivalence needs 1 < p
+    # the L^p sum is no norm there and the equivalence needs 1 < p
     ("verify-bessel", {"alpha": -1.0, "grid": {"n": 8}, "count": 1}),
     ("verify-bessel", {"p": 0.5, "grid": {"n": 8}, "count": 1}),
     ("verify-bessel", {"p": 1.0, "grid": {"n": 8}, "count": 1}),
@@ -587,6 +587,28 @@ def test_process_choices_are_the_battery():
 ])
 def test_config_over_the_array_cap_exits_2(tmp_path, capsys, command, params):
     _assert_rejected(tmp_path, capsys, command, params)
+
+
+# N = 8 * 4096 + 1 path nodes: an 8.6 GB path Gram (pathwise), a 17 GB
+# complex increment Gram (modewise), against 16.8 MB of samples and grids
+_NOISY_LONG = {"grid": {"n": 16}, "n_t": 4096, "quad_refine": 8,
+               "n_samples": 1, "g": "constant"}
+
+
+@pytest.mark.parametrize("command,params", [
+    ("simulate", _NOISY_LONG),
+    ("simulate", dict(_NOISY_LONG, estimator="modewise")),
+    ("verify-apriori", {"levels": [[16, 4096]], "quad_refine": 8,
+                        "n_samples": 1, "g": "constant"}),
+])
+def test_gram_over_the_array_cap_is_a_config_error(tmp_path, command, params):
+    # load_config only: the config must be refused before anything runs
+    with pytest.raises(SchemaError, match="over the cap"):
+        cli.load_config(command, _write_cfg(tmp_path, "big.json",
+                                            {"params": params}))
+    # without noise there is no Gram, and the same sizes are accepted
+    cli.load_config(command, _write_cfg(tmp_path, "quiet.json",
+                                        {"params": dict(params, g="none")}))
 
 
 def _largest(command, params):

@@ -633,7 +633,7 @@ def test_ensemble_summary_rows_memory_is_one_time_slice():
     shape = (2048, pb.n_times, 2, GRID.n_points)
     samples = r.standard_normal(shape) + 1j * r.standard_normal(shape)
     ens = solver.SolutionEnsemble(problem=pb, samples=samples,
-                                  estimator="pathwise", seed=0)
+                                  estimator="pathwise")
     assert samples.nbytes >= 16 << 20
     tracemalloc.start()
     try:

@@ -60,7 +60,7 @@ def test_symbol_eval_only_in_symbol_on_grid():
 
 
 # names with no caller in the package that tests/test_acceptance.py uses
-ACCEPTANCE_ONLY = {"step_battery", "evolution_apply", "wiener_integral_path"}
+ACCEPTANCE_ONLY = {"step_battery", "wiener_integral_path"}
 
 
 def _definitions(tree):
@@ -194,3 +194,22 @@ def test_config_values_checked_only_by_the_key_rules():
                if isinstance(node, ast.Attribute)
                and node.attr in ("environ", "getenv")}
     assert environ == {"load_config"}
+
+
+def test_every_allowance_names_something():
+    # a stale entry in the lists above exempts nothing and misleads: each
+    # names a definition, an option or a function of cli that exists
+    trees = {name: ast.parse(text) for name, text in SOURCES.items()}
+    defined = {name for tree in trees.values() for name, _ in _definitions(tree)}
+    options = {f"{name}({param})" for tree in trees.values()
+               for name, _, opt in _options(tree) for param in opt}
+    assert sorted((ACCEPTANCE_ONLY | INDIRECT) - defined) == []
+    assert sorted(PUBLIC_OPTIONS - options) == []
+    assert sorted(set(CROSS_KEY_RULES)
+                  - {name for name, _ in _definitions(trees["cli.py"])}) == []
+    # an acceptance-only name that the package has come to use is no
+    # longer acceptance-only
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    used = {node.id for node in nodes if isinstance(node, ast.Name)} \
+        | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert sorted(ACCEPTANCE_ONLY & used) == []

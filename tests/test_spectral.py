@@ -10,11 +10,7 @@ from spdelab.solver import _quad_grid
 from spdelab.spectral import (
     Field,
     GridSpec,
-    apply_multiplier,
-    bessel_norm,
-    evolution_apply,
-    evolution_multiplier,
-    lp_norm,
+    bessel_multiplier,
     multiplier_kernel,
     spatial_fft,
     spatial_irfft,
@@ -76,38 +72,26 @@ def test_symbol_at_zero_rule():
     assert vals[0] == 0.0             # flat index 0 is xi = 0
 
 
-def test_constant_multiplier_identity():
-    grid = GridSpec(d=2, n=8, L=1.0)
-    f = _random_field(grid, m=1, seed=5)
-    out = apply_multiplier(f, np.ones(grid.n_points) + 0j)
-    assert np.allclose(out.values, f.values, atol=1e-13)
-
-
 def test_pseudo_diff_single_mode():
     # L_psi e^{i k x} = psi(k) e^{i k x}
     grid = GridSpec(d=1, n=32, L=2 * np.pi)
     psi = builtin_symbol("heat", gamma=2.0, d=1)
     x = grid.x_grid()[:, 0]
-    f = Field(grid, 1, np.exp(1j * 3 * x)[None, :])
-    out = apply_multiplier(f, symbol_on_grid(psi, 0.0, grid))
-    assert np.allclose(out.values, -9.0 * f.values, atol=1e-10)
+    f = np.exp(1j * 3 * x)[None, :]
+    out = spatial_fft(spatial_fft(f, grid) * symbol_on_grid(psi, 0.0, grid),
+                      grid, inverse=True)
+    assert np.allclose(out, -9.0 * f, atol=1e-10)
 
 
-def test_lp_norm_riemann():
-    grid = GridSpec(d=1, n=64, L=2 * np.pi)
-    f = Field(grid, 1, np.ones((1, grid.n_points), dtype=complex))
-    assert lp_norm(f, 2.0) == pytest.approx(np.sqrt(2 * np.pi))
-    assert lp_norm(f, np.inf) == pytest.approx(1.0)
-
-
-def test_bessel_norm_single_mode():
+def test_bessel_multiplier_single_mode():
     # (1 + |k|^2)^{alpha/2} scaling of a pure mode, exact
     grid = GridSpec(d=1, n=32, L=2 * np.pi)
     phi = builtin_symbol("power", gamma=2.0, d=1)
     x = grid.x_grid()[:, 0]
-    f = Field(grid, 1, np.exp(1j * 2 * x)[None, :])
-    assert bessel_norm(f, phi, 2.0, 2.0) == pytest.approx(
-        (1 + 4.0) * lp_norm(f, 2.0), rel=1e-12)
+    f = np.exp(1j * 2 * x)[None, :]
+    out = spatial_fft(spatial_fft(f, grid) * bessel_multiplier(phi, grid, 2.0),
+                      grid, inverse=True)
+    assert np.allclose(out, (1 + 4.0) * f, rtol=0.0, atol=1e-12)
 
 
 def test_time_integral_exact_for_time_independent():
@@ -127,26 +111,27 @@ def test_time_integral_simpson_vs_closed_form():
     assert np.max(np.abs(vals - want) / (1.0 + np.abs(want))) < 1e-8
 
 
+def _evolved(psi, t, s, grid, f_hat):
+    # T(t, s) on a spectrum: exp(int_s^t psi) times it
+    return np.exp(symbol_time_integral(psi, t, s, grid)) * f_hat
+
+
 def test_evolution_law_time_independent():
     grid = GridSpec(d=1, n=32, L=2 * np.pi)
     psi = builtin_symbol("heat", gamma=2.0, d=1)
-    f = _random_field(grid, seed=2)
-    two = evolution_apply(psi, 0.9, 0.4, evolution_apply(psi, 0.4, 0.1, f))
-    one = evolution_apply(psi, 0.9, 0.1, f)
-    num = np.sqrt(np.sum(np.abs(two.values - one.values) ** 2))
-    den = np.sqrt(np.sum(np.abs(f.values) ** 2))
-    assert num / den <= 1e-12
+    f_hat = spatial_fft(_random_field(grid, seed=2).values, grid)
+    two = _evolved(psi, 0.9, 0.4, grid, _evolved(psi, 0.4, 0.1, grid, f_hat))
+    one = _evolved(psi, 0.9, 0.1, grid, f_hat)
+    assert np.linalg.norm(two - one) / np.linalg.norm(f_hat) <= 1e-12
 
 
 def test_evolution_law_time_dependent_simpson():
     grid = GridSpec(d=1, n=32, L=2 * np.pi)
     psi = builtin_symbol("heat_osc", d=1)
-    f = _random_field(grid, seed=4)
-    two = evolution_apply(psi, 1.0, 0.5, evolution_apply(psi, 0.5, 0.0, f))
-    one = evolution_apply(psi, 1.0, 0.0, f)
-    num = np.sqrt(np.sum(np.abs(two.values - one.values) ** 2))
-    den = np.sqrt(np.sum(np.abs(f.values) ** 2))
-    assert num / den <= 1e-6
+    f_hat = spatial_fft(_random_field(grid, seed=4).values, grid)
+    two = _evolved(psi, 1.0, 0.5, grid, _evolved(psi, 0.5, 0.0, grid, f_hat))
+    one = _evolved(psi, 1.0, 0.0, grid, f_hat)
+    assert np.linalg.norm(two - one) / np.linalg.norm(f_hat) <= 1e-6
 
 
 def test_cumulative_integrals_compose_exactly():
@@ -309,7 +294,8 @@ def test_kernel_p_psi_mass():
     # Riemann sum of the kernel equals the multiplier at xi = 0 (here e^0 = 1)
     grid = GridSpec(d=1, n=128, L=4 * np.pi)
     psi = builtin_symbol("heat", gamma=2.0, d=1)
-    ker = multiplier_kernel(evolution_multiplier(psi, 0.3, 0.0, grid), grid)
+    ker = multiplier_kernel(np.exp(symbol_time_integral(psi, 0.3, 0.0, grid)),
+                            grid)
     mass = np.sum(ker).real * grid.cell_volume
     assert mass == pytest.approx(1.0, abs=1e-12)
     # heat kernel: compare against the Gaussian closed form at a few points

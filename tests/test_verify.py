@@ -335,6 +335,16 @@ def _band_fields():
     return battery.bessel_field_battery(grid, m=1, count=6, seed=2)
 
 
+def test_lp_power_riemann():
+    # the one L^p routine: a Riemann sum with cell volume (L/n)^d, the
+    # Euclidean norm over the component axes
+    grid = GridSpec(d=1, n=64, L=2 * np.pi)
+    ones = np.ones((2, grid.n_points))
+    assert verify._lp_power(ones[:1], grid, 2.0, 0) == pytest.approx(2 * np.pi)
+    assert verify._lp_power(ones, grid, 3.0, 0) == pytest.approx(
+        2 ** 1.5 * 2 * np.pi)
+
+
 def test_bessel_alpha_zero_is_exactly_half():
     rep = bessel_equivalence_check(POWER2, 0.0, 2.0, _band_fields())
     # (1 + L)^0 u = u and L^0 u = u, so every ratio is 1/(1+1)
