@@ -214,10 +214,9 @@ def _largest_array(command, p):
             "verify-goperator": n_t * m, "verify-kernelenv": d,
             "verify-bessel": p.get("count", 1) * m,
         }.get(command, max(S * (n_t + 1) * m, 2 * N - 1, n_t * m * J))
-        # with noise, the Gram of the path nodes (pathwise) or the complex
-        # Gram of their increments (modewise)
-        gram = 16 * (N - 1) ** 2 if p.get("estimator") == "modewise" \
-            else 8 * N * N
+        # with noise, the Gram of the increments between the path nodes:
+        # complex for modewise, real for pathwise
+        gram = (N - 1) ** 2 * (16 if p.get("estimator") == "modewise" else 8)
         # past d = 64 any grid is over the cap; min keeps n^d a small int
         big = max(big, 16 * per_point * n ** min(d, 64),
                   8 * S * J * (2 * N - 1), J and gram)

@@ -245,22 +245,14 @@ def _bessel_pieces(delta):
 # increments, Gram matrices, Cholesky
 
 
-def gram_matrix(kernel: CovarianceKernel, times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
-    T, S = np.meshgrid(times, times, indexing="ij")
-    return np.asarray(kernel.R(T, S), dtype=float)
-
-
 def cross_increments(kernel: CovarianceKernel, a, b) -> np.ndarray:
     """Rectangle increments of R between the cells of partitions a and b.
 
     Entry (i, j) is the inner product of the indicators of (a_i, a_{i+1}]
     and (b_j, b_{j+1}]; the result has shape (len(a) - 1, len(b) - 1).
     """
-    T, S = np.meshgrid(a, b, indexing="ij")
-    R = np.asarray(kernel.R(T, S), dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    R = np.asarray(kernel.R(a[:, None], b[None, :]), dtype=float)
     return R[1:, 1:] - R[1:, :-1] - R[:-1, 1:] + R[:-1, :-1]
 
 
@@ -276,12 +268,13 @@ def cholesky_psd(mat: np.ndarray) -> np.ndarray:
     """Cholesky with a jitter ladder, tolerating exactly-zero variables.
 
     mat is one (n, n) matrix or a stack (..., n, n).  Rows whose diagonal
-    entry is zero (a variance-zero variable such as a path value at t = 0)
-    are removed before factoring and restored as zero rows.  The matrices
-    of a stack with no zero on the diagonal are factored in one call; the
-    others, and all of them if that call fails, go one at a time through
-    the zero-row removal and the ladder, so each factor has the bits of a
-    2-D call.  Failure after the full ladder raises KernelValidityError.
+    entry is zero (a variance-zero variable, such as a row of a modewise
+    covariance whose integrand vanishes or underflows) are removed before
+    factoring and restored as zero rows.  The matrices of a stack with no
+    zero on the diagonal are factored in one call; the others, and all of
+    them if that call fails, go one at a time through the zero-row removal
+    and the ladder, so each factor has the bits of a 2-D call.  Failure
+    after the full ladder raises KernelValidityError.
     """
     mat = np.asarray(mat)
     if not np.iscomplexobj(mat):

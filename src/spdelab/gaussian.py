@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng as _rng
 from .covariance import (CovarianceKernel, cholesky_psd, cross_increments,
-                         gram_matrix)
+                         increment_gram)
 from .errors import AlignmentError, KernelValidityError
 
 TIME_TOL = 1e-9
@@ -113,21 +113,29 @@ class PathSample:
     paths: np.ndarray              # (n_samples, J, n_times)
 
 
-def sample_paths(kernel: CovarianceKernel, times, q: QSpec, n_samples, seed) -> PathSample:
-    """Draw i.i.d. paths of the scalar factors via Cholesky of [R(t_i, t_j)].
+def draw_increments(chol, J, n_samples, seed, role, *key) -> np.ndarray:
+    """Increments of J i.i.d. scalar factors, (n_samples, J, P), given a
+    factor chol (P, P) of their increment Gram: factor j is chol @ z on its
+    own substream (seed, role, j, *key), so J does not change its bits."""
+    out = np.empty((n_samples, J, len(chol)))
+    for j in range(J):
+        z = _rng.substream(seed, role, j, *key).standard_normal(
+            (len(chol), n_samples))
+        out[:, j, :] = (chol @ z).T
+    return out
 
-    Each factor index j gets its own counter-based substream, so paths are
-    reproducible independently of J and of how many samples other modes
-    consumed.
-    """
+
+def sample_paths(kernel: CovarianceKernel, times, q: QSpec, n_samples, seed) -> PathSample:
+    """i.i.d. paths of the scalar factors at `times`: cumulative sums from
+    beta(0) = 0 of increments on (0, times] (draw_increments, role PATHS);
+    a grid that starts after 0 gets 0 prepended for the draw."""
     times = np.asarray(times, dtype=float)
-    L = cholesky_psd(gram_matrix(kernel, times))
-    paths = np.empty((n_samples, q.J, len(times)))
-    for j in range(q.J):
-        gen = _rng.substream(seed, _rng.PATHS, j)
-        z = gen.standard_normal((len(times), n_samples))
-        paths[:, j, :] = (L @ z).T
-    return PathSample(times=times, paths=paths)
+    edges = np.concatenate(([0.0], times)) if times[0] > 0 else times
+    chol = cholesky_psd(increment_gram(kernel, edges))
+    paths = np.zeros((n_samples, q.J, len(edges)))
+    np.cumsum(draw_increments(chol, q.J, n_samples, seed, _rng.PATHS),
+              axis=-1, out=paths[..., 1:])
+    return PathSample(times=times, paths=paths[..., len(edges) - len(times):])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from numpy.polynomial import polynomial as npoly
 from . import rng as _rng
 from .covariance import CovarianceKernel, cholesky_psd, increment_gram
 from .errors import AlignmentError
-from .gaussian import QSpec, StepFunction, canonical_partition
+from .gaussian import (QSpec, StepFunction, canonical_partition,
+                       draw_increments)
 
 _SHAPES = ("polynomial", "exp_neg_square", "sine")
 
@@ -193,12 +194,8 @@ class JointDesign:
 
     def draw(self, n_samples, seed, block=0):
         """Joint increments Delta beta, shape (n_samples, J, P)."""
-        delta = np.empty((n_samples, self.q.J, self.P))
-        for j in range(self.q.J):
-            gen = _rng.substream(seed, _rng.SKOROHOD, j, block)
-            z = gen.standard_normal((self.P, n_samples))
-            delta[:, j, :] = (self.chol @ z).T
-        return delta
+        return draw_increments(self.chol, self.q.J, n_samples, seed,
+                               _rng.SKOROHOD, block)
 
     def beta(self, refined_coeffs, delta):
         """Wiener integral of a step function given by refined coefficients."""

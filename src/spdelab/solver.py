@@ -13,8 +13,9 @@ convolution has two independent estimators:
   still draws from its own (seed, CONV_MODEWISE, j, k) substream.
   Exponents below _EXP_FLOOR (about -346) enter as exact zeros, which
   keeps the stacked products out of subnormal arithmetic.
-* pathwise -- Riemann sums against sampled increments of beta on a refined
-  grid; preserves the joint real-field structure, with float64 samples.
+* pathwise -- Riemann sums against increments of beta paths that it draws
+  on the refined grid (gaussian.sample_paths); preserves the joint
+  real-field structure, with float64 samples.
 
 Both estimators evaluate the integrand a(t,s) = exp(int_s^t psi) g(s) at
 the midpoints of the same refined quadrature partition, with every exponent
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import rng as _rng
 from .covariance import CovarianceKernel, cholesky_psd, increment_gram
-from .errors import AlignmentError, HypothesisViolationError
+from .errors import HypothesisViolationError
 from .gaussian import TIME_TOL, PathSample, QSpec, sample_paths
 from .spectral import (Field, GridSpec, check_class_s_sign, check_hermitian,
                        spatial_fft, spatial_irfft, spatial_rfft,
@@ -160,17 +161,14 @@ class SolutionEnsemble:
     """
 
     def __init__(self, problem: SPDEProblem, samples, estimator,
-                 paths: PathSample | None = None, *, det=None, n_samples=None,
-                 stream=None):
+                 paths: PathSample | None = None, *, slices=None,
+                 n_samples=None):
         self.problem, self.estimator = problem, estimator
         self.paths = paths
         if samples is not None:
             self.samples = samples
             n_samples = len(samples)
-        self.n_samples = n_samples
-        # the deterministic part, (n_times, m, n_points), and the pathwise
-        # stream that solve started (stochastic_convolution_pathwise)
-        self._det, self._stream = det, stream
+        self.n_samples, self._slices = n_samples, slices
 
     @cached_property
     def samples(self) -> np.ndarray:
@@ -180,19 +178,13 @@ class SolutionEnsemble:
         """Iterator over the samples at each solution time, each
         (n_samples, m, n_points); a slice is valid until the next is taken.
 
-        Reads `samples` once they exist.  Without noise every sample is
-        the deterministic part: read-only broadcast views of it.  Else the
-        pathwise recurrence runs: the first call takes the stream that solve
-        started, a later one starts the recurrence again.
+        Reads `samples` once they exist, else calls the slice source that
+        solve set up: without noise, read-only broadcast views of the
+        deterministic part; with noise, a new run of the pathwise recurrence.
         """
         if "samples" in vars(self):
             return (self.samples[:, i] for i in range(self.problem.n_times))
-        if self.problem.g is None:
-            return (np.broadcast_to(d, (self.n_samples,) + d.shape)
-                    for d in self._det)
-        stream, self._stream = self._stream, None
-        return stream or stochastic_convolution_pathwise(
-            self.problem, self.paths, det=self._det)
+        return self._slices()
 
 
 def _stacked(slices, n_times):
@@ -352,41 +344,32 @@ def stochastic_convolution_modewise(problem: SPDEProblem, n_samples,
     return spatial_fft(out_hat, grid, inverse=True, out=out_hat)
 
 
-def stochastic_convolution_pathwise(problem: SPDEProblem, paths: PathSample,
-                                    det=None):
-    """Riemann-sum sampler against given beta paths on the refined edges.
+def stochastic_convolution_pathwise(problem: SPDEProblem, n_samples, seed):
+    """Riemann-sum sampler against beta paths on the refined edges (g set).
 
     One step per cell on the half spectrum, u_{i+1} = E_i u_i +
     sum_{c in cell i} exp(int_{mid_c}^{t_{i+1}} psi) g_c dB_c.  The paths
-    are checked and the symbol table is built at the call.  Given det
-    (n_times, m, n_points), the deterministic part, it returns a generator
+    (sample_paths on the subcell edges, from seed) are drawn and the symbol
+    table is built at the call, which returns (paths, slices).  slices(det),
+    given det (n_times, m, n_points), the deterministic part, is a generator
     of det[i] + u_i at each solution time in turn, (n_samples, m, n_points),
     float64 for real data: each u_i is inverse-transformed into one buffer,
     reused at every time (complex data is recombined per slice, see
-    _recombined), so a slice is valid until the next is taken.  Without
-    det it returns the stochastic convolution alone, stacked from the same
-    generator: (n_samples, n_times, m, n_points), zeros if g is None.
+    _recombined), so a slice is valid until the next is taken.
     """
     grid = problem.grid
-    n_t, n = problem.n_times, paths.paths.shape[0]
-    if problem.g is None:
-        return np.zeros((n, n_t, problem.m, grid.n_points))
-    n_sub = problem.quad_refine
+    n_t, n_sub = problem.n_times, problem.quad_refine
     q_grid, edges, mid_idx, sol_idx = _quad_grid(problem.times, n_sub)
-    if len(paths.times) != len(edges) or \
-            np.max(np.abs(paths.times - edges)) > TIME_TOL:
-        raise AlignmentError("paths must live on the refined subcell edges")
-    if paths.paths.shape[1] != problem.q.J:
-        raise AlignmentError("path factor count does not match QSpec")
+    paths = sample_paths(problem.kernel, edges, problem.q, n_samples, seed)
     cums = symbol_cumulative_integrals(problem.psi, q_grid, grid.half)
     g_hat = spatial_rfft(real_components(problem.g, 1, problem.real_data), grid)
     dB = np.diff(paths.paths, axis=-1)                        # (n, J, C)
 
-    def slices():
+    def slices(det):
         m2 = g_hat.shape[1]                                   # real components
-        u_hat = np.zeros((n, m2, grid.half.n_points), dtype=complex)
+        u_hat = np.zeros((n_samples, m2, grid.half.n_points), dtype=complex)
         work = np.empty_like(u_hat)
-        out = np.zeros((n, m2, grid.n_points))
+        out = np.zeros((n_samples, m2, grid.n_points))
         for i in range(n_t):
             if i:
                 cell = slice((i - 1) * n_sub, i * n_sub)
@@ -398,41 +381,39 @@ def stochastic_convolution_pathwise(problem: SPDEProblem, paths: PathSample,
                 np.copyto(work, u_hat)
                 spatial_irfft(work, grid, out=out)
             u = _recombined(problem, out)
-            if det is not None:
-                u += det[i]     # det + u bit for bit: addition commutes
+            u += det[i]     # det + u bit for bit: addition commutes
             yield u
 
-    return _stacked(slices(), n_t) if det is None else slices()
-
-
-def refined_path_times(problem: SPDEProblem):
-    """The subcell-edge grid pathwise sampling must live on."""
-    _, edges, _, _ = _quad_grid(problem.times, problem.quad_refine)
-    return edges
+    return paths, slices
 
 
 def solve(problem: SPDEProblem, n_samples, seed,
           estimator="pathwise") -> SolutionEnsemble:
     """u = homogeneous + forced + stochastic convolution, per sample.
 
-    The deterministic part, the paths and the modewise samples are made
-    here, as are the pathwise symbol table and every check.  The pathwise
+    The deterministic part and the modewise samples are made here, as are
+    the pathwise paths and symbol table and every check.  The pathwise
     recurrence runs as the ensemble's time slices are read, and without
     noise the slices broadcast the deterministic part (SolutionEnsemble).
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
+    n_samples = int(n_samples)
     det = deterministic_homogeneous(problem) + deterministic_forced(problem)
-    samples = paths = stream = None
-    if problem.g is not None and estimator == "modewise":
+    samples = paths = slices = None
+    if problem.g is None:
+        def slices():
+            return (np.broadcast_to(d, (n_samples,) + d.shape) for d in det)
+    elif estimator == "modewise":
         samples = stochastic_convolution_modewise(problem, n_samples, seed)
         samples += det      # in place; addition commutes, so det + sto bit for bit
-    elif problem.g is not None:
-        paths = sample_paths(problem.kernel, refined_path_times(problem),
-                             problem.q, n_samples, seed)
-        stream = stochastic_convolution_pathwise(problem, paths, det=det)
-    return SolutionEnsemble(problem, samples, estimator, paths=paths, det=det,
-                            n_samples=int(n_samples), stream=stream)
+    else:
+        paths, stream = stochastic_convolution_pathwise(problem, n_samples, seed)
+
+        def slices():
+            return stream(det)
+    return SolutionEnsemble(problem, samples, estimator, paths, slices=slices,
+                            n_samples=n_samples)
 
 
 def mode_residual(ensemble: SolutionEnsemble, k_index: int) -> dict:

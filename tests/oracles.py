@@ -215,10 +215,11 @@ def forced_trapezoid(problem):
     return spatial_fft(out_hat, grid, inverse=True)
 
 
-def pathwise_full_spectrum(problem, paths):
+def pathwise_full_spectrum(problem, dB):
     """The pathwise solution, homogeneous + forced + stochastic convolution,
     with every part on the complex full spectrum: the cell recurrences of
-    the solver before it solved real fields on the half spectrum.
+    the solver before it solved real fields on the half spectrum, driven by
+    the beta increments dB (n, J, C) on the refined cells.
     (n, n_times, m, n_points) complex."""
     grid, times, n_sub = problem.grid, problem.times, problem.quad_refine
     cums = symbol_cumulative_integrals(problem.psi, times, grid)
@@ -235,7 +236,6 @@ def pathwise_full_spectrum(problem, paths):
     q_grid, _, mid_idx, sol_idx = _quad_grid(times, n_sub)
     q_cums = symbol_cumulative_integrals(problem.psi, q_grid, grid)
     g_hat = spatial_fft(problem.g, grid)
-    dB = np.diff(paths.paths, axis=-1)
     out_hat = np.zeros((dB.shape[0],) + det_hat.shape, dtype=complex)
     for i in range(problem.n_times - 1):
         cell = slice(i * n_sub, (i + 1) * n_sub)
@@ -266,11 +266,11 @@ def _g_subcells(problem):
     return np.repeat(g_hat, problem.quad_refine, axis=0)     # (C, m, J, n_pts)
 
 
-def pathwise_masked(problem, paths):
-    """Riemann sums of the stochastic convolution with the full tensor."""
+def pathwise_masked(problem, dB):
+    """Riemann sums of the stochastic convolution with the full tensor,
+    against the beta increments dB (n, J, C) on the refined cells."""
     grid = problem.grid
     Em = integrand_multipliers(problem)
-    dB = np.diff(paths.paths, axis=-1)
     W = np.einsum("njc,cmjk->ncmk", dB, _g_subcells(problem), optimize=True)
     out_hat = np.zeros((dB.shape[0], problem.n_times, problem.m, grid.n_points),
                        dtype=complex)

@@ -763,11 +763,19 @@ def test_artifacts_independent_of_thread_count(tmp_path, monkeypatch):
     assert written[0] == written[1]
 
 
-def test_modewise_artifacts_independent_of_blas_threads(tmp_path):
+@pytest.mark.parametrize("command,params", [
+    # the mode blocks make the GEMMs large enough to thread
+    pytest.param("simulate", dict(SIM_PARAMS, grid={"n": 64}, lambdas=[1.0, 0.5],
+                                  n_samples=16), id="modewise"),
+    # 129 path nodes, where a factor of the path-value Gram took other bits
+    pytest.param("simulate", {"g": "constant", "kernel": "wiener", "n_t": 16},
+                 id="pathwise"),
+    pytest.param("verify-apriori", {"f": "bump", "g": "constant"}, id="apriori"),
+])
+def test_artifacts_independent_of_blas_threads(tmp_path, command, params):
     # the BLAS thread count is read when numpy loads, so each run gets its
-    # own process; the mode blocks make the GEMMs large enough to thread
-    cfg = _write_cfg(tmp_path, "sim.json", {"seed": 4, "params": dict(
-        SIM_PARAMS, grid={"n": 64}, lambdas=[1.0, 0.5], n_samples=16)})
+    # own process; the default seed, 0
+    cfg = _write_cfg(tmp_path, "cfg.json", {"params": params})
     src = str(Path(cli.__file__).resolve().parents[1])
     written = []
     for threads in ("1", "2"):
@@ -775,10 +783,10 @@ def test_modewise_artifacts_independent_of_blas_threads(tmp_path):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-m", "spdelab.cli", "simulate",
+        subprocess.run([sys.executable, "-m", "spdelab.cli", command,
                         "--config", cfg, "--out", str(out)],
                        env=env, check=True, capture_output=True)
-        written.append([(out / f"simulate.{ext}").read_bytes()
+        written.append([(out / f"{command}.{ext}").read_bytes()
                         for ext in ("json", "csv")])
     assert written[0] == written[1]
 

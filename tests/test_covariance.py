@@ -9,7 +9,6 @@ from spdelab.covariance import (
     builtin_kernel,
     cholesky_psd,
     cross_increments,
-    gram_matrix,
     increment_gram,
 )
 from spdelab.errors import KernelValidityError
@@ -80,7 +79,7 @@ def test_wiener_increment_gram_diagonal():
 def test_gram_psd_fbm(times):
     times = np.sort(np.asarray(times))
     k = builtin_kernel("fbm", H=0.75)
-    g = gram_matrix(k, times)
+    g = increment_gram(k, times)
     w = np.linalg.eigvalsh(g)
     assert w.min() >= -1e-10 * max(1.0, w.max())
 
@@ -88,7 +87,7 @@ def test_gram_psd_fbm(times):
 def test_cholesky_psd_reconstructs():
     k = builtin_kernel("fbm", H=0.6)
     times = np.linspace(0.05, 1.0, 12)
-    g = gram_matrix(k, times)
+    g = increment_gram(k, times)
     L = cholesky_psd(g)
     assert np.allclose(L @ L.T, g, atol=1e-10)
 
@@ -102,7 +101,7 @@ def test_cholesky_psd_complex_hermitian():
 def _stack_members():
     """A PD matrix, one with a zero-variance row and one whose plain
     factorization fails (rank one with no zero on the diagonal)."""
-    pd = gram_matrix(builtin_kernel("fbm", H=0.6), np.linspace(0.1, 1.0, 4))
+    pd = increment_gram(builtin_kernel("fbm", H=0.6), np.linspace(0.0, 1.0, 5))
     zero_row = pd.copy()
     zero_row[1, :] = zero_row[:, 1] = 0.0
     v = np.array([1.0, 2.0, 3.0, 0.5])

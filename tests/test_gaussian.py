@@ -167,12 +167,19 @@ def test_sample_paths_deterministic_and_zero_at_origin():
         p1.paths, sample_paths(WIENER, times, q, 64, seed=8).paths)
     # factor substreams differ
     assert not np.allclose(p1.paths[:, 0, 1:], p1.paths[:, 1, 1:])
+    # and do not depend on J: factor 0 of a J = 1 draw, bit for bit
+    alone = sample_paths(WIENER, times, QSpec((1.0,)), 64, seed=7)
+    assert np.array_equal(alone.paths[:, 0], p1.paths[:, 0])
 
 
-@pytest.mark.parametrize("kernel", [WIENER, FBM], ids=["wiener", "fbm"])
-def test_sample_paths_empirical_covariance(kernel):
+@pytest.mark.parametrize("kernel,times", [
+    (WIENER, [0.0, 0.3, 0.7, 1.0]), (FBM, [0.0, 0.3, 0.7, 1.0]),
+    (WIENER, [0.25, 0.5, 1.0]), (FBM, [0.25, 0.5, 1.0])],
+    ids=["wiener", "fbm", "wiener-after-0", "fbm-after-0"])
+def test_sample_paths_empirical_covariance(kernel, times):
+    # a grid that starts after 0 gets 0 prepended for the draw
     q = QSpec((1.0,))
-    times = np.array([0.0, 0.3, 0.7, 1.0])
+    times = np.asarray(times)
     n = 40000
     p = sample_paths(kernel, times, q, n, seed=11)
     x = p.paths[:, 0, :]

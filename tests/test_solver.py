@@ -7,16 +7,14 @@ import pytest
 import oracles
 from spdelab import cli, covariance, solver, spectral
 from spdelab.covariance import builtin_kernel
-from spdelab.errors import (AlignmentError, HypothesisViolationError,
-                            SymbolClassError)
-from spdelab.gaussian import QSpec, sample_paths
+from spdelab.errors import HypothesisViolationError, SymbolClassError
+from spdelab.gaussian import QSpec
 from spdelab.solver import (
     SPDEProblem,
     deterministic_forced,
     deterministic_homogeneous,
     ensemble_summary_rows,
     mode_residual,
-    refined_path_times,
     solve,
     stochastic_convolution_modewise,
     stochastic_convolution_pathwise,
@@ -300,9 +298,11 @@ def _rel(a, b):
 def test_cell_steps_match_pair_oracles(psi, times, m, J, quad_refine, kernel):
     pb = _varied_problem(psi, times, m, J, quad_refine, kernel)
     assert _rel(deterministic_forced(pb), oracles.forced_trapezoid(pb)) < 1e-12
-    paths = sample_paths(pb.kernel, refined_path_times(pb), pb.q, 6, seed=4)
-    assert _rel(stochastic_convolution_pathwise(pb, paths),
-                oracles.pathwise_masked(pb, paths)) < 1e-12
+    # the stochastic convolution alone: the slices on a zero deterministic part
+    paths, slices = stochastic_convolution_pathwise(pb, 6, seed=4)
+    zero = np.zeros((pb.n_times, pb.m, pb.grid.n_points))
+    assert _rel(solver._stacked(slices(zero), pb.n_times),
+                oracles.pathwise_masked(pb, np.diff(paths.paths, axis=-1))) < 1e-12
     assert np.array_equal(stochastic_convolution_modewise(pb, 5, seed=9),
                           oracles.modewise_masked(pb, 5, seed=9))
 
@@ -338,7 +338,7 @@ def test_pathwise_matches_full_spectrum_reference(psi, data, d):
     pb = SPDEProblem(psi=sym, u0=u0, kernel=_KERNELS["fbm"], q=QSpec((1.0, 0.5)),
                      times=times, f=f, g=g, quad_refine=3)
     ens = solve(pb, 5, seed=4, estimator="pathwise")
-    want = oracles.pathwise_full_spectrum(pb, ens.paths)
+    want = oracles.pathwise_full_spectrum(pb, np.diff(ens.paths.paths, axis=-1))
     assert ens.samples.dtype == (np.float64 if data == "real" else complex)
     assert _rel(ens.samples, want) < 1e-14
 
@@ -446,12 +446,10 @@ def test_stochastic_convolution_memory_does_not_scale_with_pairs():
                      q=QSpec((1.0,)), times=times,
                      g=np.tile(np.cos(2 * x), (32, 1, 1, 1)), quad_refine=8)
     tensor_bytes = 32 * 256 * 512 * 16
-    paths = sample_paths(WIENER, refined_path_times(pb), pb.q, 2, seed=1)
-    for run in (lambda: stochastic_convolution_pathwise(pb, paths),
-                lambda: stochastic_convolution_modewise(pb, 2, seed=1)):
+    for estimator in solver.ESTIMATORS:
         tracemalloc.start()
         try:
-            run()
+            solve(pb, 2, seed=1, estimator=estimator).samples
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -546,26 +544,15 @@ def test_mode_pseudo_covariance_tells_the_estimators_apart():
 
 
 # ---------------------------------------------------------------------------
-# alignment and summaries
-
-
-def test_pathwise_alignment_errors():
-    times = np.linspace(0.0, 0.5, 9)
-    pb = _problem(times=times, g=_constant_g(times, GRID))
-    bad = sample_paths(WIENER, times, pb.q, 4, seed=1)
-    with pytest.raises(AlignmentError):
-        stochastic_convolution_pathwise(pb, bad)
-    wrong_j = sample_paths(WIENER, refined_path_times(pb), QSpec((1.0, 0.5)),
-                           4, seed=1)
-    with pytest.raises(AlignmentError):
-        stochastic_convolution_pathwise(pb, wrong_j)
+# refined grid and summaries
 
 
 def test_refined_path_times_structure():
-    pb = _problem(times=np.linspace(0.0, 0.5, 5), quad_refine=4)
-    edges = refined_path_times(pb)
+    # the subcell edges, on which the pathwise estimator draws its paths
+    times = np.linspace(0.0, 0.5, 5)
+    edges = solver._quad_grid(times, 4)[1]
     assert len(edges) == 4 * 4 + 1
-    assert np.allclose(edges[::4], pb.times)
+    assert np.allclose(edges[::4], times)
 
 
 def test_ensemble_summary_rows():
