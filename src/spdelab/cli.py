@@ -118,7 +118,7 @@ PARAMS = {
         **_PROCESS, "kernel": _KERNEL, "p": _NUM2, "q_exp": _NUM2,
         "process": Key("string", "linear-exact", choices=(
             "deterministic", "linear-exact", "curved-two-term", "poly-shared")),
-        "n_samples": _count(4096), "sup_levels": Key(
+        "n_samples": Key("int", 4096, least=2), "sup_levels": Key(
             "list", [64, 128, 256], least=1, each=_count(None))},
     "verify-lp": {
         **_OPERATOR, "q_exp": _NUM2, "r_exp": _NUM2, "n_theta": _count(1),
@@ -143,7 +143,7 @@ PARAMS = {
     "verify-apriori": {   # runs on simulate's default grid at each level's n
         **_PROBLEM, "phi": Key("string|object", _POWER(d=1)), "levels": _LEVELS,
         "n_samples": _count(48)},
-    "verify-skorohod": {**_PROCESS, "n_samples": _count(100_000)},
+    "verify-skorohod": {**_PROCESS, "n_samples": Key("int", 100_000, least=2)},
     "kernels": {},
 }
 

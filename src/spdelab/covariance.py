@@ -278,7 +278,7 @@ def cholesky_psd(mat: np.ndarray) -> np.ndarray:
     """
     mat = np.asarray(mat)
     if not np.iscomplexobj(mat):
-        mat = mat.astype(float)
+        mat = mat.astype(float, copy=False)
     if mat.ndim == 2:
         return _cholesky_one(mat)
     flat = mat.reshape((-1,) + mat.shape[-2:])
@@ -295,25 +295,32 @@ def cholesky_psd(mat: np.ndarray) -> np.ndarray:
 
 
 def _jittered_cholesky(sub, jit):
-    """np.linalg.cholesky of sub + jit * trace(sub) * I, over a stack."""
+    """np.linalg.cholesky of sub + jit * trace(sub) * I, over a stack
+    (of sub itself at jit 0)."""
+    if jit == 0.0:
+        return np.linalg.cholesky(sub)
     trace = np.real(np.trace(sub, axis1=-2, axis2=-1))[..., None, None]
     return np.linalg.cholesky(sub + jit * trace * np.eye(sub.shape[-1]))
 
 
+def _ladder_cholesky(sub):
+    """The factor of sub at the first rung of the jitter ladder that works."""
+    for jit in (0.0,) + tuple(JITTER_LADDER):
+        try:
+            return _jittered_cholesky(sub, jit)
+        except np.linalg.LinAlgError:
+            continue
+    raise KernelValidityError("Gram matrix not PSD after jitter ladder")
+
+
 def _cholesky_one(mat):
-    n = mat.shape[0]
+    """One matrix.  With no zero on the diagonal it is factored as it is,
+    so the factor is the only new array; else the rows and columns with a
+    nonzero diagonal entry are factored and the others are zero."""
     keep = np.diag(mat) != 0.0
-    sub = mat[np.ix_(keep, keep)]
-    out = np.zeros((n, n), dtype=mat.dtype)
-    if sub.size:
-        chol = None
-        for jit in (0.0,) + tuple(JITTER_LADDER):
-            try:
-                chol = _jittered_cholesky(sub, jit)
-                break
-            except np.linalg.LinAlgError:
-                continue
-        if chol is None:
-            raise KernelValidityError("Gram matrix not PSD after jitter ladder")
-        out[np.ix_(keep, keep)] = chol
+    if np.all(keep):
+        return _ladder_cholesky(mat)
+    out = np.zeros_like(mat)
+    if np.any(keep):
+        out[np.ix_(keep, keep)] = _ladder_cholesky(mat[np.ix_(keep, keep)])
     return out

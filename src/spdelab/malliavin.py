@@ -221,17 +221,23 @@ class JointDesign:
         Fv, dv are functional_values(delta).  Returns (n, P+1, m); node 0 is
         the zero integral and the last node delta(u) itself.  Exact at the
         nodes because truncating phi_i at a node keeps it a step function on
-        the same partition.
+        the same partition.  Each term works in place in two (n, P) arrays,
+        so beside delta and the result nothing larger is held; the result
+        is the caller's to overwrite (it may square it in place).
         """
         n = delta.shape[0]
         out = np.zeros((n, self.P + 1, self.process.m))
+        scal, tmp = np.empty((n, self.P)), np.empty((n, self.P))
         for i, (_, k, _) in enumerate(self.process.terms):
-            cell_b = np.einsum("pj,njp->np", self.phi_ref[i], delta)
-            cum_b = np.cumsum(cell_b, axis=1)
+            np.einsum("pj,njp->np", self.phi_ref[i], delta, out=scal)
+            np.cumsum(scal, axis=1, out=scal)
             cell_w = np.sum(self.phi_ref[i] * (self.inc_gram @ self.H_ref[i]), axis=1)
             cum_w = np.cumsum(cell_w)
-            scal = cum_b * Fv[:, i:i + 1] - dv[:, i:i + 1] * cum_w[None, :]
-            out[:, 1:, :] += scal[:, :, None] * k[None, None, :]
+            # scal = cum_b * F_i - dF_i * cum_w, then out += scal * k
+            scal *= Fv[:, i:i + 1]
+            scal -= np.multiply(dv[:, i:i + 1], cum_w[None, :], out=tmp)
+            for c, kc in enumerate(k):
+                out[:, 1:, c] += np.multiply(scal, kc, out=tmp)
         return out
 
     # -- per-draw norms ----------------------------------------------------

@@ -69,6 +69,21 @@ def _se(s1, s2, n):
         return np.sqrt(np.maximum(s2 - s1 * s1 / n, 0.0) / ((n - 1) * n))
 
 
+def _maximal_block(design, nodes, nb, seed, block, p, q_exp, r):
+    """One block of nb draws: the block's sums of sup^p, its square, the
+    paired difference to the previous level and that one's square, each
+    (levels,), and its two mixed-norm rhs terms."""
+    delta = design.draw(nb, seed, block=block)
+    Fv, dv = design.functional_values(delta)
+    run = design.running_skorohod(delta, Fv, dv)              # (nb, P+1, m)
+    sq = np.sum(np.multiply(run, run, out=run), axis=2)       # (nb, P+1)
+    sup = np.stack([np.max(sq[:, idx], axis=1) for idx in nodes]) \
+        ** (p / 2.0)                                          # (levels, nb)
+    diff = np.diff(sup, axis=0, prepend=sup[:1])
+    sums = np.sum([sup, sup * sup, diff, diff * diff], axis=2)
+    return (sums, *mixed_norm_terms(design, Fv, dv, p, q_exp, r))
+
+
 def maximal_inequality_check(u: ElementaryProcess, kernel: CovarianceKernel,
                              q: QSpec, p, q_exp, n_samples, seed,
                              sup_levels=(64, 128, 256), r_exp=None,
@@ -88,6 +103,11 @@ def maximal_inequality_check(u: ElementaryProcess, kernel: CovarianceKernel,
     `lhs_se`, the standard error of the lhs, and after the first,
     `lhs_diff_se`, the paired standard error of the lhs difference to the
     previous row.
+
+    A block of `_DRAW_BLOCK` draws holds at its peak its increments
+    (nb, J, P), one running integral (nb, P+1, m), which is squared in
+    place, and two (nb, P) arrays; its arrays are freed before the next
+    block draws.
     """
     r = float(kernel.r_exp) if r_exp is None else float(r_exp)
     if not (p >= q_exp >= max(2.0, r)):
@@ -104,14 +124,9 @@ def maximal_inequality_check(u: ElementaryProcess, kernel: CovarianceKernel,
     n = int(n_samples)
     for bi, lo in enumerate(range(0, n, _DRAW_BLOCK)):
         nb = min(_DRAW_BLOCK, n - lo)
-        delta = design.draw(nb, seed, block=bi)
-        Fv, dv = design.functional_values(delta)
-        sq = np.sum(design.running_skorohod(delta, Fv, dv) ** 2, axis=2)  # (nb, P+1)
-        sup = np.stack([np.max(sq[:, idx], axis=1) for idx in nodes]) \
-            ** (p / 2.0)                                          # (levels, nb)
-        diff = np.diff(sup, axis=0, prepend=sup[:1])
-        sums += np.sum([sup, sup * sup, diff, diff * diff], axis=2)
-        t1, t2 = mixed_norm_terms(design, Fv, dv, p, q_exp, r)
+        block_sums, t1, t2 = _maximal_block(design, nodes, nb, seed, bi, p,
+                                            q_exp, r)
+        sums += block_sums
         t1_acc += t1 * nb
         t2_acc += t2 * nb
     rhs = [t1_acc / n, t2_acc / n]

@@ -6,6 +6,8 @@ or brute-force simulation with a separate seed), so agreement is evidence
 rather than tautology.
 """
 
+import tracemalloc
+
 import numpy as np
 from scipy import integrate, special
 
@@ -384,6 +386,25 @@ def mixed_norm_terms_fine(design, delta, p, q_exp, r_exp):
     return float(term1), float(term2)
 
 
+def running_skorohod_whole_arrays(design, delta, Fv, dv):
+    """JointDesign.running_skorohod with a new array per expression: per
+    term, the cell sums, their cumulative sums, the scalar
+    cum_b F_i - dF_i cum_w and its (n, P, m) product with k_i.  The
+    library does the same operations in the same order in place, so the
+    two agree bit for bit."""
+    n = delta.shape[0]
+    out = np.zeros((n, design.P + 1, design.process.m))
+    for i, (_, k, _) in enumerate(design.process.terms):
+        cell_b = np.einsum("pj,njp->np", design.phi_ref[i], delta)
+        cum_b = np.cumsum(cell_b, axis=1)
+        cell_w = np.sum(design.phi_ref[i] * (design.inc_gram @ design.H_ref[i]),
+                        axis=1)
+        cum_w = np.cumsum(cell_w)
+        scal = cum_b * Fv[:, i:i + 1] - dv[:, i:i + 1] * cum_w[None, :]
+        out[:, 1:, :] += scal[:, :, None] * k[None, None, :]
+    return out
+
+
 def abs_norms_fine(design, Fv, dv):
     """(|H| norm of u, |H| x |H| norm of D u) per draw, on fine cell pairs."""
     M = u_cell_norms_fine(design, Fv)
@@ -526,3 +547,17 @@ def wiener_quadratic_variance(n_samples, seed):
     z = gen.standard_normal(n_samples)
     x = (z * z - 1.0) ** 2
     return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(n_samples))
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the tracemalloc peak of the call in bytes)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

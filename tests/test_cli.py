@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from spdelab import battery, cli
 from spdelab.errors import SchemaError
 
@@ -235,6 +235,11 @@ def test_lp_odd_phi_exits_2(tmp_path, capsys):
     # only, and an estimator key is unknown
     ("verify-apriori", {"estimator": "modewise", "p": 4.0, "levels": [[8, 2]],
                         "n_samples": 2}),
+    # one draw has no standard error: verify-maximal ran to PASS with
+    # "lhs_se": "nan" in every level row, verify-skorohod to exit 1 with a
+    # NaN z-score
+    ("verify-maximal", {"n_samples": 1}),
+    ("verify-skorohod", {"n_samples": 1}),
 ])
 def test_bad_value_exits_2_where_it_enters(tmp_path, capsys, command, params):
     # each of these used to raise a traceback or to run to exit 0
@@ -655,14 +660,9 @@ def test_pathwise_simulate_holds_one_time_slice():
         "quad_refine": 2, "estimator": "pathwise"})
     ensemble_bytes = 8 * 256 * 65 * 256
     assert ensemble_bytes >= 16 << 20
-    tracemalloc.start()
-    try:
-        passed = cli._run_simulate(cli.RunConfig("simulate", params, 0, "",
-                                                 False, ""))[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert passed
+    result, peak = oracles.traced_peak(cli._run_simulate, cli.RunConfig(
+        "simulate", params, 0, "", False, ""))
+    assert result[0]
     assert peak < ensemble_bytes / 4
 
 

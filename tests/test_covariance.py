@@ -98,6 +98,16 @@ def test_cholesky_psd_complex_hermitian():
     assert np.allclose(L @ L.conj().T, a, atol=1e-12)
 
 
+def test_cholesky_psd_peak_is_its_factor():
+    # with no zero on the diagonal the Gram is factored as it is; a copy
+    # of it, a zero matrix for the scatter, the identity and the rung-0
+    # sum used to hold 5x the Gram's bytes beside the factor
+    g = increment_gram(builtin_kernel("fbm", H=0.75), np.linspace(0.0, 1.0, 1025))
+    L, peak = oracles.traced_peak(cholesky_psd, g)
+    assert L.shape == g.shape
+    assert peak < 2 * g.nbytes
+
+
 def _stack_members():
     """A PD matrix, one with a zero-variance row and one whose plain
     factorization fails (rank one with no zero on the diagonal)."""

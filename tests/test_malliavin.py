@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import oracles
-from spdelab.battery import skorohod_battery
+from spdelab.battery import elementary_battery, skorohod_battery
 from spdelab.covariance import builtin_kernel
 from spdelab.errors import AlignmentError
 from spdelab.gaussian import QSpec, StepFunction, inner_H_U0
@@ -189,6 +189,20 @@ def test_running_skorohod_nodes(kernel):
     ip = inner_H_U0(sum_step([phi]), oracles.truncate(phi, 0.5), kernel)
     want = 3.0 * (b_half * b_full - ip)
     assert np.max(np.abs(run[:, 1, 0] - want)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("kernel", [WIENER, FBM], ids=["wiener", "fbm"])
+def test_running_skorohod_equals_whole_array_oracle(kernel, m):
+    # in place, each term keeps every operation of the whole-array
+    # expressions and their order: a 2,048-draw block at sup level 256
+    for name, u in elementary_battery(m=m):
+        design = JointDesign(u, kernel, QSpec((1.0, 1.0)),
+                             extra_times=np.linspace(0.0, u.T, 257))
+        delta = design.draw(2048, seed=5)
+        Fv, dv = design.functional_values(delta)
+        want = oracles.running_skorohod_whole_arrays(design, delta, Fv, dv)
+        assert np.array_equal(design.running_skorohod(delta, Fv, dv), want), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -368,12 +367,7 @@ def test_pathwise_solve_peak_memory_is_near_the_real_ensemble():
     pb = SPDEProblem(psi=builtin_symbol("heat_osc", d=2), u0=Field(grid, 1, bump),
                      kernel=_KERNELS["fbm"], q=QSpec((1.0, 0.5)), times=times,
                      f=np.tile(bump, (17, 1, 1)), g=np.tile(bump, (16, 1, 2, 1)))
-    tracemalloc.start()
-    try:
-        ens = solve(pb, 64, seed=0, estimator="pathwise")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ens, peak = oracles.traced_peak(solve, pb, 64, seed=0, estimator="pathwise")
     real_bytes = ens.samples.size * 8
     assert real_bytes == 64 * 17 * grid.n_points * 8
     assert peak < 2.0 * real_bytes
@@ -447,12 +441,8 @@ def test_stochastic_convolution_memory_does_not_scale_with_pairs():
                      g=np.tile(np.cos(2 * x), (32, 1, 1, 1)), quad_refine=8)
     tensor_bytes = 32 * 256 * 512 * 16
     for estimator in solver.ESTIMATORS:
-        tracemalloc.start()
-        try:
-            solve(pb, 2, seed=1, estimator=estimator).samples
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = oracles.traced_peak(
+            lambda: solve(pb, 2, seed=1, estimator=estimator).samples)
         assert peak < tensor_bytes / 4
 
 
@@ -511,12 +501,7 @@ def test_mode_residual_memory_is_below_the_ensemble():
     pb = cli._build_problem(params)
     ens = solve(pb, 64, seed=0, estimator="pathwise")
     real_bytes = 8 * 64 * pb.n_times * pb.m * pb.grid.n_points
-    tracemalloc.start()
-    try:
-        res = mode_residual(ens, k_index=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = oracles.traced_peak(mode_residual, ens, k_index=3)
     assert np.isfinite(res["max_abs"]) and len(res["per_time_max"]) == pb.n_times
     assert peak < real_bytes
 
@@ -622,12 +607,7 @@ def test_ensemble_summary_rows_memory_is_one_time_slice():
     ens = solver.SolutionEnsemble(problem=pb, samples=samples,
                                   estimator="pathwise")
     assert samples.nbytes >= 16 << 20
-    tracemalloc.start()
-    try:
-        ensemble_summary_rows(ens)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = oracles.traced_peak(ensemble_summary_rows, ens)
     assert peak < samples.nbytes / 4
 
 

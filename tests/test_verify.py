@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -99,6 +97,20 @@ def test_functional_values_once_per_draw_block(monkeypatch):
     calls.clear()
     skorohod_moment_check(U_LIN, WIENER, Q1, 500, seed=3)
     assert calls == [500]
+
+
+def test_maximal_default_config_peak_is_below_30_mib():
+    # a block of 2,048 draws holds its 8 MiB of increments, the 8 MiB
+    # running integral, squared in place, and two 4 MiB (n, P) arrays; the
+    # running sums' (n, P, m) temporaries and the squared copy used to put
+    # it at 42 MiB, with the last block's arrays alive while the next drew
+    params = cli._fill(cli.PARAMS["verify-maximal"], {})
+    u = _battery_process(params["process"])
+    _, peak = oracles.traced_peak(
+        maximal_inequality_check, u, builtin_kernel(params["kernel"]), Q2,
+        params["p"], params["q_exp"], params["n_samples"], seed=0,
+        sup_levels=tuple(params["sup_levels"]))
+    assert peak < 30 << 20
 
 
 def test_maximal_deterministic_runs():
@@ -534,12 +546,8 @@ def test_apriori_peak_is_below_five_ensembles():
     n, n_t = params["levels"][-1]
     pb = cli._build_problem(params, n=n, n_t=n_t)
     ensemble_bytes = 8 * params["n_samples"] * pb.n_times * pb.m * n
-    tracemalloc.start()
-    try:
-        apriori_estimate_check(pb, params["n_samples"], seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = oracles.traced_peak(apriori_estimate_check, pb,
+                                  params["n_samples"], seed=0)
     assert peak < 5 * ensemble_bytes
 
 
@@ -550,12 +558,8 @@ def test_apriori_peak_is_below_half_an_ensemble():
     n, n_t = params["levels"][-1]
     pb = cli._build_problem(params, n=n, n_t=n_t)
     ensemble_bytes = 8 * params["n_samples"] * pb.n_times * pb.m * n
-    tracemalloc.start()
-    try:
-        apriori_estimate_check(pb, params["n_samples"], seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = oracles.traced_peak(apriori_estimate_check, pb,
+                                  params["n_samples"], seed=0)
     assert peak < ensemble_bytes / 2
 
 
