@@ -27,6 +27,7 @@ from .symbols import (
     m2_symbol,
     m3_symbol,
     product_power_symbol,
+    sum_in_order,
 )
 
 
@@ -109,7 +110,7 @@ def bump_profile(box=2.0 * np.pi, width_frac=1.0 / 16.0):
     """A centered Gaussian bump on the torus, vectorized over (n_pts, d)."""
     def profile(x):
         w = box * width_frac
-        r2 = np.sum((x - box / 2.0) ** 2, axis=-1)
+        r2 = sum_in_order((x - box / 2.0) ** 2)
         return np.exp(-r2 / (2.0 * w * w))
     return profile
 
@@ -206,7 +207,7 @@ def bessel_field_battery(grid: GridSpec, m=1, count=16, seed=0, band_frac=0.5):
     gen = _rng.substream(seed, _rng.BESSEL_BATTERY)
     freq = grid.freq_grid()
     kmax = np.max(np.abs(freq))
-    keep = np.sqrt(np.sum(freq ** 2, axis=1)) <= band_frac * kmax
+    keep = np.sqrt(sum_in_order(freq ** 2)) <= band_frac * kmax
     fields = []
     for _ in range(count):
         coef = (gen.standard_normal((m, grid.n_points))

@@ -209,11 +209,14 @@ def _largest_array(command, p):
     for n, n_t in p.get("levels", [(p["grid"]["n"], p.get("n_t", 1))]
                         if "grid" in p else []):
         N = p.get("quad_refine", 0) * n_t + 1      # the refined path nodes
+        # the quadrature table's nodes: n_t + 1 solution times and the N - 1
+        # subcell midpoints
+        table = N + n_t
         per_point = {    # complex entries per grid point
             "verify-lp": n_t * p.get("n_theta", 1) * m,
             "verify-goperator": n_t * m, "verify-kernelenv": d,
             "verify-bessel": p.get("count", 1) * m,
-        }.get(command, max(S * (n_t + 1) * m, 2 * N - 1, n_t * m * J))
+        }.get(command, max(S * (n_t + 1) * m, table, n_t * m * J))
         # with noise, the Gram of the increments between the path nodes:
         # complex for modewise, real for pathwise
         gram = (N - 1) ** 2 * (16 if p.get("estimator") == "modewise" else 8)

@@ -22,6 +22,7 @@ from .covariance import CovarianceKernel, cholesky_psd, increment_gram
 from .errors import AlignmentError
 from .gaussian import (QSpec, StepFunction, canonical_partition,
                        draw_increments)
+from .symbols import sum_in_order
 
 _SHAPES = ("polynomial", "exp_neg_square", "sine")
 
@@ -340,11 +341,17 @@ class SkorohodReport:
 
 def skorohod_moment_check(u: ElementaryProcess, kernel, q: QSpec, n_samples,
                           seed, name="skorohod-moment") -> SkorohodReport:
-    """E ||delta(u)||^2 versus E ||u||^2_{K x H} + E <Du, S(Du)>, paired."""
+    """E ||delta(u)||^2 versus E ||u||^2_{K x H} + E <Du, S(Du)>, paired.
+
+    Fewer than 2 draws have no standard error: ValueError.
+    """
+    n = int(n_samples)
+    if n < 2:
+        raise ValueError(f"need n_samples >= 2 for a standard error; got {n}")
     design = JointDesign(u, kernel, q)
-    delta = design.draw(int(n_samples), seed)
+    delta = design.draw(n, seed)
     Fv, dv = design.functional_values(delta)
-    A = np.sum(design.running_skorohod(delta, Fv, dv)[:, -1] ** 2, axis=1)
+    A = sum_in_order(design.running_skorohod(delta, Fv, dv)[:, -1] ** 2)
     B = design.h_norm_sq_u(Fv)
     C = design.trace_swap_term(dv)
     diff = A - B - C
@@ -360,7 +367,7 @@ def skorohod_moment_check(u: ElementaryProcess, kernel, q: QSpec, n_samples,
         rhs_components=[float(np.mean(B)), float(np.mean(C))],
         z_score=float(z),
         passed=bool(z <= 4.0),
-        n_samples=int(n_samples),
+        n_samples=n,
         seed=int(seed),
         details={"kernel": kernel.name, "paired_se": se},
     )

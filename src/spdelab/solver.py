@@ -18,8 +18,10 @@ convolution has two independent estimators:
   real-field structure, with float64 samples.
 
 Both estimators evaluate the integrand a(t,s) = exp(int_s^t psi) g(s) at
-the midpoints of the same refined quadrature partition, with every exponent
-read from one table of cumulative symbol integrals on it, so they agree to
+the midpoints of the same refined quadrature partition (quad_refine equal
+subcells per solution cell; beta lives on the subcell edges), with every
+exponent read from one table of cumulative symbol integrals built on the
+solution times and the subcell midpoints only, so they agree to
 Monte-Carlo error rather than to quadrature error.  The pathwise estimator
 and the forced part advance the solution one solution cell at a time, by
 the evolution law T(t,r) T(r,s) = T(t,s).
@@ -249,24 +251,26 @@ def deterministic_forced(problem: SPDEProblem) -> np.ndarray:
 
 
 def _quad_grid(times, n_sub):
-    """Refined quadrature partition: subcell edges and midpoints.
+    """Refined quadrature partition: n_sub equal subcells per solution cell.
 
-    Returns (q_grid, edges, mid_idx, sol_idx): q_grid interleaves the
-    subcell edges (even indices) with their midpoints (odd indices);
-    sol_idx locates the solution times in q_grid.
+    Returns (nodes, edges, mid_idx, sol_idx).  edges holds every subcell
+    edge, where the beta paths are drawn.  nodes holds, in order, the
+    solution times and the subcell midpoints, (n_times-1)(n_sub+1)+1 of
+    them: the only times at which the estimators read the symbol table,
+    which is built on nodes.  mid_idx and sol_idx locate the midpoints and
+    the solution times in nodes.
     """
     n_cells = len(times) - 1
     edges = np.empty(n_cells * n_sub + 1)
     for c in range(n_cells):
         edges[c * n_sub:(c + 1) * n_sub + 1] = np.linspace(
             times[c], times[c + 1], n_sub + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    q_grid = np.empty(2 * len(mids) + 1)
-    q_grid[0::2] = edges
-    q_grid[1::2] = mids
-    mid_idx = np.arange(1, len(q_grid), 2)
-    sol_idx = np.arange(0, len(q_grid), 2 * n_sub)
-    return q_grid, edges, mid_idx, sol_idx
+    nodes = np.empty(n_cells * (n_sub + 1) + 1)
+    sol_idx = np.arange(0, len(nodes), n_sub + 1)
+    mid_idx = np.delete(np.arange(len(nodes)), sol_idx)
+    nodes[sol_idx] = times
+    nodes[mid_idx] = 0.5 * (edges[:-1] + edges[1:])
+    return nodes, edges, mid_idx, sol_idx
 
 
 def stochastic_convolution_modewise(problem: SPDEProblem, n_samples,
@@ -297,8 +301,8 @@ def stochastic_convolution_modewise(problem: SPDEProblem, n_samples,
     out_hat = np.zeros((n_samples, n_t, m, n_pts), dtype=complex)
     if problem.g is not None:
         n_sub = problem.quad_refine
-        q_grid, edges, mid_idx, sol_idx = _quad_grid(problem.times, n_sub)
-        cums = symbol_cumulative_integrals(problem.psi, q_grid, grid)
+        nodes, edges, mid_idx, sol_idx = _quad_grid(problem.times, n_sub)
+        cums = symbol_cumulative_integrals(problem.psi, nodes, grid)
         # mask the exponent, not the result: past t_{i+1} it has positive
         # real part and would overflow
         past = np.arange(len(mid_idx)) >= (np.arange(1, n_t) * n_sub)[:, None]
@@ -359,9 +363,9 @@ def stochastic_convolution_pathwise(problem: SPDEProblem, n_samples, seed):
     """
     grid = problem.grid
     n_t, n_sub = problem.n_times, problem.quad_refine
-    q_grid, edges, mid_idx, sol_idx = _quad_grid(problem.times, n_sub)
+    nodes, edges, mid_idx, sol_idx = _quad_grid(problem.times, n_sub)
     paths = sample_paths(problem.kernel, edges, problem.q, n_samples, seed)
-    cums = symbol_cumulative_integrals(problem.psi, q_grid, grid.half)
+    cums = symbol_cumulative_integrals(problem.psi, nodes, grid.half)
     g_hat = spatial_rfft(real_components(problem.g, 1, problem.real_data), grid)
     dB = np.diff(paths.paths, axis=-1)                        # (n, J, C)
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SymbolClassError, SymbolDomainError
-from .symbols import SymbolSpec
+from .symbols import SymbolSpec, sum_in_order
 
 
 def check_grid_size(n):
@@ -266,14 +266,6 @@ _SIMPSON_SUBINTERVALS = (16, 64)
 _SIMPSON_RTOL = 1e-13
 
 
-def _row_sum(rows):
-    """Sum of a block's rows, added in row order (no pairwise or BLAS order)."""
-    acc = rows[0].copy()
-    for row in rows[1:]:
-        acc += row
-    return acc
-
-
 def _settled(fine, coarse):
     """max|fine - coarse| <= _SIMPSON_RTOL max|fine|, False if not finite."""
     scale = np.max(np.abs(fine))
@@ -310,10 +302,11 @@ def symbol_time_integral(psi: SymbolSpec, t, s, grid: GridSpec):
     trap, k, coarse = 0.5 * (block[0] + block[first]), 1, None
     while True:
         if k < first:
-            mid = _row_sum(block[first // (2 * k)::first // k])
+            mid = sum_in_order(block[first // (2 * k)::first // k], axis=0)
         else:
-            mid = _row_sum(symbol_on_grid(
-                psi, s + h * np.arange(1, 2 * k, 2) / (2 * k), grid, class_s=True))
+            mid = sum_in_order(symbol_on_grid(
+                psi, s + h * np.arange(1, 2 * k, 2) / (2 * k), grid,
+                class_s=True), axis=0)
         if 4 * k >= first:      # S_2k from Simpson-(first/2), the first coarse rule
             fine = (trap + 2.0 * mid) * (h / (3.0 * k))
             if 2 * k == last or coarse is not None and _settled(fine, coarse):

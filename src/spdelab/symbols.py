@@ -80,8 +80,23 @@ class SymbolSpec:
         return self.eval(t, np.asarray(xi, dtype=float))
 
 
+def sum_in_order(x, axis=-1):
+    """Sum of x over `axis`, its entries added in index order.
+
+    For fewer than 8 entries np.sum adds in this order too, bit for bit,
+    but over a short trailing axis it reduces one row at a time, many
+    times slower; past 8 entries it adds pairwise.
+    """
+    if axis:        # moveaxis costs more than a Simpson cell's row sum
+        x = np.moveaxis(x, axis, 0)
+    acc = x[0].copy()
+    for row in x[1:]:
+        acc += row
+    return acc
+
+
 def _radius(xi):
-    return np.sqrt(np.sum(np.square(xi), axis=-1))
+    return np.sqrt(sum_in_order(np.square(xi)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .spectral import (GridSpec, bessel_multiplier, check_class_s_sign,
                        check_hermitian, multiplier_kernel, spatial_fft,
                        spatial_irfft, spatial_rfft, symbol_cumulative_integrals,
                        symbol_on_grid, symbol_time_integral)
-from .symbols import SymbolSpec
+from .symbols import SymbolSpec, sum_in_order
 
 _DRAW_BLOCK = 2048    # draws per RNG substream block; fixes the sample stream
 # half-spectrum complex values per square-function transform; bounds memory
@@ -64,9 +64,8 @@ def _coupled_partition(u: ElementaryProcess, sup_levels):
 
 
 def _se(s1, s2, n):
-    """Standard errors of means from the running sums of x and x^2."""
-    with np.errstate(divide="ignore", invalid="ignore"):      # n = 1: nan
-        return np.sqrt(np.maximum(s2 - s1 * s1 / n, 0.0) / ((n - 1) * n))
+    """Standard errors of means from the running sums of x and x^2, n >= 2."""
+    return np.sqrt(np.maximum(s2 - s1 * s1 / n, 0.0) / ((n - 1) * n))
 
 
 def _maximal_block(design, nodes, nb, seed, block, p, q_exp, r):
@@ -76,7 +75,7 @@ def _maximal_block(design, nodes, nb, seed, block, p, q_exp, r):
     delta = design.draw(nb, seed, block=block)
     Fv, dv = design.functional_values(delta)
     run = design.running_skorohod(delta, Fv, dv)              # (nb, P+1, m)
-    sq = np.sum(np.multiply(run, run, out=run), axis=2)       # (nb, P+1)
+    sq = sum_in_order(np.multiply(run, run, out=run))         # (nb, P+1)
     sup = np.stack([np.max(sq[:, idx], axis=1) for idx in nodes]) \
         ** (p / 2.0)                                          # (levels, nb)
     diff = np.diff(sup, axis=0, prepend=sup[:1])
@@ -102,7 +101,7 @@ def maximal_inequality_check(u: ElementaryProcess, kernel: CovarianceKernel,
     partition and do not depend on the level.  Each level row reports
     `lhs_se`, the standard error of the lhs, and after the first,
     `lhs_diff_se`, the paired standard error of the lhs difference to the
-    previous row.
+    previous row.  Fewer than 2 draws have no standard error: ValueError.
 
     A block of `_DRAW_BLOCK` draws holds at its peak its increments
     (nb, J, P), one running integral (nb, P+1, m), which is squared in
@@ -113,6 +112,9 @@ def maximal_inequality_check(u: ElementaryProcess, kernel: CovarianceKernel,
     if not (p >= q_exp >= max(2.0, r)):
         raise HypothesisViolationError(
             f"need p >= q >= max(2, r); got p={p}, q={q_exp}, r={r}")
+    n = int(n_samples)
+    if n < 2:
+        raise ValueError(f"need n_samples >= 2 for a standard error; got {n}")
     parts, union = _coupled_partition(u, sup_levels)
     design = JointDesign(u, kernel, q, extra_times=union)
     nodes = [np.searchsorted(design.partition, part - TIME_TOL)
@@ -121,7 +123,6 @@ def maximal_inequality_check(u: ElementaryProcess, kernel: CovarianceKernel,
     # paired difference to the previous level and of that one's square
     sums = np.zeros((4, len(nodes)))
     t1_acc = t2_acc = 0.0
-    n = int(n_samples)
     for bi, lo in enumerate(range(0, n, _DRAW_BLOCK)):
         nb = min(_DRAW_BLOCK, n - lo)
         block_sums, t1, t2 = _maximal_block(design, nodes, nb, seed, bi, p,
@@ -382,7 +383,7 @@ def envelope_fields(phi: SymbolSpec, psi: SymbolSpec, tau, grid: GridSpec):
     ds_vals = (k_plus - k_minus) / (2.0 * h)
     x = grid.x_grid()
     xper = np.minimum(x % grid.L, grid.L - (x % grid.L))
-    xdist = np.sqrt(np.sum(xper ** 2, axis=1))
+    xdist = np.sqrt(sum_in_order(xper ** 2))
     return (np.abs(k_vals), np.sqrt(np.sum(np.abs(grads) ** 2, axis=0)),
             np.abs(ds_vals), xdist)
 

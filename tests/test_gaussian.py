@@ -1,10 +1,12 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from spdelab.covariance import builtin_kernel
+from spdelab.covariance import builtin_kernel, increment_gram
 from spdelab.errors import AlignmentError
 from spdelab.gaussian import (
     QSpec,
@@ -190,6 +192,25 @@ def test_sample_paths_empirical_covariance(kernel, times):
             # Var(X Y) <= E X^2 Y^2 <= 3 for unit-variance gaussians
             se = np.sqrt(3.0 / n)
             assert abs(emp[i, j] - want) < 4.5 * se
+
+
+@pytest.mark.parametrize("kernel", [
+    WIENER, FBM, builtin_kernel("linear"), builtin_kernel("bessel", delta=0.5),
+    builtin_kernel("heat", delta=0.7)], ids=lambda k: k.name)
+def test_sample_paths_increments_follow_the_increment_gram(kernel):
+    # the sample covariance of the increments on N = 33 nodes, over 20,000
+    # draws, against increment_gram: every distinct entry within a
+    # Bonferroni bound at family-wise level 1e-3.  The mean is 0, so an
+    # entry is the mean of x_i x_j, with a standard error from the draws
+    n, edges = 20_000, np.linspace(0.0, 1.0, 33)
+    inc = np.diff(sample_paths(kernel, edges, QSpec((1.0,)), n, seed=41)
+                  .paths[:, 0], axis=-1)
+    emp = inc.T @ inc / n
+    se = np.sqrt(((inc * inc).T @ (inc * inc) / n - emp * emp) / (n - 1))
+    upper = np.triu_indices(len(emp))
+    z = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * len(upper[0])))
+    gap = np.abs(emp - increment_gram(kernel, edges))[upper]
+    assert np.all(gap <= z * se[upper]), np.max(gap / se[upper])
 
 
 def test_wiener_increments_independent():

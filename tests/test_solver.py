@@ -540,6 +540,21 @@ def test_refined_path_times_structure():
     assert np.allclose(edges[::4], times)
 
 
+@pytest.mark.parametrize("times,n_sub", [
+    (np.linspace(0.0, 1.0, 17), 8), (np.array([0.0, 0.1, 0.35, 0.4, 0.9, 1.3]), 3),
+    (np.linspace(0.0, 0.5, 5), 1)], ids=["uniform", "non-uniform", "unrefined"])
+def test_quad_grid_holds_only_the_nodes_the_estimators_read(times, n_sub):
+    # the symbol table is built on nodes and read at mid_idx and sol_idx
+    # only: every node is one of them
+    nodes, edges, mid_idx, sol_idx = solver._quad_grid(times, n_sub)
+    assert len(nodes) == (len(times) - 1) * (n_sub + 1) + 1
+    assert np.array_equal(np.sort(np.concatenate((mid_idx, sol_idx))),
+                          np.arange(len(nodes)))
+    assert np.array_equal(nodes[sol_idx], times)
+    assert np.array_equal(nodes[mid_idx], 0.5 * (edges[:-1] + edges[1:]))
+    assert np.all(np.diff(nodes) > 0)
+
+
 def test_ensemble_summary_rows():
     pb = _problem()
     ens = solve(pb, 3, seed=2, estimator="pathwise")    # modewise has no sup

@@ -12,7 +12,20 @@ from spdelab.symbols import (
     m2_symbol,
     m3_symbol,
     product_power_symbol,
+    sum_in_order,
 )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(5,), (1000,), (7, 40)])
+def test_sum_in_order_is_np_sum_over_short_axes(shape, m):
+    # np.sum adds fewer than 8 entries in index order: the bits agree, on a
+    # trailing axis and on a leading one
+    x = np.random.default_rng(m).standard_normal(shape + (m,)) \
+        * 10.0 ** np.arange(-6, 6, 12 / m)
+    assert np.array_equal(sum_in_order(x), np.sum(x, axis=-1))
+    lead = np.moveaxis(x, -1, 0)
+    assert np.array_equal(sum_in_order(lead, axis=0), np.sum(lead, axis=0))
 
 
 def test_power_symbol_values():

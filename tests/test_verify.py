@@ -55,6 +55,18 @@ def test_maximal_gate():
                                  r_exp=2.5)    # q < max(2, r)
 
 
+@pytest.mark.parametrize("check", [
+    lambda n: maximal_inequality_check(U_LIN, WIENER, Q1, 4.0, 2.0, n, seed=0),
+    lambda n: skorohod_moment_check(U_LIN, WIENER, Q1, n, seed=0),
+], ids=["maximal", "skorohod"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_monte_carlo_checks_refuse_fewer_than_two_draws(check, n):
+    # one draw has no standard error: the maximal check passed with a NaN
+    # lhs_se, the Skorohod check failed on a NaN z-score
+    with pytest.raises(ValueError, match="n_samples >= 2"):
+        check(n)
+
+
 def test_maximal_linear_wiener_stable():
     rep = maximal_inequality_check(U_LIN, WIENER, Q1, 4.0, 2.0, 3000, seed=11,
                                    sup_levels=(64, 128, 256))
