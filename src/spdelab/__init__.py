@@ -5,8 +5,8 @@ Submodules:
   symbols     symbol classes, builtin symbols, multiplier-condition checks
   spectral    periodic grid, FFT multiplier calculus, evolution operators
   covariance  temporal covariance kernels
-  gaussian    Q-Gaussian path sampling, RKHS inner products, integrals
-  malliavin   cylinder functionals, derivative/Skorohod machinery
+  gaussian    Q-Gaussian path sampling, RKHS inner products, path integrals
+  malliavin   cylinder functionals, Skorohod integrals, mixed norms
   solver      mild-solution assembly with two stochastic-convolution routes
   verify      ratio checkers for the inequalities in scope
   cli         config-driven batch front-end
@@ -22,14 +22,10 @@ from .errors import (
     SymbolClassError,
     SymbolDomainError,
 )
-from .gaussian import QSpec, StepFunction, sample_paths, wiener_integral_exact
+from .gaussian import QSpec, StepFunction, sample_paths
 from .malliavin import (
     CylinderFunctional,
     ElementaryProcess,
-    d1p_norm,
-    d_phi,
-    malliavin_derivative,
-    skorohod_elementary,
     skorohod_moment_check,
 )
 from .reports import MultiplierReport, RatioReport
@@ -78,19 +74,14 @@ __all__ = [
     "bessel_equivalence_check",
     "builtin_kernel",
     "builtin_symbol",
-    "d1p_norm",
-    "d_phi",
     "g_operator_check",
     "kernel_envelope_check",
     "lp_inequality_check",
-    "malliavin_derivative",
     "maximal_inequality_check",
     "mode_residual",
     "sample_paths",
-    "skorohod_elementary",
     "skorohod_moment_check",
     "solve",
     "stochastic_convolution_modewise",
     "stochastic_convolution_pathwise",
-    "wiener_integral_exact",
 ]

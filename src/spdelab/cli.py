@@ -96,7 +96,7 @@ _LEVELS = Key("list", [[32, 16], [64, 32], [128, 64]], least=1,
 # the problem of simulate and verify-apriori
 _PROBLEM = {
     "psi": Key(_SYMBOL, _HEAT), "kernel": _KERNEL, "m": _count(1),
-    "T": Key("number", 1.0, above=0), "p": _NUM2, "q_exp": _NUM2,
+    "T": Key("number", 1.0, above=0),
     "lambdas": Key("list", [1.0, 0.5], each=Key("number")),
     "u0": Key("string", "bump", choices=("zero", "bump")),
     "f": Key("string", "none", choices=("none", "bump")),
@@ -111,7 +111,7 @@ _OPERATOR = {
 
 PARAMS = {
     "simulate": {
-        **_PROBLEM, "phi": Key(_SYMBOL), "grid": _grid(32), "n_t": _count(16),
+        **_PROBLEM, "grid": _grid(32), "n_t": _count(16),
         "n_samples": _count(32),
         "estimator": Key("string", "pathwise", choices=ESTIMATORS)},
     "verify-maximal": {
@@ -141,7 +141,8 @@ PARAMS = {
         "var_tol": Key("number", 0.2, least=0)},
     "verify-goperator": _OPERATOR,
     "verify-apriori": {   # runs on simulate's default grid at each level's n
-        **_PROBLEM, "phi": Key("string|object", _POWER(d=1)), "levels": _LEVELS,
+        **_PROBLEM, "p": _NUM2, "q_exp": _NUM2,
+        "phi": Key("string|object", _POWER(d=1)), "levels": _LEVELS,
         "n_samples": _count(48)},
     "verify-skorohod": {**_PROCESS, "n_samples": Key("int", 100_000, least=2)},
     "kernels": {},
@@ -353,7 +354,6 @@ def _build_problem(p, n=None, n_t=None):
     """The SPDEProblem of simulate, or of verify-apriori at level (n, n_t)."""
     grid = _make_grid(p.get("grid", PARAMS["simulate"]["grid"].default), n=n)
     psi = _symbol(p["psi"], grid.d)
-    phi = _symbol(p["phi"], grid.d) if p["phi"] is not None else None
     kernel = _build(builtin_kernel, p["kernel"])
     times = np.linspace(0.0, p["T"], (p["n_t"] if n_t is None else n_t) + 1)
     with _schema_errors("param 'lambdas'"):
@@ -362,8 +362,7 @@ def _build_problem(p, n=None, n_t=None):
     f, g = _forcing_arrays(p, grid, times, p["m"], q.J)
     with _schema_errors("problem"):
         return SPDEProblem(psi=psi, u0=u0, kernel=kernel, q=q, times=times,
-                           f=f, g=g, phi=phi, p=p["p"], q_exp=p["q_exp"],
-                           quad_refine=p["quad_refine"])
+                           f=f, g=g, quad_refine=p["quad_refine"])
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +504,10 @@ def _run_verify_goperator(cfg: RunConfig):
 
 def _run_verify_apriori(cfg: RunConfig):
     p = cfg.params
+    phi = _symbol(p["phi"], PARAMS["simulate"]["grid"].default["d"])
     rep = apriori_refinement(
-        lambda n, n_t: _build_problem(p, n=n, n_t=n_t), _levels(p),
-        p["n_samples"], cfg.seed)
+        lambda n, n_t: _build_problem(p, n=n, n_t=n_t), phi, p["p"],
+        p["q_exp"], _levels(p), p["n_samples"], cfg.seed)
     return _ratio_result(rep, "grid n")
 
 

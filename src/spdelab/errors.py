@@ -15,7 +15,7 @@ class SymbolDomainError(SpdelabError):
 
 class KernelValidityError(SpdelabError):
     """A covariance kernel failed a positivity requirement (Gram not PSD
-    after the jitter ladder, or a negative computed variance)."""
+    after the jitter ladder)."""
 
 
 class AlignmentError(SpdelabError):

@@ -1,4 +1,4 @@
-"""Sampling of Q-Gaussian processes and exact Wiener integrals of steps.
+"""Q-Gaussian sampling, and inner products and Wiener integrals of steps.
 
 The driving noise is beta_t = sum_j sqrt(lambda_j) beta_j(t) e_j with
 independent scalar factors beta_j sharing one temporal covariance R. Step
@@ -6,6 +6,9 @@ functions carry their U_0 coordinates in the orthonormal basis
 {sqrt(lambda_j) e_j}, which makes every RKHS inner product a plain dot
 product against rectangle increments of R and removes the lambdas from
 all downstream formulas.
+
+`inner_H_U0` and `wiener_integral_path` are the exact references that the
+tests check the draws of `draw_increments` against.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from . import rng as _rng
 from .covariance import (CovarianceKernel, cholesky_psd, cross_increments,
                          increment_gram)
-from .errors import AlignmentError, KernelValidityError
+from .errors import AlignmentError
 
 TIME_TOL = 1e-9
 
@@ -151,22 +154,6 @@ def inner_H_U0(phi: StepFunction, psi: StepFunction, kernel: CovarianceKernel) -
 
 # ---------------------------------------------------------------------------
 # Wiener integrals
-
-
-def wiener_integral_exact(h: StepFunction, kernel, q: QSpec, n_samples, seed):
-    """i.i.d. N(0, <h,h>_H) samples of the Wiener integral beta(h).
-
-    The variance comes from the exact inner product; tiny negative values
-    from rounding are clamped, anything worse raises.
-    """
-    if h.J != q.J:
-        raise ValueError("step function and QSpec disagree on J")
-    var = inner_H_U0(h, h, kernel)
-    if var < -1e-12:
-        raise KernelValidityError(f"computed variance {var} is negative")
-    var = max(var, 0.0)
-    gen = _rng.substream(seed, _rng.WIENER)
-    return np.sqrt(var) * gen.standard_normal(int(n_samples))
 
 
 def wiener_integral_path(h: StepFunction, paths: PathSample):

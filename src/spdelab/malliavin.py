@@ -89,21 +89,6 @@ def sum_step(functions, partition=None) -> StepFunction:
 
 
 @dataclass
-class DerivativeRep:
-    """D^beta F = sum_l coefficient_l(omega) h_l with coefficient_l closed form."""
-
-    functional: CylinderFunctional
-
-    @property
-    def directions(self):
-        return self.functional.directions
-
-
-def malliavin_derivative(F: CylinderFunctional) -> DerivativeRep:
-    return DerivativeRep(F)
-
-
-@dataclass
 class ElementaryProcess:
     """u(t) = sum_i F_i * k_i * phi_i(t), valued in R^m tensor U_0."""
 
@@ -170,7 +155,6 @@ class JointDesign:
         self.phi_ref, self.H_ref = self._refined(self.partition)     # (I, P, J)
         coarse = canonical_partition(fns, extra_times=(0.0, process.T))
         self.coarse_widths = np.diff(coarse)
-        self.coarse_gram = increment_gram(kernel, coarse)
         self.coarse_phi, self.coarse_H = self._refined(coarse)       # (I, Pc, J)
         self.K = np.stack([k for _, k, _ in process.terms])        # (I, m)
         self.k_gram = self.K @ self.K.T
@@ -263,19 +247,6 @@ class JointDesign:
                        optimize=True)
         return np.sqrt(np.maximum(sq, 0.0))
 
-    def abs_h_norm_u(self, Fv):
-        """(n,): the |H|-norm of u per draw (rectangle sum on cell norms)."""
-        M = self.u_cell_norms(Fv)
-        sq = np.einsum("np,nq,pq->n", M, M, self.coarse_gram, optimize=True)
-        return np.sqrt(np.maximum(sq, 0.0))
-
-    def abs_hh_norm_du(self, dv):
-        """(n,): the |H| tensor |H| norm of D^beta u per draw."""
-        N = self.du_cell_norms(dv)
-        G = self.coarse_gram
-        sq = np.einsum("npq,nrs,pr,qs->n", N, N, G, G, optimize=True)
-        return np.sqrt(np.maximum(sq, 0.0))
-
     def h_norm_sq_u(self, Fv):
         """(n,): the plain K-tensor-H squared norm of u per draw (exact)."""
         return np.einsum("ni,nj,ij,ij->n", Fv, Fv, self.k_gram, self.ip_phi_phi)
@@ -284,28 +255,6 @@ class JointDesign:
         """(n,): <D u, S(D u)> per draw with exact inner products."""
         W = self.k_gram * self.ip_H_phi * self.ip_H_phi.T
         return np.einsum("ni,nj,ij->n", dv, dv, W)
-
-
-@dataclass
-class DPhiFunctional:
-    """D_phi F = shape'(sum beta(h_l)) * sum_l <h_l, phi>_H."""
-
-    functional: CylinderFunctional
-    ip_sum: float
-
-
-def d_phi(F: CylinderFunctional, phi: StepFunction,
-          kernel: CovarianceKernel) -> DPhiFunctional:
-    from .gaussian import inner_H_U0
-    ip = sum(inner_H_U0(h, phi, kernel) for h in F.directions)
-    return DPhiFunctional(F, float(ip))
-
-
-def skorohod_elementary(u: ElementaryProcess, kernel, q: QSpec,
-                        n_samples, seed):
-    design = JointDesign(u, kernel, q)
-    delta = design.draw(int(n_samples), seed)
-    return design.running_skorohod(delta, *design.functional_values(delta))[:, -1]
 
 
 @dataclass
@@ -371,19 +320,6 @@ def skorohod_moment_check(u: ElementaryProcess, kernel, q: QSpec, n_samples,
         seed=int(seed),
         details={"kernel": kernel.name, "paired_se": se},
     )
-
-
-def d1p_norm(u: ElementaryProcess, kernel, p, n_samples, seed,
-             q: QSpec | None = None) -> float:
-    """(E ||u||^p_{|H|} + E ||D u||^p_{|H| x |H|})^(1/p) by Monte Carlo."""
-    if q is None:
-        q = QSpec((1.0,) * u.terms[0][2].J)
-    design = JointDesign(u, kernel, q)
-    delta = design.draw(int(n_samples), seed)
-    Fv, dv = design.functional_values(delta)
-    eu = float(np.mean(design.abs_h_norm_u(Fv) ** p))
-    edu = float(np.mean(design.abs_hh_norm_du(dv) ** p))
-    return float((eu + edu) ** (1.0 / p))
 
 
 def mixed_norm_terms(design: JointDesign, Fv, dv, p, q_exp, r_exp):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 PATHS = 1
-WIENER = 2
 SKOROHOD = 3
 CONV_MODEWISE = 5
 BESSEL_BATTERY = 9

@@ -62,7 +62,8 @@ _EXP_FLOOR = 0.5 * float(np.log(np.finfo(float).tiny)) + 8.0
 
 @dataclass
 class SPDEProblem:
-    """Data of du = (L_psi u + f) dt + g dbeta on a periodic grid.
+    """The equation du = (L_psi u + f) dt + g dbeta on a periodic grid, and
+    nothing of a norm estimate (see verify.apriori_estimate_check).
 
     f holds node values on the solution grid, shape (n_times, m, n_points);
     g holds cell values (constant on (t_c, t_{c+1}]), shape
@@ -84,10 +85,6 @@ class SPDEProblem:
     times: np.ndarray
     f: np.ndarray | None = None
     g: np.ndarray | None = None
-    phi: SymbolSpec | None = None       # Bessel-scale symbol for norms
-    p: float = 2.0
-    q_exp: float = 2.0
-    r_exp: float | None = None
     quad_refine: int = 8
 
     def __post_init__(self):
@@ -98,12 +95,6 @@ class SPDEProblem:
             raise ValueError("solution grid must start at t = 0")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("solution times must increase")
-        if self.r_exp is None:
-            self.r_exp = float(self.kernel.r_exp)
-        if not (self.p >= self.q_exp >= max(2.0, self.r_exp)):
-            raise HypothesisViolationError(
-                f"need p >= q >= max(2, r); got p={self.p}, q={self.q_exp}, "
-                f"r={self.r_exp}")
         if self.f is not None:
             self.f = np.asarray(self.f, dtype=complex)
             want = (len(self.times), self.m, self.grid.n_points)

@@ -63,6 +63,13 @@ def _coupled_partition(u: ElementaryProcess, sup_levels):
     return parts, union
 
 
+def _require_exponents(p, q_exp, r):
+    """p >= q >= max(2, r), the hypothesis of every check with exponents."""
+    if not (p >= q_exp >= max(2.0, r)):
+        raise HypothesisViolationError(
+            f"need p >= q >= max(2, r); got p={p}, q={q_exp}, r={r}")
+
+
 def _se(s1, s2, n):
     """Standard errors of means from the running sums of x and x^2, n >= 2."""
     return np.sqrt(np.maximum(s2 - s1 * s1 / n, 0.0) / ((n - 1) * n))
@@ -109,9 +116,7 @@ def maximal_inequality_check(u: ElementaryProcess, kernel: CovarianceKernel,
     block draws.
     """
     r = float(kernel.r_exp) if r_exp is None else float(r_exp)
-    if not (p >= q_exp >= max(2.0, r)):
-        raise HypothesisViolationError(
-            f"need p >= q >= max(2, r); got p={p}, q={q_exp}, r={r}")
+    _require_exponents(p, q_exp, r)
     n = int(n_samples)
     if n < 2:
         raise ValueError(f"need n_samples >= 2 for a standard error; got {n}")
@@ -197,10 +202,9 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
     multiplier depends only on the lag between the cells, so one row per
     lag is built.
     """
-    if not (p >= q_exp >= max(2.0, r_exp) and r_exp >= 1.0):
-        raise HypothesisViolationError(
-            f"need p >= q >= max(2, r) and r >= 1; got p={p}, q={q_exp}, "
-            f"r={r_exp}")
+    _require_exponents(p, q_exp, r_exp)
+    if r_exp < 1.0:    # r has a conjugate exponent only from 1 on
+        raise HypothesisViolationError(f"need r >= 1; got r={r_exp}")
     wpow = q_exp * phi.gamma / psi.gamma - 1.0
     theta, w_th = _theta_grid(n_theta)
     trace = []
@@ -452,32 +456,33 @@ def _lp_of_hat(values_hat, grid, p, comp_axes):
     return _lp_power(vals, grid, p, comp_axes) ** (1.0 / p)
 
 
-def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
-                           name=None) -> RatioReport:
+def apriori_estimate_check(problem: SPDEProblem, phi: SymbolSpec, p, q_exp,
+                           n_samples, seed, name=None) -> RatioReport:
     """Solution-space norm of the pathwise ensemble against the data norms.
 
-    lhs sums the four norm pieces of the solution space (u at order
-    2 g_psi/g_phi, Du = L_psi u + f at order 0, Su = g at order
-    2 g_psi/(q' g_phi), and the initial value); rhs holds the three data
-    norms.  Deterministic f and g make the g-norm Malliavin term vanish.
-    The norms are taken on the half spectrum, complex data as its real
-    components (solver.real_components), and the ensemble's norms one
-    slice of its time_slices() at a time, so neither the ensemble nor a
-    transform of it is held whole.
+    Needs p >= q_exp >= max(2, r), r = problem.kernel.r_exp, else
+    HypothesisViolationError.  lhs sums the four L^p norm pieces of the
+    solution space, at Bessel orders of phi (u at order 2 g_psi/g_phi,
+    Du = L_psi u + f at order 0, Su = g at order 2 g_psi/(q' g_phi), and
+    the initial value); rhs holds the three data norms.  Deterministic f
+    and g make the g-norm Malliavin term vanish.  The norms are taken on
+    the half spectrum, complex data as its real components
+    (solver.real_components), and the ensemble's norms one slice of its
+    time_slices() at a time, so neither the ensemble nor a transform of
+    it is held whole.
     """
-    if problem.phi is None:
-        raise ValueError("a-priori check needs the Bessel-scale symbol phi")
     pb = problem
-    grid, half, p, qe = pb.grid, pb.grid.half, pb.p, pb.q_exp
+    _require_exponents(p, q_exp, float(pb.kernel.r_exp))
+    grid, half = pb.grid, pb.grid.half
     real = pb.real_data
-    qprime = qe / (qe - 1.0)
-    s_ratio = 2.0 * pb.psi.gamma / pb.phi.gamma
+    qprime = q_exp / (q_exp - 1.0)
+    s_ratio = 2.0 * pb.psi.gamma / phi.gamma
     alpha_u = s_ratio
-    alpha_g = 2.0 * pb.psi.gamma / (qprime * pb.phi.gamma)
+    alpha_g = 2.0 * pb.psi.gamma / (qprime * phi.gamma)
     alpha_0 = s_ratio * (1.0 - 1.0 / p)
 
     ens = solve(pb, int(n_samples), seed, estimator="pathwise")
-    mu = bessel_multiplier(pb.phi, half, alpha_u)
+    mu = bessel_multiplier(phi, half, alpha_u)
     psim = np.broadcast_to(symbol_on_grid(
         pb.psi, pb.times if pb.psi.time_dependent else 0.0, half),
         (pb.n_times, half.n_points))
@@ -500,7 +505,7 @@ def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
 
     # Su = g at order alpha_g; deterministic g => exact step-in-time integral
     if pb.g is not None:
-        mg = bessel_multiplier(pb.phi, half, alpha_g)
+        mg = bessel_multiplier(phi, half, alpha_g)
         g_hat = spatial_rfft(real_components(pb.g, 1, real), grid)
         norms_g = _lp_of_hat(g_hat * mg, grid, p, comp_axes=(1, 2))  # (n_t-1,)
         term_g = float(np.sum(norms_g ** p * np.diff(pb.times))) ** (1.0 / p)
@@ -508,7 +513,7 @@ def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
         term_g = 0.0
 
     u0_hat = spatial_rfft(real_components(pb.u0.values, 0, real), grid)
-    m0 = bessel_multiplier(pb.phi, half, alpha_0)
+    m0 = bessel_multiplier(phi, half, alpha_0)
     term_0 = float(_lp_of_hat(u0_hat * m0, grid, p, comp_axes=0))
 
     if f_hat is not None:
@@ -528,13 +533,14 @@ def apriori_estimate_check(problem: SPDEProblem, n_samples, seed,
                  "alpha_u": alpha_u, "alpha_g": alpha_g, "alpha_0": alpha_0})
 
 
-def apriori_refinement(problem_builder, levels, n_samples, seed) -> RatioReport:
+def apriori_refinement(problem_builder, phi, p, q_exp, levels, n_samples,
+                       seed) -> RatioReport:
     """Run the a-priori check over (n, n_t) levels and combine the trace."""
     trace = []
     last = None
     for n, n_t in levels:
-        rep = apriori_estimate_check(problem_builder(int(n), int(n_t)),
-                                     n_samples, seed)
+        rep = apriori_estimate_check(problem_builder(int(n), int(n_t)), phi,
+                                     p, q_exp, n_samples, seed)
         trace.append((float(n), rep.ratio))
         last = rep
     return RatioReport.make(last.name, last.lhs, last.rhs_components,

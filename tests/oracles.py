@@ -14,7 +14,7 @@ from scipy import integrate, special
 from spdelab import rng
 from spdelab.covariance import cholesky_psd, cross_increments, increment_gram
 from spdelab.gaussian import TIME_TOL, StepFunction
-from spdelab.malliavin import ElementaryProcess
+from spdelab.malliavin import ElementaryProcess, JointDesign
 from spdelab.solver import _quad_grid
 from spdelab.spectral import (GridSpec, spatial_fft, symbol_cumulative_integrals,
                               symbol_on_grid)
@@ -328,19 +328,17 @@ def ensemble_summary_rows_full(ensemble):
 
 
 # ---------------------------------------------------------------------------
-# Malliavin derivatives and processes, from their defining formulas
+# Skorohod integrals and elementary processes
 
 
-def derivative_coefficients(rep, y):
-    """(n_draws, n_directions) coefficients of D F = shape'(y) sum_l h_l:
-    every column is shape'(y)."""
-    d = np.atleast_1d(rep.functional.dvalue(y))
-    return np.repeat(d[:, None], len(rep.directions), axis=1)
-
-
-def d_phi_value(dphi, y):
-    """D_phi F at beta-value y: shape'(y) sum_l <h_l, phi>_H."""
-    return dphi.functional.dvalue(y) * dphi.ip_sum
+def skorohod_integral(u, kernel, q, n_samples, seed):
+    """delta(u) per draw, (n_samples, m): not an oracle but the library's
+    own route, shared by the tests that compare its draws: one design, one
+    draw, and the last node of its running integral."""
+    design = JointDesign(u, kernel, q)
+    delta = design.draw(int(n_samples), seed)
+    return design.running_skorohod(
+        delta, *design.functional_values(delta))[:, -1]
 
 
 def scaled(u, c):
@@ -403,16 +401,6 @@ def running_skorohod_whole_arrays(design, delta, Fv, dv):
         scal = cum_b * Fv[:, i:i + 1] - dv[:, i:i + 1] * cum_w[None, :]
         out[:, 1:, :] += scal[:, :, None] * k[None, None, :]
     return out
-
-
-def abs_norms_fine(design, Fv, dv):
-    """(|H| norm of u, |H| x |H| norm of D u) per draw, on fine cell pairs."""
-    M = u_cell_norms_fine(design, Fv)
-    N = du_cell_norms_fine(design, dv)
-    G = design.inc_gram
-    su = np.einsum("np,nq,pq->n", M, M, G, optimize=True)
-    sd = np.einsum("npq,nrs,pr,qs->n", N, N, G, G, optimize=True)
-    return np.sqrt(np.maximum(su, 0.0)), np.sqrt(np.maximum(sd, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from spdelab.malliavin import (
     ElementaryProcess,
     constant_functional,
     linear_functional,
-    skorohod_elementary,
     skorohod_moment_check,
 )
 from spdelab.solver import SPDEProblem, _quad_grid, solve
@@ -87,7 +86,7 @@ def test_criterion_02_skorohod_exact_case():
     stats = []
     for seed, kern in zip((19, 20), battery.kernel_battery()):
         assert inner_H_U0(full, full, kern) == pytest.approx(1.0)
-        scal = skorohod_elementary(u, kern, Q1, n, seed=seed)[:, 0]
+        scal = oracles.skorohod_integral(u, kern, Q1, n, seed=seed)[:, 0]
         mean, var = float(np.mean(scal)), float(np.var(scal))
         assert abs(mean) <= 4.0 * np.sqrt(2.0 / n)
         assert abs(var - 2.0) <= 4.0 * np.sqrt(
@@ -276,13 +275,12 @@ def test_criterion_10_apriori_estimate():
             g = np.tile(bump[None, None, None, :],
                         (n_t, 1, 1, 1)).astype(complex)
             return SPDEProblem(psi=HEAT, u0=u0, kernel=kern, q=Q1,
-                               times=times, f=f, g=g, phi=POWER2,
-                               p=2.0, q_exp=2.0)
+                               times=times, f=f, g=g)
         return build
 
     drifts = {}
     for kern in battery.kernel_battery():
-        rep = apriori_refinement(builder(kern),
+        rep = apriori_refinement(builder(kern), POWER2, 2.0, 2.0,
                                  ((32, 16), (64, 32), (128, 64)),
                                  48, seed=13)
         ratios = [r for _, r in rep.refinement_trace]

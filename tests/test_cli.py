@@ -142,9 +142,15 @@ def test_bad_levels_exit_2(tmp_path, capsys, command, levels):
     _assert_rejected(tmp_path, capsys, command, {"levels": levels})
 
 
+# a heat kernel with r = 3: simulate takes no exponents, so it runs
+_HEAT_R3 = {"name": "heat", "delta": 1.0, "r_exp": 3.0}
+
+
 @pytest.mark.parametrize("command,params", [
     ("verify-maximal", {"p": 1.0, "n_samples": 10}),
-    ("simulate", {"p": 1.0}),
+    # r = 3 from the kernel: p = q = 2 is below max(2, r)
+    ("verify-apriori", {"kernel": _HEAT_R3, "g": "constant",
+                        "levels": [[8, 2]], "n_samples": 2}),
     ("verify-apriori", {"p": 1.0}),
     ("verify-lp", {"q_exp": 3.0}),
     ("verify-goperator", {"phi": {"name": "power", "gamma": 1.0}}),
@@ -203,7 +209,8 @@ def test_lp_odd_phi_exits_2(tmp_path, capsys):
     ("verify-bessel", {"p": 0.5, "grid": {"n": 8}, "count": 1}),
     ("verify-bessel", {"p": 1.0, "grid": {"n": 8}, "count": 1}),
     # a symbol of another dimension than the grid raised a ValueError
-    # traceback, or in simulate, where phi is not read, ran to PASS
+    # traceback, or in simulate, where phi was not read, ran to PASS (phi
+    # is now an unknown key there)
     ("verify-lp", {"psi": {"name": "heat", "d": 2}, "levels": [[8, 2]]}),
     ("verify-goperator", {"psi": {"name": "heat", "d": 2}, "levels": [[8, 2]]}),
     ("verify-bessel", {"phi": {"name": "power", "d": 2}, "grid": {"n": 8},
@@ -356,12 +363,14 @@ def _config(where, key, value, params=()):
     return config
 
 
-# every known key of every table with each JSON type it never accepts, and
-# one unknown key per table
+# every known key of every table with each JSON type it never accepts, one
+# unknown key per table, and simulate's former a-priori keys (p, q_exp and
+# phi belong to verify-apriori, and {"p": 1.0} now fails as an unknown key)
 _BAD_CASES = [(command, where, key, kind) for command, table, where in _TABLES
               for key in sorted(table) for kind in _JSON_VALUES
               if kind not in _ACCEPTS.get((command, key), _ACCEPTS.get(key))] \
-    + [(command, where, None, int) for command, _, where in _TABLES]
+    + [(command, where, None, int) for command, _, where in _TABLES] \
+    + [("simulate", "params", key, float) for key in ("p", "q_exp", "phi")]
 
 
 def test_small_configs_cover_every_command_and_run(tmp_path):
@@ -872,6 +881,19 @@ def test_simulate_defaults_to_pathwise(tmp_path):
     assert report["estimator"] == "pathwise"
     assert "details" not in report
     assert all(float(r["mean_sup"]) > 0 for r in _read_rows(out / "simulate.csv"))
+
+
+def test_simulate_takes_a_kernel_with_r_above_2(tmp_path):
+    # simulate refused this config (exit 2, "need p >= q >= max(2, r)")
+    # for a hypothesis of the a-priori check, which alone takes exponents
+    cfg = _write_cfg(tmp_path, "sim.json", {"params": {"kernel": _HEAT_R3,
+                                                       "g": "constant"}})
+    out = tmp_path / "runs"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "simulate.json").read_text())["report"]
+    assert report["kernel"] == "heat"
+    rows = _read_rows(out / "simulate.csv")
+    assert len(rows) == 17 and float(rows[-1]["total_variance"]) > 0
 
 
 def test_modewise_simulate_leaves_mean_sup_empty(tmp_path):

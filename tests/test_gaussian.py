@@ -14,7 +14,6 @@ from spdelab.gaussian import (
     canonical_partition,
     inner_H_U0,
     sample_paths,
-    wiener_integral_exact,
     wiener_integral_path,
 )
 
@@ -226,19 +225,6 @@ def test_wiener_increments_independent():
 
 # ---------------------------------------------------------------------------
 # Wiener integrals
-
-
-def test_wiener_integral_exact_law():
-    h = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([[1.0, 0.0],
-                                                          [1.0, 1.0]]))
-    q = QSpec((1.0, 1.0))
-    n = 100000
-    x = wiener_integral_exact(h, WIENER, q, n, seed=5)
-    var = inner_H_U0(h, h, WIENER)
-    assert abs(x.mean()) < 4 * np.sqrt(var / n)
-    assert abs(x.var() - var) < 4 * var * np.sqrt(2.0 / n)
-    with pytest.raises(ValueError):
-        wiener_integral_exact(h, WIENER, QSpec((1.0,)), 10, seed=5)
 
 
 @pytest.mark.parametrize("kernel", [WIENER, FBM], ids=["wiener", "fbm"])

@@ -12,12 +12,8 @@ from spdelab.malliavin import (
     ElementaryProcess,
     JointDesign,
     constant_functional,
-    d1p_norm,
-    d_phi,
     linear_functional,
-    malliavin_derivative,
     mixed_norm_terms,
-    skorohod_elementary,
     skorohod_moment_check,
     sum_step,
 )
@@ -62,40 +58,52 @@ def test_shape_values_and_derivatives():
     assert np.all(linear_functional(h).dvalue(y) == 1.0)
 
 
-def test_derivative_rep_columns():
-    h1, h2 = _phi(), _phi(coeffs=((0.0,), (1.0,)))
-    F = CylinderFunctional("sine", (h1, h2))
-    rep = malliavin_derivative(F)
-    y = np.array([0.3, -1.2])
-    coef = oracles.derivative_coefficients(rep, y)
-    assert coef.shape == (2, 2)
-    assert np.allclose(coef, np.cos(y)[:, None])
-    assert rep.directions == (h1, h2)
+def _ip_sum(directions, phi, kernel):
+    """sum_l <h_l, phi>_H from the exact pairwise inner product."""
+    return sum(inner_H_U0(h, phi, kernel) for h in directions)
 
 
 def test_d_phi_inner_product_factor():
+    # D_phi F = shape'(y) sum_l <h_l, phi>_H: the design's ip_H_phi is the
+    # factor, for the term whose integrand is phi
     h1, h2 = _phi(), _phi(coeffs=((3.0,), (-1.0,)))
     phi = _phi(coeffs=((1.0,), (0.0,)))
     F = CylinderFunctional("exp_neg_square", (h1, h2))
-    d = d_phi(F, phi, FBM)
-    want = inner_H_U0(h1, phi, FBM) + inner_H_U0(h2, phi, FBM)
-    assert d.ip_sum == pytest.approx(want, rel=1e-12)
+    design = JointDesign(ElementaryProcess([(F, [1.0], phi)]), FBM, Q1)
+    want = _ip_sum((h1, h2), phi, FBM)
+    assert design.ip_H_phi[0, 0] == pytest.approx(want, rel=1e-12)
     y = 0.4
-    assert oracles.d_phi_value(d, y) == pytest.approx(-2 * y * np.exp(-y ** 2) * want)
+    assert F.dvalue(y) * design.ip_H_phi[0, 0] == \
+        pytest.approx(-2 * y * np.exp(-y ** 2) * want)
+
+
+@pytest.mark.parametrize("case", skorohod_battery(), ids=lambda c: c[0])
+def test_ip_H_phi_is_the_sum_of_exact_inner_products(case):
+    # entry (i, j) pairs term i's directions with term j's integrand
+    _, proc, kernel = case
+    design = JointDesign(proc, kernel, QSpec((1.0,) * proc.terms[0][2].J))
+    for i, (F, _, _) in enumerate(proc.terms):
+        for j, (_, _, phi) in enumerate(proc.terms):
+            want = _ip_sum(F.directions, phi, kernel)
+            assert abs(design.ip_H_phi[i, j] - want) <= 1e-12, (i, j)
 
 
 def test_d_phi_product_rule():
-    # polynomials of the same beta(H): (pq)' = p'q + pq'
+    # polynomials of the same beta(H) share the factor sum_l <h_l, phi>_H,
+    # so D_phi (FG) = F D_phi G + G D_phi F is the rule (pq)' = p'q + pq'
+    # for the shapes' dvalue
     h = _phi()
     phi = _phi(coeffs=((0.5,), (1.5,)))
     c1, c2 = (1.0, 2.0), (0.0, -1.0, 1.0)
     F = CylinderFunctional("polynomial", (h,), c1)
     G = CylinderFunctional("polynomial", (h,), c2)
     FG = CylinderFunctional("polynomial", (h,), tuple(npoly.polymul(c1, c2)))
+    ip = JointDesign(ElementaryProcess([(FG, [1.0], phi)]), WIENER,
+                     Q1).ip_H_phi[0, 0]
+    assert ip != 0.0
     y = np.array([-0.8, 0.0, 1.3])
-    lhs = oracles.d_phi_value(d_phi(FG, phi, WIENER), y)
-    rhs = (F.value(y) * oracles.d_phi_value(d_phi(G, phi, WIENER), y)
-           + G.value(y) * oracles.d_phi_value(d_phi(F, phi, WIENER), y))
+    lhs = FG.dvalue(y) * ip
+    rhs = F.value(y) * G.dvalue(y) * ip + G.value(y) * F.dvalue(y) * ip
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -148,8 +156,9 @@ def test_scaling_linearity():
     phi = _phi()
     u = ElementaryProcess([(CylinderFunctional("sine", (phi,)),
                             np.array([1.0, -1.0]), phi)])
-    a = skorohod_elementary(u, FBM, Q1, 500, seed=3)
-    b = skorohod_elementary(oracles.scaled(u, -2.5), FBM, Q1, 500, seed=3)
+    a = oracles.skorohod_integral(u, FBM, Q1, 500, seed=3)
+    b = oracles.skorohod_integral(oracles.scaled(u, -2.5), FBM, Q1, 500,
+                                  seed=3)
     assert np.allclose(b, -2.5 * a, rtol=1e-12, atol=1e-14)
 
 
@@ -165,9 +174,9 @@ def test_additivity_on_shared_partition():
     u2 = ElementaryProcess([(F2, k2, phi2)])
     both = u1 + u2
     n, seed = 400, 9
-    s12 = skorohod_elementary(both, FBM, Q1, n, seed)
-    s1 = skorohod_elementary(u1, FBM, Q1, n, seed)
-    s2 = skorohod_elementary(u2, FBM, Q1, n, seed)
+    s12 = oracles.skorohod_integral(both, FBM, Q1, n, seed)
+    s1 = oracles.skorohod_integral(u1, FBM, Q1, n, seed)
+    s2 = oracles.skorohod_integral(u2, FBM, Q1, n, seed)
     assert np.allclose(s12, s1 + s2, atol=1e-12)
 
 
@@ -294,17 +303,16 @@ def test_mixed_norm_terms_match_fine_oracle(case):
 
 
 @pytest.mark.parametrize("case", skorohod_battery(), ids=lambda c: c[0])
-def test_abs_norms_ignore_extra_times(case):
+def test_cell_norms_ignore_extra_times(case):
+    # the norms live on the process's own partition: the sup-level times
+    # of a fine design change no bit of them
     _, proc, kernel = case
     plain = JointDesign(proc, kernel, QSpec((1.0,) * proc.terms[0][2].J))
     fine = _sup_level_design(proc, kernel)
     Fv, dv = plain.functional_values(plain.draw(100, seed=13))
-    want_u, want_du = oracles.abs_norms_fine(fine, Fv, dv)
-    for design in (plain, fine):
-        assert np.allclose(design.abs_h_norm_u(Fv), want_u,
-                           rtol=1e-12, atol=0.0)
-        assert np.allclose(design.abs_hh_norm_du(dv), want_du,
-                           rtol=1e-12, atol=0.0)
+    assert np.array_equal(fine.coarse_widths, plain.coarse_widths)
+    assert np.array_equal(fine.u_cell_norms(Fv), plain.u_cell_norms(Fv))
+    assert np.array_equal(fine.du_cell_norms(dv), plain.du_cell_norms(dv))
 
 
 def test_du_cell_norms_do_not_grow_with_level():
@@ -315,31 +323,3 @@ def test_du_cell_norms_do_not_grow_with_level():
         _, dv = design.functional_values(design.draw(4, seed=1))
         shapes.add(design.du_cell_norms(dv).shape[1:])
     assert len(shapes) == 1
-
-
-def test_d1p_norm_deterministic_wiener():
-    phi = _phi()
-    k = np.array([2.0])
-    u = ElementaryProcess([(constant_functional(phi, 1.0), k, phi)])
-    # |H|-norm of a deterministic k phi under wiener is |k| ||phi||_{L^2}
-    want = 2.0 * oracles.l_r_norm(phi, 2.0)
-    got = d1p_norm(u, WIENER, p=2.0, n_samples=64, seed=1)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_d1p_norm_abs_pairing_fbm():
-    # two-cell deterministic profile: |H| rectangle sum computed by hand
-    phi = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([[1.0], [-2.0]]))
-    u = ElementaryProcess([(constant_functional(phi, 1.0),
-                            np.array([1.0]), phi)])
-    R = FBM.R
-    inc = np.empty((2, 2))
-    bp = [0.0, 0.5, 1.0]
-    for a in range(2):
-        for b in range(2):
-            inc[a, b] = (R(bp[a + 1], bp[b + 1]) - R(bp[a + 1], bp[b])
-                         - R(bp[a], bp[b + 1]) + R(bp[a], bp[b]))
-    mags = np.array([1.0, 2.0])
-    want = float(mags @ inc @ mags) ** 0.5
-    got = d1p_norm(u, FBM, p=2.0, n_samples=64, seed=1)
-    assert got == pytest.approx(want, rel=1e-10)

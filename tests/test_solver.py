@@ -58,14 +58,21 @@ def test_problem_validation():
         _problem(times=np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
         _problem(times=np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(HypothesisViolationError):
-        _problem(p=2.0, q_exp=4.0)           # p >= q violated
     with pytest.raises(ValueError):
         _problem(f=np.zeros((3, 1, 32)))     # wrong n_times
     with pytest.raises(ValueError):
         _problem(g=np.zeros((8, 1, 2, 32)))  # wrong J
     with pytest.raises(ValueError):
         _problem(quad_refine=0)
+
+
+def test_problem_takes_a_kernel_with_r_above_2():
+    # the problem holds only the equation: the a-priori check's
+    # p >= q >= max(2, r) refused this kernel at p = q = 2
+    kernel = builtin_kernel("heat", delta=1.0, r_exp=3.0)
+    pb = SPDEProblem(psi=HEAT, u0=_mode_field(GRID), kernel=kernel,
+                     q=QSpec((1.0,)), times=np.linspace(0.0, 0.5, 9))
+    assert pb.kernel.r_exp == 3.0
 
 
 def test_problem_rejects_growing_psi():

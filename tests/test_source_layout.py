@@ -6,9 +6,12 @@ pair ``spatial_rfft``/``spatial_irfft``, and the unnormalized
 ``covariance.cross_increments``; a symbol is evaluated on the grid only by
 ``spectral.symbol_on_grid``.  A new copy elsewhere fails here.  Every
 definition is reached from somewhere: a function or class that nothing
-else in the package names is either public or deleted, and so is a method
-that the package never takes as an attribute.  Every option is set: a
-parameter with a default that no call passes is a constant in disguise.
+else in the package names is deleted, unless it is one of the few that
+only the tests call (``TEST_ONLY``; ``__all__`` exempts nothing), and so
+is a method that the package never takes as an attribute.  Every
+module-level constant is read somewhere in the package.  Every option is
+set: a parameter with a default that no call passes is a constant in
+disguise.
 Every value a run takes from outside, its config, flags and environment,
 is checked by the ``Key`` rules of ``cli``.
 """
@@ -59,8 +62,11 @@ def test_symbol_eval_only_in_symbol_on_grid():
     assert all(start < pos < end for _, pos in hits)
 
 
-# names with no caller in the package that tests/test_acceptance.py uses
-ACCEPTANCE_ONLY = {"step_battery", "wiener_integral_path"}
+# definitions with no caller in the package that the tests use: the exact
+# inner product and path integral the draws are checked against, the
+# modewise residual diagnostic, and the acceptance step battery
+TEST_ONLY = {"inner_H_U0", "mode_residual", "step_battery",
+             "wiener_integral_path"}
 
 
 def _definitions(tree):
@@ -75,20 +81,37 @@ def _definitions(tree):
                         and not item.name.startswith("__"))
 
 
-def test_every_definition_has_a_caller_or_is_public():
+def test_every_definition_has_a_caller():
     # a method counts as used only where the package takes it as an
     # attribute (x.name), so a variable of the same name does not count for
-    # it; a function or class also where it is named.  Prose never counts.
+    # it; a function or class also where it is named.  Prose never counts,
+    # and neither does a listing in __all__.
     trees = [ast.parse(text) for text in SOURCES.values()]
     nodes = [node for tree in trees for node in ast.walk(tree)]
     names = {node.id for node in nodes if isinstance(node, ast.Name)}
     attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-    allowed = set(spdelab.__all__) | ACCEPTANCE_ONLY
     unused = sorted(
         name for tree in trees for name, method in _definitions(tree)
         if name not in attrs
-        and (method or name not in names and name not in allowed))
+        and (method or name not in names and name not in TEST_ONLY))
     assert unused == []
+
+
+def test_every_constant_is_read():
+    # a module-level UPPER_CASE name that nothing in the package reads, as
+    # rng's role tag of a deleted sampler was, is dead
+    trees = [ast.parse(text) for text in SOURCES.values()]
+    defined = {target.id for tree in trees for node in tree.body
+               if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign)
+                              else [node.target])
+               if isinstance(target, ast.Name)
+               and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)}
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    read = {node.id for node in nodes if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)} \
+        | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert sorted(defined - read) == []
 
 
 # options that calls reach only through a variable: builtin_symbol(**params)
@@ -97,9 +120,9 @@ def test_every_definition_has_a_caller_or_is_public():
 INDIRECT = {ctor.__name__ for ctor in symbols._BUILTIN_SYMBOLS.values()} \
     | {"lp_forcing_mixed"}
 # options of functions in spdelab.__all__ that only a library caller sets:
-# a report's name, and d1p_norm's QSpec
-PUBLIC_OPTIONS = {"apriori_estimate_check(name)", "d1p_norm(q)",
-                  "g_operator_check(name)", "lp_inequality_check(name)"}
+# a report's name
+PUBLIC_OPTIONS = {"apriori_estimate_check(name)", "g_operator_check(name)",
+                  "lp_inequality_check(name)"}
 
 
 def _options(tree):
@@ -203,13 +226,13 @@ def test_every_allowance_names_something():
     defined = {name for tree in trees.values() for name, _ in _definitions(tree)}
     options = {f"{name}({param})" for tree in trees.values()
                for name, _, opt in _options(tree) for param in opt}
-    assert sorted((ACCEPTANCE_ONLY | INDIRECT) - defined) == []
+    assert sorted((TEST_ONLY | INDIRECT) - defined) == []
     assert sorted(PUBLIC_OPTIONS - options) == []
     assert sorted(set(CROSS_KEY_RULES)
                   - {name for name, _ in _definitions(trees["cli.py"])}) == []
-    # an acceptance-only name that the package has come to use is no
-    # longer acceptance-only
+    # a test-only name that the package has come to use is no longer
+    # test-only
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
     used = {node.id for node in nodes if isinstance(node, ast.Name)} \
         | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-    assert sorted(ACCEPTANCE_ONLY & used) == []
+    assert sorted(TEST_ONLY & used) == []

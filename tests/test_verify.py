@@ -515,26 +515,36 @@ def _apriori_problem(n, n_t, c=1.0, kernel=WIENER, with_g=True):
         g = c * np.tile(np.cos(2.0 * x)[None, None, None, :],
                         (n_t, 1, 1, 1)).astype(complex)
     return SPDEProblem(psi=HEAT, u0=u0, kernel=kernel, q=Q1, times=times,
-                       f=f, g=g, phi=POWER2, p=2.0, q_exp=2.0)
+                       f=f, g=g)
 
 
-def test_apriori_requires_phi():
-    pb = _apriori_problem(16, 8)
-    pb.phi = None
-    with pytest.raises(ValueError):
-        apriori_estimate_check(pb, 8, seed=0)
+def _apriori_p2(problem, n_samples, seed):
+    """The a-priori check at p = q = 2 with the Bessel scale POWER2."""
+    return apriori_estimate_check(problem, POWER2, 2.0, 2.0, n_samples, seed)
+
+
+def test_apriori_exponent_hypothesis():
+    # p >= q >= max(2, r), with r the kernel's; SPDEProblem checked it
+    # with its own exponents and refused the r = 3 kernel even in simulate
+    with pytest.raises(HypothesisViolationError, match="p >= q"):
+        apriori_estimate_check(_apriori_problem(16, 8), POWER2, 2.0, 4.0,
+                               8, seed=0)
+    r3 = builtin_kernel("heat", delta=1.0, r_exp=3.0)
+    with pytest.raises(HypothesisViolationError, match="r=3.0"):
+        apriori_estimate_check(_apriori_problem(16, 8, kernel=r3), POWER2,
+                               2.0, 2.0, 8, seed=0)
 
 
 def test_apriori_ratio_scale_invariant():
-    a = apriori_estimate_check(_apriori_problem(32, 16), 64, seed=3)
-    b = apriori_estimate_check(_apriori_problem(32, 16, c=5.0), 64, seed=3)
+    a = _apriori_p2(_apriori_problem(32, 16), 64, seed=3)
+    b = _apriori_p2(_apriori_problem(32, 16, c=5.0), 64, seed=3)
     # every norm term is 1-homogeneous in (u0, f, g) and the noise is shared
     assert a.ratio == pytest.approx(b.ratio, rel=1e-10)
     assert a.passed and np.isfinite(a.ratio)
 
 
 def test_apriori_orders():
-    rep = apriori_estimate_check(_apriori_problem(32, 16), 32, seed=3)
+    rep = _apriori_p2(_apriori_problem(32, 16), 32, seed=3)
     d = rep.details
     assert d["alpha_u"] == pytest.approx(2.0)       # 2 g_psi / g_phi
     assert d["alpha_g"] == pytest.approx(1.0)       # q' = 2
@@ -545,7 +555,7 @@ def test_apriori_orders():
 
 def test_apriori_deterministic_has_no_g_term():
     pb = _apriori_problem(32, 16, with_g=False)
-    rep = apriori_estimate_check(pb, 4, seed=1)
+    rep = _apriori_p2(pb, 4, seed=1)
     assert rep.details["term_g"] == 0.0
     assert np.isfinite(rep.ratio) and rep.ratio > 0
 
@@ -558,7 +568,9 @@ def test_apriori_peak_is_below_five_ensembles():
     n, n_t = params["levels"][-1]
     pb = cli._build_problem(params, n=n, n_t=n_t)
     ensemble_bytes = 8 * params["n_samples"] * pb.n_times * pb.m * n
-    _, peak = oracles.traced_peak(apriori_estimate_check, pb,
+    phi = cli._symbol(params["phi"], pb.grid.d)
+    _, peak = oracles.traced_peak(apriori_estimate_check, pb, phi,
+                                  params["p"], params["q_exp"],
                                   params["n_samples"], seed=0)
     assert peak < 5 * ensemble_bytes
 
@@ -570,13 +582,15 @@ def test_apriori_peak_is_below_half_an_ensemble():
     n, n_t = params["levels"][-1]
     pb = cli._build_problem(params, n=n, n_t=n_t)
     ensemble_bytes = 8 * params["n_samples"] * pb.n_times * pb.m * n
-    _, peak = oracles.traced_peak(apriori_estimate_check, pb,
+    phi = cli._symbol(params["phi"], pb.grid.d)
+    _, peak = oracles.traced_peak(apriori_estimate_check, pb, phi,
+                                  params["p"], params["q_exp"],
                                   params["n_samples"], seed=0)
     assert peak < ensemble_bytes / 2
 
 
 def test_apriori_refinement_trace():
-    rep = apriori_refinement(lambda n, n_t: _apriori_problem(n, n_t),
-                             ((16, 8), (32, 16)), 48, seed=3)
+    rep = apriori_refinement(lambda n, n_t: _apriori_problem(n, n_t), POWER2,
+                             2.0, 2.0, ((16, 8), (32, 16)), 48, seed=3)
     assert [lev for lev, _ in rep.refinement_trace] == [16.0, 32.0]
     assert rep.passed and _drift(rep.refinement_trace) < 0.25
