@@ -70,12 +70,11 @@ class SPDEProblem:
     (n_times-1, m, J, n_points).  Either may be None.  psi must keep
     Re psi <= 0 on the grid at every solution time (the class-S sign),
     else SymbolClassError; a time-dependent psi is also checked at every
-    Simpson node its symbol tables evaluate when solve builds them: per
-    cell the 17 nodes of the 16-subinterval rule, and the new midpoints of
-    each doubling the cell needs (up to 64 subintervals; see
-    spectral.symbol_time_integral).  psi must also be Hermitian on the grid
-    (spectral.check_hermitian), else SymbolClassError; that is checked on
-    the same values, at the solution times only.
+    node of the tables solve builds, and its integral must not grow
+    between them (see spectral.symbol_cumulative_integrals).  psi must
+    also be Hermitian on the grid (spectral.check_hermitian), else
+    SymbolClassError; that is checked on the same values, at the solution
+    times only.
     """
 
     psi: SymbolSpec

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SymbolClassError, SymbolDomainError
-from .symbols import SymbolSpec, sum_in_order
+from .symbols import SymbolSpec
 
 
 def check_grid_size(n):
@@ -191,37 +191,46 @@ def multiplier_kernel(mult, grid: GridSpec) -> np.ndarray:
 def symbol_on_grid(sym: SymbolSpec, t, grid: GridSpec, class_s=False) -> np.ndarray:
     """Evaluate a symbol at every grid frequency, honoring the xi=0 rule.
 
-    A scalar t gives (n_points,).  A 1-D array of K times gives
-    (K, n_points) from one call sym.eval(t[:, None], freqs); an eval whose
-    result does not have that shape is called once per time instead.
-    A NaN value raises SymbolDomainError; with class_s, Re psi > 0 at any
-    value raises SymbolClassError (the class-S sign).
+    Shapes, the xi = 0 rule and the NaN check (SymbolDomainError) are
+    _on_grid's.  With class_s, Re psi > 0 at any value raises
+    SymbolClassError (the class-S sign).
     """
     if sym.d != grid.d:
         raise ValueError("symbol and grid dimensions differ")
-    freqs = grid.freq_grid()
-    if np.ndim(t) == 0:
-        vals = np.asarray(sym.eval(t, freqs), dtype=complex)
-    else:
-        t = np.asarray(t, dtype=float)
-        vals = np.asarray(sym.eval(t[:, None], freqs), dtype=complex)
-        if vals.shape != (len(t), grid.n_points):
-            vals = np.stack([np.asarray(sym.eval(r, freqs), dtype=complex)
-                             for r in t])
-    if sym.at_zero is not None:
-        vals = vals.copy()
-        vals[..., 0] = sym.at_zero  # flat index 0 is xi = 0 in fft layout
-    # one pass over contiguous memory: max propagates NaN, and a value with
-    # no positive part passes the sign check without the strided real view
-    top = np.max(np.ascontiguousarray(vals).view(float))
-    if np.isnan(top):
-        raise SymbolDomainError(f"symbol {sym.name!r} produced NaN on the grid")
-    if class_s and top > 0:
+    vals = _on_grid(sym.eval, t, grid, sym.at_zero, sym.name)
+    if class_s:
         grows = np.any(vals.real > 0, axis=-1)
         if np.any(grows):
-            first = t if np.ndim(t) == 0 else t[grows][0]
+            first = t if np.ndim(t) == 0 else np.asarray(t)[grows][0]
             raise SymbolClassError(f"psi {sym.name!r} has Re psi > 0 on the "
                                    f"grid at t={first}; class S needs Re psi <= 0")
+    return vals
+
+
+def _on_grid(fn, t, grid: GridSpec, zero, name) -> np.ndarray:
+    """fn(t, xi), a symbol's eval or primitive, at every grid frequency.
+
+    A scalar t gives (n_points,).  A 1-D array of K times gives
+    (K, n_points) from one call on the time column t[:, None]; a result of
+    another shape is replaced by one call per time.  zero, unless None, is
+    the value at xi = 0, per time or for all.  A NaN value raises
+    SymbolDomainError, naming the symbol `name`.
+    """
+    freqs = grid.freq_grid()
+    if np.ndim(t) == 0:
+        vals = np.asarray(fn(t, freqs), dtype=complex)
+    else:
+        t = np.asarray(t, dtype=float)
+        vals = np.asarray(fn(t[:, None], freqs), dtype=complex)
+        if vals.shape != (len(t), grid.n_points):
+            vals = np.stack([np.asarray(fn(r, freqs), dtype=complex)
+                             for r in t])
+    if zero is not None:
+        vals = vals.copy()
+        vals[..., 0] = zero     # flat index 0 is xi = 0 in fft layout
+    # one pass over contiguous memory; max propagates NaN
+    if np.isnan(np.max(np.ascontiguousarray(vals).view(float))):
+        raise SymbolDomainError(f"symbol {name!r} produced NaN on the grid")
     return vals
 
 
@@ -260,76 +269,41 @@ def bessel_multiplier(phi: SymbolSpec, grid: GridSpec, alpha) -> np.ndarray:
 # the evolution operator's symbol tables
 
 
-# symbol_time_integral's Simpson ladder: the subintervals of a cell's first
-# and last rule, and the relative agreement at which a rung is accepted
-_SIMPSON_SUBINTERVALS = (16, 64)
-_SIMPSON_RTOL = 1e-13
-
-
-def _settled(fine, coarse):
-    """max|fine - coarse| <= _SIMPSON_RTOL max|fine|, False if not finite."""
-    scale = np.max(np.abs(fine))
-    return bool(np.isfinite(scale)
-                and np.max(np.abs(fine - coarse)) <= _SIMPSON_RTOL * scale)
-
-
 def symbol_time_integral(psi: SymbolSpec, t, s, grid: GridSpec):
-    """int_s^t psi(r, xi) dr at every grid frequency.
-
-    Exact (t-s) * psi for time-independent symbols.  Otherwise composite
-    Simpson, sized per cell: one symbol_on_grid call evaluates the 17
-    nodes of Simpson-16, which is accepted when it agrees with Simpson-8
-    (the even nodes) to _SIMPSON_RTOL relative to max|Simpson-16|; else
-    one call per doubling evaluates only the new midpoints, up to
-    Simpson-64, which is accepted.  A comparison that is not finite does
-    not accept.  Doubling k subintervals gives S_2k = (T_k + 2 M_k)/3 from
-    the trapezoid and midpoint sums, each call's rows added in node order.
-    The class-S sign (Re psi > 0 raises SymbolClassError) and the NaN
-    check cover every node evaluated: the 17 nodes and the midpoints of
-    each doubling taken, not the nodes of finer rules.
-    """
+    """int_s^t psi(r, xi) dr at every grid frequency: the table of
+    symbol_cumulative_integrals on (s, t), (t - s) psi for a
+    time-independent psi and P(t) - P(s) for a time-dependent one."""
     if t < s:
         raise ValueError("need t >= s")
-    if t == s:
-        return np.zeros(grid.n_points, dtype=complex)
-    if not psi.time_dependent:
-        return (t - s) * symbol_on_grid(psi, 0.0, grid)
-    first, last = _SIMPSON_SUBINTERVALS
-    h = t - s
-    block = symbol_on_grid(psi, s + h * np.arange(first + 1) / first, grid,
-                           class_s=True)
-    # T_k and M_k on k subintervals, without their width h / k
-    trap, k, coarse = 0.5 * (block[0] + block[first]), 1, None
-    while True:
-        if k < first:
-            mid = sum_in_order(block[first // (2 * k)::first // k], axis=0)
-        else:
-            mid = sum_in_order(symbol_on_grid(
-                psi, s + h * np.arange(1, 2 * k, 2) / (2 * k), grid,
-                class_s=True), axis=0)
-        if 4 * k >= first:      # S_2k from Simpson-(first/2), the first coarse rule
-            fine = (trap + 2.0 * mid) * (h / (3.0 * k))
-            if 2 * k == last or coarse is not None and _settled(fine, coarse):
-                return fine
-            coarse = fine
-        trap += mid
-        k *= 2
+    return symbol_cumulative_integrals(psi, [s, t], grid)[1]
 
 
 def symbol_cumulative_integrals(psi: SymbolSpec, times, grid: GridSpec):
-    """Cumulative integrals int_0^{t_i} psi(r, xi) dr for a sorted time list.
+    """int_{t_0}^{t_i} psi(r, xi) dr for a sorted time list t_0, t_1, ...
 
-    Shared Simpson nodes per cell, so exp of differences satisfies the
-    two-parameter composition law exactly on these times.  A
-    time-independent psi is evaluated once for the whole table.
+    A time-independent psi is evaluated once and summed cell by cell; a
+    time-dependent one gives P(t_i) - P(t_0) from its primitive P, with
+    the class-S sign checked at every t_i and SymbolClassError where Re P
+    increases from one t_i to the next: every exponent the solver and
+    verify take is a later entry minus an earlier one, so Re <= 0.  exp
+    of differences satisfies the composition law exactly on these times.
     """
     times = np.asarray(times, dtype=float)
+    if psi.time_dependent:
+        symbol_on_grid(psi, times, grid, class_s=True)
+        prim = _on_grid(psi.primitive, times, grid,
+                        None if psi.at_zero is None else times * psi.at_zero,
+                        psi.name)
+        out = prim - prim[0]
+        grows = np.any(out.real[1:] > out.real[:-1], axis=-1)
+        if np.any(grows):
+            i = int(np.argmax(grows))
+            raise SymbolClassError(
+                f"psi {psi.name!r} has Re int psi dr > 0 on the grid between "
+                f"t={times[i]} and t={times[i + 1]}; class S needs Re psi <= 0")
+        return out
     out = np.zeros((len(times), grid.n_points), dtype=complex)
-    vals = None if psi.time_dependent else symbol_on_grid(psi, 0.0, grid)
+    vals = symbol_on_grid(psi, 0.0, grid)
     for i in range(1, len(times)):
-        if vals is None:
-            cell = symbol_time_integral(psi, times[i], times[i - 1], grid)
-        else:
-            cell = (times[i] - times[i - 1]) * vals
-        out[i] = out[i - 1] + cell
+        out[i] = out[i - 1] + (times[i] - times[i - 1]) * vals
     return out

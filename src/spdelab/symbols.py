@@ -50,8 +50,11 @@ class SymbolSpec:
     (K, n_points), else spdelab evaluates one time at a time. gamma is
     the order; kappa and mu are the declared lower/upper constants;
     n_depth is the largest multi-index order the symbol claims to control.
-    at_zero, when set, overrides the value used at xi = 0 on discrete
-    grids (the limit rule).
+    primitive, set exactly when psi depends on t, is its time primitive
+    P(t, xi) = int_0^t psi(r, xi) dr, called as eval is; the evolution
+    tables are differences of it. at_zero, when set, overrides the value
+    used at xi = 0 on discrete grids (the limit rule); P's value there is
+    then t at_zero.
     """
 
     eval: callable
@@ -59,8 +62,8 @@ class SymbolSpec:
     kappa: float
     mu: float
     n_depth: int
-    time_dependent: bool
     d: int
+    primitive: callable | None = None
     name: str = "custom"
     params: dict = field(default_factory=dict)
     at_zero: complex | None = None
@@ -79,19 +82,22 @@ class SymbolSpec:
     def __call__(self, t, xi):
         return self.eval(t, np.asarray(xi, dtype=float))
 
+    @property
+    def time_dependent(self):
+        """True when psi depends on t, that is when it carries a primitive."""
+        return self.primitive is not None
 
-def sum_in_order(x, axis=-1):
-    """Sum of x over `axis`, its entries added in index order.
+
+def sum_in_order(x):
+    """Sum of x over its last axis, the entries added in index order.
 
     For fewer than 8 entries np.sum adds in this order too, bit for bit,
     but over a short trailing axis it reduces one row at a time, many
     times slower; past 8 entries it adds pairwise.
     """
-    if axis:        # moveaxis costs more than a Simpson cell's row sum
-        x = np.moveaxis(x, axis, 0)
-    acc = x[0].copy()
-    for row in x[1:]:
-        acc += row
+    acc = x[..., 0].copy()
+    for i in range(1, x.shape[-1]):
+        acc += x[..., i]
     return acc
 
 
@@ -108,8 +114,7 @@ def power_symbol(gamma=2.0, d=1):
     def ev(t, xi):
         return _radius(xi) ** gamma
     return SymbolSpec(eval=ev, gamma=gamma, kappa=1.0, mu=2.0 * gamma + 2.0,
-                      n_depth=4, time_dependent=False, d=d,
-                      name="power", params={"gamma": gamma})
+                      n_depth=4, d=d, name="power", params={"gamma": gamma})
 
 
 def power_exp_symbol(a=1.0, b=1.0, gamma=2.0, d=1):
@@ -119,7 +124,7 @@ def power_exp_symbol(a=1.0, b=1.0, gamma=2.0, d=1):
         return r * (a + b * np.exp(-r))
     mu = 2.0 * (a + b) * (gamma + 1.0) ** 2
     return SymbolSpec(eval=ev, gamma=gamma, kappa=a, mu=mu,
-                      n_depth=4, time_dependent=False, d=d,
+                      n_depth=4, d=d,
                       name="power_exp", params={"a": a, "b": b, "gamma": gamma})
 
 
@@ -128,7 +133,7 @@ def heat_symbol(gamma=2.0, scale=1.0, d=1):
     def ev(t, xi):
         return -scale * _radius(xi) ** gamma + 0j
     return SymbolSpec(eval=ev, gamma=gamma, kappa=scale, mu=scale * (2.0 * gamma + 2.0),
-                      n_depth=4, time_dependent=False, d=d,
+                      n_depth=4, d=d,
                       name="heat", params={"gamma": gamma, "scale": scale})
 
 
@@ -136,12 +141,16 @@ def oscillating_heat_symbol(gamma=2.0, d=1):
     """psi(t, xi) = -(1 + sin^2 t) |xi|^gamma; time-dependent class S.
 
     The time factor stays in [1, 2], so kappa = 1 and the derivative
-    constants are twice the heat case.
+    constants are twice the heat case.  Its primitive is exact:
+    int_0^t (1 + sin^2 r) dr = 3t/2 - sin(2t)/4.
     """
     def ev(t, xi):
         return -(1.0 + np.sin(t) ** 2) * _radius(xi) ** gamma + 0j
+
+    def prim(t, xi):
+        return -(1.5 * t - 0.25 * np.sin(2.0 * t)) * _radius(xi) ** gamma + 0j
     return SymbolSpec(eval=ev, gamma=gamma, kappa=1.0, mu=2.0 * (2.0 * gamma + 2.0),
-                      n_depth=4, time_dependent=True, d=d,
+                      n_depth=4, d=d, primitive=prim,
                       name="heat_osc", params={"gamma": gamma})
 
 
@@ -150,8 +159,7 @@ def wrong_sign_symbol(gamma=2.0, d=1):
     def ev(t, xi):
         return _radius(xi) ** gamma + 0j
     return SymbolSpec(eval=ev, gamma=gamma, kappa=1.0, mu=2.0 * gamma + 2.0,
-                      n_depth=4, time_dependent=False, d=d,
-                      name="wrong_sign", params={"gamma": gamma})
+                      n_depth=4, d=d, name="wrong_sign", params={"gamma": gamma})
 
 
 def exp_symbol(d=1):
@@ -160,15 +168,14 @@ def exp_symbol(d=1):
         with np.errstate(over="ignore"):
             return np.exp(_radius(xi))
     return SymbolSpec(eval=ev, gamma=1.0, kappa=1.0, mu=1.0,
-                      n_depth=4, time_dependent=False, d=d, name="exp")
+                      n_depth=4, d=d, name="exp")
 
 
 def constant_symbol(c=1.0, d=1):
     def ev(t, xi):
         return np.full(np.shape(xi)[:-1], c, dtype=complex)
     return SymbolSpec(eval=ev, gamma=1.0, kappa=1e-12 if c == 0 else abs(c), mu=max(abs(c), 1e-12),
-                      n_depth=4, time_dependent=False, d=d,
-                      name="constant", params={"c": c}, at_zero=c)
+                      n_depth=4, d=d, name="constant", params={"c": c}, at_zero=c)
 
 
 def m1_symbol(phi: SymbolSpec, s: float):
@@ -176,7 +183,7 @@ def m1_symbol(phi: SymbolSpec, s: float):
     def ev(t, xi):
         return (1.0 + np.real(phi.eval(0.0, xi))) ** (-s)
     return SymbolSpec(eval=ev, gamma=phi.gamma, kappa=phi.kappa, mu=phi.mu,
-                      n_depth=phi.n_depth, time_dependent=False, d=phi.d,
+                      n_depth=phi.n_depth, d=phi.d,
                       name="m1", params={"s": s, "phi": phi.name}, at_zero=1.0)
 
 
@@ -187,7 +194,7 @@ def m2_symbol(phi: SymbolSpec, psi: SymbolSpec, t_exp: float, s_exp: float):
         return num / (1.0 + np.real(psi.eval(0.0, xi))) ** s_exp
     at0 = 1.0 if t_exp == 0 else 0.0
     return SymbolSpec(eval=ev, gamma=phi.gamma, kappa=phi.kappa, mu=phi.mu,
-                      n_depth=phi.n_depth, time_dependent=False, d=phi.d,
+                      n_depth=phi.n_depth, d=phi.d,
                       name="m2", params={"t": t_exp, "s": s_exp}, at_zero=at0)
 
 
@@ -198,7 +205,7 @@ def m3_symbol(phi: SymbolSpec, psi: SymbolSpec, t_exp: float, s_exp: float):
         return num / (1.0 + np.real(psi.eval(0.0, xi)) ** s_exp)
     at0 = 1.0 if s_exp > 0 else 0.5
     return SymbolSpec(eval=ev, gamma=phi.gamma, kappa=phi.kappa, mu=phi.mu,
-                      n_depth=phi.n_depth, time_dependent=False, d=phi.d,
+                      n_depth=phi.n_depth, d=phi.d,
                       name="m3", params={"t": t_exp, "s": s_exp}, at_zero=at0)
 
 
@@ -219,7 +226,7 @@ def product_power_symbol(a_exps, d=None):
             num = num * np.abs(xi[..., i]) ** a
         return num / _radius(xi) ** total
     return SymbolSpec(eval=ev, gamma=1.0, kappa=1.0, mu=4.0,
-                      n_depth=4, time_dependent=False, d=d,
+                      n_depth=4, d=d,
                       name="product_power", params={"a": list(a_exps)}, at_zero=0.0)
 
 
@@ -228,7 +235,7 @@ def log_symbol(d=1):
     def ev(t, xi):
         return np.log1p(_radius(xi))
     return SymbolSpec(eval=ev, gamma=1.0, kappa=1.0, mu=1.0,
-                      n_depth=4, time_dependent=False, d=d, name="log1p", at_zero=0.0)
+                      n_depth=4, d=d, name="log1p", at_zero=0.0)
 
 
 def coordinate_symbol(i=0, d=2):
@@ -236,8 +243,7 @@ def coordinate_symbol(i=0, d=2):
     def ev(t, xi):
         return xi[..., i] + 0.0
     return SymbolSpec(eval=ev, gamma=1.0, kappa=1.0, mu=1.0,
-                      n_depth=4, time_dependent=False, d=d,
-                      name="coordinate", params={"i": i}, at_zero=0.0)
+                      n_depth=4, d=d, name="coordinate", params={"i": i}, at_zero=0.0)
 
 
 _BUILTIN_SYMBOLS = {

@@ -92,8 +92,7 @@ def _maximal_block(design, nodes, nb, seed, block, p, q_exp, r):
 
 def maximal_inequality_check(u: ElementaryProcess, kernel: CovarianceKernel,
                              q: QSpec, p, q_exp, n_samples, seed,
-                             sup_levels=(64, 128, 256), r_exp=None,
-                             name=None) -> RatioReport:
+                             sup_levels=(64, 128, 256), name=None) -> RatioReport:
     """E sup_t ||int_0^t u dbeta||^p against the two mixed-norm rhs terms.
 
     Level `lev` takes the sup over the nodes of the canonical partition
@@ -109,13 +108,15 @@ def maximal_inequality_check(u: ElementaryProcess, kernel: CovarianceKernel,
     `lhs_se`, the standard error of the lhs, and after the first,
     `lhs_diff_se`, the paired standard error of the lhs difference to the
     previous row.  Fewer than 2 draws have no standard error: ValueError.
+    Needs p >= q_exp >= max(2, r), r = kernel.r_exp, else
+    HypothesisViolationError.
 
     A block of `_DRAW_BLOCK` draws holds at its peak its increments
     (nb, J, P), one running integral (nb, P+1, m), which is squared in
     place, and two (nb, P) arrays; its arrays are freed before the next
     block draws.
     """
-    r = float(kernel.r_exp) if r_exp is None else float(r_exp)
+    r = float(kernel.r_exp)
     _require_exponents(p, q_exp, r)
     n = int(n_samples)
     if n < 2:

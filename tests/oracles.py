@@ -119,52 +119,6 @@ def int_one_plus_sin_sq(t):
     return 1.5 * t - 0.25 * np.sin(2.0 * t)
 
 
-def _added_in_order(rows):
-    acc = rows[0].copy()
-    for row in rows[1:]:
-        acc += row
-    return acc
-
-
-def symbol_time_integral_nodes(psi, t, s, grid, settle=True):
-    """(int_s^t psi dr, subintervals used) by the nested Simpson rule, node by node.
-
-    The rule of spectral.symbol_time_integral: Simpson-16 from the 17
-    nodes, accepted when within 1e-13 of Simpson-8 relative to its own
-    max; else 32 and then 64 subintervals, each from the previous rule's
-    trapezoid sum T_k and the new midpoint sum M_k as (T_k + 2 M_k)/3.  The
-    library evaluates each rung's nodes in one symbol_on_grid call; here
-    each node is its own scalar-time call, added in the library's order.
-    settle=False never accepts early: the 64-subinterval rule, same order.
-    """
-    if t == s:
-        return np.zeros(grid.n_points, dtype=complex), 0
-    if not psi.time_dependent:
-        return (t - s) * symbol_on_grid(psi, 0.0, grid), 0
-    h = t - s
-
-    def evaluated(nodes):
-        return [symbol_on_grid(psi, r, grid) for r in nodes]
-
-    rows = evaluated(s + h * np.arange(17) / 16)
-    trap, k, coarse = 0.5 * (rows[0] + rows[16]), 1, None
-    while True:
-        mids = rows[16 // (2 * k)::16 // k] if k < 16 else \
-            evaluated(s + h * np.arange(1, 2 * k, 2) / (2 * k))
-        mid = _added_in_order(mids)
-        if k >= 4:
-            fine = (trap + 2.0 * mid) * (h / (3.0 * k))
-            if k == 32:
-                return fine, 64
-            scale = np.max(np.abs(fine))
-            if settle and coarse is not None and np.isfinite(scale) \
-                    and np.max(np.abs(fine - coarse)) <= 1e-13 * scale:
-                return fine, 2 * k
-            coarse = fine
-        trap += mid
-        k *= 2
-
-
 def simpson_rule(psi, t, s, grid, n_sub):
     """Composite Simpson with the classic 1, 4, 2, ..., 4, 1 weights."""
     nodes = s + (t - s) * np.arange(n_sub + 1) / n_sub

@@ -81,15 +81,16 @@ def test_problem_rejects_growing_psi():
     # negative at t = 0 but growing from t = 0.25 on: every solution time counts
     late = SymbolSpec(
         eval=lambda t, xi: (t - 0.25) * np.sum(xi ** 2, axis=-1) + 0j,
-        gamma=2.0, kappa=1.0, mu=1.0, n_depth=4, time_dependent=True, d=1)
+        gamma=2.0, kappa=1.0, mu=1.0, n_depth=4, d=1,
+        primitive=lambda t, xi: (0.5 * t - 0.25) * t * np.sum(xi ** 2, axis=-1) + 0j)
     with pytest.raises(SymbolClassError):
         _problem(psi=late)
     _problem(psi=late, times=np.linspace(0.0, 0.25, 5))
 
 
-def _symbol(ev, time_dependent=False, d=1):
+def _symbol(ev, primitive=None, d=1):
     return SymbolSpec(eval=ev, gamma=2.0, kappa=1.0, mu=1.0, n_depth=4,
-                      time_dependent=time_dependent, d=d)
+                      primitive=primitive, d=d)
 
 
 def _transport(t, xi):
@@ -112,7 +113,10 @@ def test_problem_rejects_non_hermitian_psi():
 
     def late(t, xi):                # Hermitian at t = 0 only
         return radial(t, xi).real + 1j * t * radial(t, xi).imag
-    for psi in (_symbol(radial), _symbol(odd), _symbol(late, True)):
+
+    def late_primitive(t, xi):
+        return t * radial(t, xi).real + 0.5j * t * t * radial(t, xi).imag
+    for psi in (_symbol(radial), _symbol(odd), _symbol(late, late_primitive)):
         with pytest.raises(SymbolClassError, match="Hermitian"):
             _problem(psi=psi)
     _problem(psi=_symbol(_transport))
@@ -120,12 +124,16 @@ def test_problem_rejects_non_hermitian_psi():
 
 def test_solve_rejects_psi_growing_between_solution_times():
     # +5 on (0.52, 0.545) only: no solution time of linspace(0, 1, 17)
-    # lands there, but Simpson nodes of the cell [0.5, 0.5625] do
+    # lands there, but the integral over the cell [0.5, 0.5625] grows
     def ev(t, xi):
         window = (t > 0.52) & (t < 0.545)
         return np.where(window, 5.0, -np.sum(xi ** 2, axis=-1)) + 0j
+
+    def primitive(t, xi):
+        inside = np.clip(t, 0.52, 0.545) - 0.52
+        return 5.0 * inside - (t - inside) * np.sum(xi ** 2, axis=-1) + 0j
     spike = SymbolSpec(eval=ev, gamma=2.0, kappa=1.0, mu=1.0, n_depth=4,
-                       time_dependent=True, d=1)
+                       primitive=primitive, d=1)
     pb = _problem(psi=spike, times=np.linspace(0.0, 1.0, 17))
     with pytest.raises(SymbolClassError):
         solve(pb, 2, seed=0)
@@ -150,15 +158,9 @@ def test_pathwise_solve_builds_each_table_once(monkeypatch):
                   f=f, g=_constant_g(times, GRID), quad_refine=2)
     solve(pb, 2, seed=0, estimator="pathwise")
     assert calls["symbol_cumulative_integrals"] == 2
-    # per cell of the solution-time and quadrature tables, one call for the
-    # first 17 Simpson nodes and one per doubling after it (a cell that
-    # stops at 64 subintervals takes 3); then one for the class-S check at
-    # every solution time
-    q_grid = solver._quad_grid(times, pb.quad_refine)[0]
-    stops = [oracles.symbol_time_integral_nodes(pb.psi, b, a, GRID)[1]
-             for table in (times, q_grid) for a, b in zip(table[:-1], table[1:])]
-    assert calls["symbol_on_grid"] == sum(
-        1 + int(np.log2(n // 16)) for n in stops) + 1
+    # one class-S check on every node of each table, and one on the
+    # solution times when the problem is built
+    assert calls["symbol_on_grid"] == 2 + 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 The unitary DFT lives in ``spectral`` (``spatial_fft``, its real-to-complex
 pair ``spatial_rfft``/``spatial_irfft``, and the unnormalized
 ``multiplier_kernel``); rectangle increments of R live in
-``covariance.cross_increments``; a symbol is evaluated on the grid only by
-``spectral.symbol_on_grid``.  A new copy elsewhere fails here.  Every
-definition is reached from somewhere: a function or class that nothing
-else in the package names is deleted, unless it is one of the few that
-only the tests call (``TEST_ONLY``; ``__all__`` exempts nothing), and so
-is a method that the package never takes as an attribute.  Every
+``covariance.cross_increments``; a symbol and its time primitive are
+evaluated on the grid only by ``spectral._on_grid``.  A new copy elsewhere
+fails here.  Every definition is reached from somewhere: a function or
+class that nothing else in the package names is deleted, unless it is one
+of the few that only the tests call (``TEST_ONLY``; ``__all__`` exempts
+nothing), and so is a method that the package never takes as an
+attribute.  Every
 module-level constant is read somewhere in the package.  Every option is
 set: a parameter with a default that no call passes is a constant in
 disguise.
@@ -50,16 +51,23 @@ def test_rectangle_increment_only_in_cross_increments():
 
 def test_symbol_eval_only_in_symbol_on_grid():
     # symbols.py builds symbols from other symbols' eval; everywhere else a
-    # symbol reaches the grid through symbol_on_grid (at_zero, NaN check,
-    # one batched call per time column)
-    pattern = re.compile(r"\.eval\(")
-    hits = [(name, m.start()) for name, text in SOURCES.items()
+    # symbol reaches the grid through symbol_on_grid, and its time
+    # primitive through the cumulative table, each only as the function
+    # that spectral._on_grid evaluates (at_zero, NaN check, one batched
+    # call per time column)
+    pattern = re.compile(r"\.(eval|primitive)\b")
+    hits = [(name, m) for name, text in SOURCES.items()
             if name != "symbols.py" for m in pattern.finditer(text)]
-    assert hits and {name for name, _ in hits} == {"spectral.py"}
+    assert {name for name, _ in hits} == {"spectral.py"}
     text = SOURCES["spectral.py"]
-    start = text.index("def symbol_on_grid(")
-    end = text.index("\ndef ", start + 1)
-    assert all(start < pos < end for _, pos in hits)
+
+    def owner(pos):
+        start = text.rindex("\ndef ", 0, pos) + len("\ndef ")
+        return text[start:text.index("(", start)]
+    assert sorted((m.group(1), owner(m.start())) for _, m in hits) == [
+        ("eval", "symbol_on_grid"), ("primitive", "symbol_cumulative_integrals")]
+    passed = re.findall(r"\b_on_grid\(\w+\.(eval|primitive)\b", text)
+    assert len(passed) == len(hits)
 
 
 # definitions with no caller in the package that the tests use: the exact

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from spdelab import spectral
 from spdelab.errors import SymbolClassError, SymbolDomainError
 from spdelab.solver import _quad_grid
 from spdelab.spectral import (
@@ -145,17 +144,9 @@ def test_cumulative_integrals_compose_exactly():
         via_cells, cums[7], atol=1e-15)
 
 
-def _cumulative_nodes(psi, times, grid):
-    out = np.zeros((len(times), grid.n_points), dtype=complex)
-    for i in range(1, len(times)):
-        out[i] = out[i - 1] + oracles.symbol_time_integral_nodes(
-            psi, times[i], times[i - 1], grid)[0]
-    return out
-
-
-def _tdep_symbol(ev, d=1, at_zero=None):
+def _tdep_symbol(ev, primitive, d=1, at_zero=None):
     return SymbolSpec(eval=ev, gamma=2.0, kappa=1.0, mu=1.0, n_depth=4,
-                      time_dependent=True, d=d, at_zero=at_zero)
+                      primitive=primitive, d=d, at_zero=at_zero)
 
 
 def _radial_over_norm(t, xi):
@@ -165,115 +156,96 @@ def _radial_over_norm(t, xi):
         return -(1.0 + np.cos(t) ** 2) * r2 / np.sqrt(r2) + 1j * t * np.sqrt(r2)
 
 
+def _radial_over_norm_primitive(t, xi):
+    # int_0^t (1 + cos^2 r) dr = 3t/2 + sin(2t)/4; NaN at xi = 0 as above
+    r2 = np.sum(xi ** 2, axis=-1)
+    with np.errstate(invalid="ignore"):
+        return (-(1.5 * t + 0.25 * np.sin(2.0 * t)) * r2 / np.sqrt(r2)
+                + 0.5j * t * t * np.sqrt(r2))
+
+
 def _ignores_t_shape(t, xi):
     # np.max collapses a (K, 1) time column, so the result is (n_points,)
     return -(1.0 + np.sin(np.max(t)) ** 2) * np.sum(xi ** 2, axis=-1) + 0j
 
 
-def _kink(t, xi):
-    # a kink at t = 0.3, between Simpson nodes: the 8-vs-16 check sees it
-    return -(1.0 + np.abs(t - 0.3)) * np.sum(xi ** 2, axis=-1) + 0j
+def _ignores_t_shape_primitive(t, xi):
+    return -oracles.int_one_plus_sin_sq(np.max(t)) * np.sum(xi ** 2, axis=-1) + 0j
 
 
-def _near_overflow_at_one_sixteenth(t, xi):
-    # up to -1.6e308 at the node t = 1/16 of the cell [0, 1], which
-    # Simpson-8 skips: Simpson-16 overflows to -inf where Simpson-8 is finite
-    return -np.sum(xi ** 2, axis=-1) * np.where(t == 0.0625, 2.5e306, 1.0) + 0j
+AT_ZERO = _tdep_symbol(_radial_over_norm, _radial_over_norm_primitive,
+                       at_zero=0.0)
+FALLBACK = _tdep_symbol(_ignores_t_shape, _ignores_t_shape_primitive)
+
+
+def _cumulative_nodes(psi, times, grid):
+    # the primitive at one time per call, its xi = 0 value t at_zero
+    prim = np.stack([np.asarray(psi.primitive(t, grid.freq_grid()), dtype=complex)
+                     for t in times])
+    if psi.at_zero is not None:
+        prim[:, 0] = times * psi.at_zero
+    return prim - prim[0]
 
 
 # the quadrature nodes of a 16-time, quad_refine 8 problem, solution times
-# and subcell midpoints: per solution cell, 7 Simpson cells 1/128 wide
-# between the midpoints and one 1/256 wide at each end
+# and subcell midpoints: per solution cell, 7 cells 1/128 wide between the
+# midpoints and one 1/256 wide at each end
 NARROW = _quad_grid(np.linspace(0.0, 1.0, 17), 8)[0]
-TDEP_SYMBOLS = {
-    "heat_osc-d1": builtin_symbol("heat_osc", d=1),
-    "heat_osc-d2": builtin_symbol("heat_osc", d=2),
-    "at_zero": _tdep_symbol(_radial_over_norm, at_zero=0.0),
-    "fallback": _tdep_symbol(_ignores_t_shape),
-    "kink": _tdep_symbol(_kink),
-}
 
 
 @pytest.mark.parametrize("psi, d, times", [
     (builtin_symbol("heat_osc", d=1), 1, np.linspace(0.0, 1.0, 9)),
     (builtin_symbol("heat_osc", d=2), 2, np.linspace(0.0, 1.0, 9)),
-    (_tdep_symbol(_radial_over_norm, at_zero=0.0), 1, np.linspace(0.0, 1.0, 9)),
+    (AT_ZERO, 1, np.linspace(0.0, 1.0, 9)),
     (builtin_symbol("heat_osc", d=1), 1, np.array([0.0, 0.1, 0.35, 0.4, 0.9, 1.3])),
-    (_tdep_symbol(_ignores_t_shape), 1, np.linspace(0.0, 1.0, 9)),
+    (FALLBACK, 1, np.linspace(0.0, 1.0, 9)),
     (builtin_symbol("heat_osc", d=1), 1, NARROW),
 ], ids=["heat_osc-d1", "heat_osc-d2", "at_zero", "non-uniform", "fallback",
         "narrow"])
 def test_cumulative_integrals_match_node_by_node(psi, d, times):
-    # one batched symbol evaluation per Simpson rung leaves every bit in place
+    # the one primitive call on the time column leaves every bit of the
+    # calls one node at a time, and the table is the integral of psi: the
+    # Simpson-64 rule per cell, and heat_osc's closed form
     grid = GridSpec(d=d, n=16, L=2 * np.pi)
-    assert np.array_equal(symbol_cumulative_integrals(psi, times, grid),
-                          _cumulative_nodes(psi, times, grid))
+    table = symbol_cumulative_integrals(psi, times, grid)
+    assert np.array_equal(table, _cumulative_nodes(psi, times, grid))
+    cells = [oracles.simpson_rule(psi, b, a, grid, 64)
+             for a, b in zip(times[:-1], times[1:])]
+    simpson = np.concatenate([np.zeros((1, grid.n_points)), np.cumsum(cells, axis=0)])
+    assert np.max(np.abs(table - simpson)) <= 1e-9 * np.max(np.abs(table))
+    if psi.name == "heat_osc":
+        k2 = np.sum(grid.freq_grid() ** 2, axis=-1)
+        closed = -(oracles.int_one_plus_sin_sq(times)
+                   - oracles.int_one_plus_sin_sq(times[0]))[:, None] * k2
+        assert np.max(np.abs(table - closed)) <= 1e-14 * np.max(np.abs(closed))
 
 
-def test_narrow_cells_stop_at_16_and_wide_ones_escalate():
-    # both branches of the ladder are taken by the node-by-node test above
-    grid = GridSpec(d=1, n=16, L=2 * np.pi)
-    psi = TDEP_SYMBOLS["heat_osc-d1"]
-    stops = {oracles.symbol_time_integral_nodes(psi, b, a, grid)[1]
-             for a, b in zip(NARROW[:-1], NARROW[1:])}
-    assert stops == {16}
-    assert oracles.symbol_time_integral_nodes(psi, 1.0, 0.0, grid)[1] == 64
-
-
-@pytest.mark.parametrize("name", sorted(TDEP_SYMBOLS))
-@pytest.mark.parametrize("s, t", [
-    (0.0, NARROW[1]), (NARROW[72], NARROW[73]), (NARROW[73], NARROW[74]),
-    (NARROW[-2], 1.0),
-    (0.0, 1.0 / 16), (0.2, 0.9), (0.0, 1.3),
-])
-def test_time_integral_within_1e_13_of_the_64_rule(name, s, t):
-    psi = TDEP_SYMBOLS[name]
-    grid = GridSpec(d=psi.d, n=16, L=2 * np.pi)
-    want = oracles.simpson_rule(psi, t, s, grid, 64)
-    got = symbol_time_integral(psi, t, s, grid)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("ev", [
-    _kink,
-    # the check is not finite and must not accept, although
-    # max|S16 - S8| = inf <= 1e-13 * max|S16| = inf holds
-    _near_overflow_at_one_sixteenth,
-], ids=["kink", "overflow"])
-def test_unsettled_cell_escalates_to_the_64_rule(monkeypatch, ev):
-    psi = _tdep_symbol(ev)
-    grid = GridSpec(d=1, n=16, L=2 * np.pi)
-    calls = []
-    evaluate = spectral.symbol_on_grid
-
-    def counted(*args, **kwargs):
-        calls.append(np.size(args[1]))
-        return evaluate(*args, **kwargs)
-    monkeypatch.setattr(spectral, "symbol_on_grid", counted)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = symbol_time_integral(psi, 1.0, 0.0, grid)
-        want = oracles.symbol_time_integral_nodes(psi, 1.0, 0.0, grid,
-                                                  settle=False)[0]
-    # the 17 nodes, then 16 and 32 new midpoints
-    assert calls == [17, 16, 32]
-    assert np.array_equal(got, want, equal_nan=True)
-
-
-def test_sign_check_covers_the_midpoints_of_each_doubling():
-    # Re psi > 0 only near t = 1/32, a node of Simpson-32 alone; the kink
-    # makes the cell [0, 1] double past 16 subintervals, so the check sees it
+def test_table_rejects_psi_whose_integral_grows_between_its_nodes():
+    # +50 on (0.3, 0.32) only, between the nodes 0.25 and 0.375, where it
+    # outweighs -|xi|^2 for |xi| <= 3: psi passes the sign check at every
+    # node, and the integral over the cell has a positive real part
     def ev(t, xi):
-        return _kink(t, xi) + np.where(np.abs(t - 1 / 32) < 0.005, 1e4, 0.0)
+        window = (t > 0.3) & (t < 0.32)
+        return np.where(window, 50.0, -np.sum(xi ** 2, axis=-1)) + 0j
+
+    def primitive(t, xi):
+        inside = np.clip(t, 0.3, 0.32) - 0.3
+        return 50.0 * inside - (t - inside) * np.sum(xi ** 2, axis=-1) + 0j
+    psi = _tdep_symbol(ev, primitive)
     grid = GridSpec(d=1, n=16, L=2 * np.pi)
+    times = np.linspace(0.0, 1.0, 9)
+    symbol_on_grid(psi, times, grid, class_s=True)
+    with pytest.raises(SymbolClassError, match="between t=0.25 and t=0.375"):
+        symbol_cumulative_integrals(psi, times, grid)
     with pytest.raises(SymbolClassError):
-        symbol_time_integral(_tdep_symbol(ev), 1.0, 0.0, grid)
+        symbol_time_integral(psi, 0.375, 0.25, grid)
+    symbol_cumulative_integrals(psi, times[times <= 0.25], grid)
 
 
 def test_symbol_on_grid_time_column():
     grid = GridSpec(d=1, n=16, L=2 * np.pi)
     times = np.array([0.0, 0.3, 0.7])
-    for psi in (_tdep_symbol(_radial_over_norm, at_zero=0.0),
-                _tdep_symbol(_ignores_t_shape)):
+    for psi in (AT_ZERO, FALLBACK):
         vals = symbol_on_grid(psi, times, grid)
         assert vals.shape == (3, grid.n_points)
         for row, t in zip(vals, times):
@@ -287,7 +259,7 @@ def test_nan_on_the_grid_raises(bad):
         r2 = np.sum(xi ** 2, axis=-1)
         return np.where(r2 == 9.0, bad, -r2 + 0j * t)
     grid = GridSpec(d=1, n=16, L=2 * np.pi)
-    psi = _tdep_symbol(ev)
+    psi = _tdep_symbol(ev, lambda t, xi: t * ev(t, xi))
     for t, class_s in ((0.3, False), (np.array([0.1, 0.2]), True)):
         with pytest.raises(SymbolDomainError):
             symbol_on_grid(psi, t, grid, class_s=class_s)
@@ -333,8 +305,7 @@ def test_half_spectrum_transform_pair(d):
 
 def test_half_grid_table_is_the_full_table_at_the_kept_frequencies():
     # the quadrature table of the sim-pathwise-tdep benchmark problem,
-    # heat_osc on the 64^2 grid over 16 cells refined 8x: bit for bit, so
-    # every Simpson cell took the same rung on both grids
+    # heat_osc on the 64^2 grid over 16 cells refined 8x: bit for bit
     grid = GridSpec(d=2, n=64, L=2.0 * np.pi)
     psi = builtin_symbol("heat_osc", d=2)
     q_grid = _quad_grid(np.linspace(0.0, 1.0, 17), 8)[0]

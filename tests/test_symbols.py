@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from spdelab.symbols import (
+    SymbolSpec,
     builtin_symbol,
     check_marcinkiewicz,
     check_mihlin,
@@ -19,13 +20,21 @@ from spdelab.symbols import (
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("shape", [(5,), (1000,), (7, 40)])
 def test_sum_in_order_is_np_sum_over_short_axes(shape, m):
-    # np.sum adds fewer than 8 entries in index order: the bits agree, on a
-    # trailing axis and on a leading one
+    # np.sum adds fewer than 8 entries in index order: the bits agree
     x = np.random.default_rng(m).standard_normal(shape + (m,)) \
         * 10.0 ** np.arange(-6, 6, 12 / m)
     assert np.array_equal(sum_in_order(x), np.sum(x, axis=-1))
-    lead = np.moveaxis(x, -1, 0)
-    assert np.array_equal(sum_in_order(lead, axis=0), np.sum(lead, axis=0))
+
+
+def test_a_symbol_with_a_primitive_is_time_dependent():
+    def ev(t, xi):
+        return -np.sum(xi ** 2, axis=-1) + 0j
+    spec = dict(eval=ev, gamma=2.0, kappa=1.0, mu=1.0, n_depth=4, d=1)
+    assert not SymbolSpec(**spec).time_dependent
+    psi = SymbolSpec(**spec, primitive=lambda t, xi: t * ev(t, xi))
+    assert psi.time_dependent
+    assert builtin_symbol("heat_osc").time_dependent
+    assert not builtin_symbol("heat").time_dependent
 
 
 def test_power_symbol_values():

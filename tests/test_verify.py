@@ -51,8 +51,8 @@ def test_maximal_gate():
     with pytest.raises(HypothesisViolationError):
         maximal_inequality_check(U_LIN, WIENER, Q1, 2.0, 4.0, 100, seed=0)
     with pytest.raises(HypothesisViolationError):
-        maximal_inequality_check(U_LIN, WIENER, Q1, 4.0, 2.0, 100, seed=0,
-                                 r_exp=2.5)    # q < max(2, r)
+        maximal_inequality_check(U_LIN, builtin_kernel("heat", delta=1.0, r_exp=2.5),
+                                 Q1, 4.0, 2.0, 100, seed=0)    # q < max(2, r)
 
 
 @pytest.mark.parametrize("check", [
@@ -142,9 +142,18 @@ def test_maximal_fbm_uses_kernel_r_exp():
     rep = maximal_inequality_check(U_LIN, fbm, Q1, 4.0, 2.5, 400, seed=5,
                                    sup_levels=(16,))
     assert rep.details["r"] == pytest.approx(1.0 / 0.75)
-    over = maximal_inequality_check(U_LIN, fbm, Q1, 4.0, 2.5, 400, seed=5,
-                                    sup_levels=(16,), r_exp=2.0)
-    assert over.details["r"] == 2.0
+
+
+def test_maximal_takes_r_from_the_kernel_only():
+    # an r_exp override ran the check outside its hypothesis: r = 2 on the
+    # heat r = 3 kernel at p = q = 2 reported PASS
+    heat_r3 = builtin_kernel("heat", delta=1.0, r_exp=3.0)
+    with pytest.raises(TypeError, match="r_exp"):
+        maximal_inequality_check(U_LIN, heat_r3, Q1, 2.0, 2.0, 100, seed=0,
+                                 sup_levels=(16,), r_exp=2.0)
+    with pytest.raises(HypothesisViolationError):
+        maximal_inequality_check(U_LIN, heat_r3, Q1, 2.0, 2.0, 100, seed=0,
+                                 sup_levels=(16,))
 
 
 def _battery_process(name, T=1.0):
@@ -341,7 +350,7 @@ def _radial(t, xi):                  # Re psi <= 0, but psi(-xi) = psi(xi)
     # coordinate is odd in xi, and Re phi must be even
     (builtin_symbol("coordinate", d=1), builtin_symbol("heat", gamma=1.0)),
     (POWER2, SymbolSpec(eval=_radial, gamma=2.0, kappa=1.0, mu=1.0,
-                        n_depth=4, time_dependent=False, d=1, name="radial")),
+                        n_depth=4, d=1, name="radial")),
 ])
 def test_lp_rejects_multipliers_that_are_not_hermitian(phi, psi):
     # the half spectrum needs Hermitian multipliers
