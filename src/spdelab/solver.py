@@ -125,9 +125,12 @@ class SPDEProblem:
     def T(self):
         return float(self.times[-1])
 
-    @property
+    @cached_property
     def real_data(self) -> bool:
-        """True when u0, f and g are real, so that the solution is real."""
+        """True when u0, f and g are real, so that the solution is real.
+
+        Scanned on first use, like `cums`.
+        """
         return not any(np.any(a.imag) for a in (self.u0.values, self.f, self.g)
                        if a is not None)
 

@@ -196,12 +196,14 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
     SymbolClassError.  Then a real f has a real square function, and f
     runs on the half spectrum; a complex f goes as 2m real components
     (solver.real_components), which keeps the component norm.  For each t
-    the earlier cells s go through one inverse transform per block of
-    `_LP_BLOCK` half-spectrum complex values, and the s-sum runs in order
-    of s.  The blocks bound the transient arrays, which would otherwise
-    grow with n_t times the field size.  For a time-independent psi the
-    multiplier depends only on the lag between the cells, so one row per
-    lag is built.
+    the earlier cells s where f is not exactly zero (a NaN cell counts)
+    go through one inverse transform per block of `_LP_BLOCK` half-spectrum
+    complex values, and the s-sum runs in order of s.  A skipped cell would
+    add exactly +0.0: its transform is zero, 0^{r/2} = 0 and the weight
+    (t-s)^{q g_phi/g_psi - 1} is finite, so the sum is the same bit for bit.
+    The blocks bound the transient arrays, which would otherwise grow with
+    n_t times the field size.  For a time-independent psi the multiplier
+    depends only on the lag between the cells, so one row per lag is built.
     """
     _require_exponents(p, q_exp, r_exp)
     if r_exp < 1.0:    # r has a conjugate exponent only from 1 on
@@ -229,15 +231,18 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
             np.exp(cums, out=cums)
             cums *= phim
         rows = max(1, _LP_BLOCK // f_hat[0].size)
+        # a cell whose forcing is exactly zero adds +0.0; NaN != 0 keeps it
+        live = np.flatnonzero(np.any(f_hat.reshape(n_t, -1) != 0, axis=1))
         lhs = 0.0
         for it in range(1, n_t):
             inner = np.zeros(grid.n_points)
-            for lo in range(0, it, rows):
-                s = slice(lo, min(lo + rows, it))
+            below = live[:np.searchsorted(live, it)]
+            for lo in range(0, len(below), rows):
+                s = below[lo:lo + rows]
                 if psi.time_dependent:
                     mult = phim * np.exp(cums[it] - cums[s])     # (block, half)
                 else:
-                    mult = cums[it - s.stop + 1:it - lo + 1][::-1]
+                    mult = cums[it - s]
                 lf = spatial_irfft(mult[:, None, None] * f_hat[s], grid)
                 hn2 = np.sum(lf * lf, axis=2)                # (block, th, n_pts)
                 th_int = np.sum(w_th * hn2 ** (r_exp / 2.0),
@@ -320,7 +325,9 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
     exactly, including psi = 0 modes, where w(h) = phi h.  One step per
     time cell replaces the sum over the earlier cells; each (G f)_k
     overwrites f_k's spectrum, and one inverse transform per forcing per
-    level brings them all back.  Needs p >= 2.
+    level brings them all back.  Needs p >= 2.  Each level's ratio is that
+    of its worst forcing, the largest ratio or a non-finite one; the report
+    takes the last level's worst forcing's lhs and rhs.
     """
     if not p >= 2.0:
         raise HypothesisViolationError(f"G check needs p >= 2; got p={p}")
@@ -330,8 +337,9 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
         raise ValueError("exact cell integration needs time-independent psi")
     if not isinstance(f_fns, (list, tuple)):
         f_fns = [f_fns]
+    if not f_fns or len(levels) == 0:
+        raise ValueError("the G check needs a forcing and a level")
     trace = []
-    worst = (0.0, [1.0])
     for n, n_t in levels:
         grid = GridSpec(d=phi.d, n=int(n), L=box)
         edges = np.linspace(a, b, int(n_t) + 1)
@@ -358,7 +366,9 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
             lhs = float(np.cumsum(dt * _lp_power(gf, grid, p, 1))[-1]) ** (1.0 / p)
             rhs = float(np.cumsum(dt * _lp_power(fv, grid, p, 1))[-1]) ** (1.0 / p)
             r = ratio_of(lhs, rhs)
-            if r >= level_ratio:
+            # the first forcing always counts (a ratio is >= 0), and no
+            # finite ratio replaces a NaN one
+            if r >= level_ratio or not np.isfinite(r):
                 level_ratio = r
                 worst = (lhs, [rhs])
         trace.append((float(n), float(level_ratio)))

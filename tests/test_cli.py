@@ -800,6 +800,23 @@ def test_artifacts_independent_of_blas_threads(tmp_path, command, params):
     assert written[0] == written[1]
 
 
+@pytest.mark.parametrize("command", ["verify-lp", "verify-goperator"])
+def test_operator_checks_fail_when_the_forcing_overflows(tmp_path, command):
+    # the bump profile overflows to NaN on this box; in its own process,
+    # where the overflow warns instead of raising
+    cfg = _write_cfg(tmp_path, "cfg.json", {"params": {"box": 1e308}})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "spdelab.cli", command,
+                           "--config", cfg, "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads((tmp_path / f"{command}.json").read_text())["report"]
+    assert report["lhs"] == report["ratio"] == "nan"
+    assert not report["passed"]
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = _write_cfg(tmp_path, "sim.json",
                      {"seed": 9, "params": SIM_PARAMS})

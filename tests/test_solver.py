@@ -163,6 +163,30 @@ def test_pathwise_solve_builds_each_table_once(monkeypatch):
     assert calls["symbol_on_grid"] == 2 + 1
 
 
+def test_real_data_scans_the_data_once_per_problem(monkeypatch):
+    class CountingNumpy:
+        """numpy, with its calls to `any` counted."""
+        calls = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def any(self, *args, **kwargs):
+            CountingNumpy.calls += 1
+            return np.any(*args, **kwargs)
+
+    times = np.linspace(0.0, 0.5, 9)
+    u0 = Field(GRID, 1, _mode_field(GRID).values.real)
+    f = np.tile(u0.values, (len(times), 1, 1))
+    pb = _problem(times=times, u0=u0, f=f, g=_constant_g(times, GRID).real)
+    monkeypatch.setattr(solver, "np", CountingNumpy())
+    ens = solve(pb, 2, seed=0, estimator="pathwise")
+    for _ in ens.time_slices():
+        pass
+    # one scan of each of u0, f and g, not one per solution time
+    assert pb.real_data and CountingNumpy.calls == 3
+
+
 # ---------------------------------------------------------------------------
 # deterministic parts against closed forms
 

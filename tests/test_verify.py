@@ -307,6 +307,15 @@ def _twisted(forcing, k=3):
     return f
 
 
+def _banded(forcing, lo=0.4, hi=0.6):
+    """A forcing that is exactly zero for lo < t < hi, so that its nonzero
+    cells make two runs."""
+    def f(t, x, theta):
+        vals = forcing(t, x, theta)
+        return 0.0 * vals if lo < t < hi else vals
+    return f
+
+
 @pytest.mark.parametrize("phi,psi,forcing,p,q,r,n_theta,levels", [
     (POWER2, HEAT, battery.lp_forcing(), 2.0, 2.0, 2.0, 1, LP_LEVELS),
     (POWER2, HEAT_OSC, battery.lp_forcing(), 4.0, 3.0, 2.0, 1, LP_LEVELS),
@@ -318,6 +327,11 @@ def _twisted(forcing, k=3):
      ((8, 6), (16, 8))),                    # 2-D, 4 cells per transform
     (POWER2, HEAT_OSC, _twisted(battery.lp_forcing_mixed(m=2)), 4.0, 2.0,
      4.0 / 3.0, 2, LP_LEVELS),              # complex f
+    # zero on a middle band of cells: the transformed cells are two runs
+    (POWER2, HEAT, _banded(battery.lp_forcing_mixed(m=2)), 4.0, 2.0,
+     4.0 / 3.0, 4, ((128, 24),)),
+    (POWER2, HEAT_OSC, _banded(battery.lp_forcing_mixed()), 4.0, 3.0, 2.0,
+     1, LP_LEVELS),
 ])
 def test_lp_matches_pair_oracle(phi, psi, forcing, p, q, r, n_theta, levels):
     rep = lp_inequality_check(phi, psi, forcing, p, q, r, levels=levels,
@@ -326,19 +340,52 @@ def test_lp_matches_pair_oracle(phi, psi, forcing, p, q, r, n_theta, levels):
         phi, psi, forcing, p, q, r, levels, n_theta=n_theta))
 
 
-def test_lp_batches_transforms(monkeypatch):
+def _counted_irfft(monkeypatch):
+    """The rows of each square-function inverse transform, as they run."""
     calls = []
 
     def counting_irfft(arr, grid):
-        calls.append(arr.shape)
+        calls.append(len(arr))
         return spatial_irfft(arr, grid)
 
     monkeypatch.setattr(verify, "spatial_irfft", counting_irfft)
+    return calls
+
+
+def test_lp_batches_transforms(monkeypatch):
+    calls = _counted_irfft(monkeypatch)
     for n, n_t in ((32, 16), (64, 32), (128, 64)):
         calls.clear()
         lp_inequality_check(POWER2, HEAT, battery.lp_forcing(), 2.0, 2.0, 2.0,
                             levels=((n, n_t),))
-        assert 0 < len(calls) < n_t * (n_t - 1) // 2
+        # only the cells s < t inside the cos^2 window's support (the
+        # middle half of [0, 1]) are transformed, in blocks of cells
+        mids = (np.arange(n_t) + 0.5) / n_t
+        live_below = np.cumsum(np.abs(mids - 0.5) < 0.25)[:-1]
+        assert sum(calls) == np.sum(live_below) < n_t * (n_t - 1) // 2
+        assert 0 < len(calls) < sum(calls)
+
+
+def test_lp_zero_forcing_is_a_trivial_pass(monkeypatch):
+    calls = _counted_irfft(monkeypatch)
+    rep = lp_inequality_check(POWER2, HEAT, lambda t, x, th: np.zeros(len(x)),
+                              2.0, 2.0, 2.0, levels=LP_LEVELS)
+    assert rep.lhs == 0.0 and rep.rhs_components == [0.0]
+    assert rep.ratio == 0.0 and rep.passed
+    assert not calls
+
+
+def test_lp_nan_cell_outside_the_window_fails():
+    # the forcing is zero there but for one NaN cell, which is transformed
+    base = battery.lp_forcing()
+
+    def f(t, x, theta):
+        return base(t, x, theta) * (np.nan if t < 0.04 else 1.0)
+
+    rep = lp_inequality_check(POWER2, HEAT, f, 2.0, 2.0, 2.0,
+                              levels=((32, 16),))
+    assert not np.isfinite(rep.lhs)
+    assert not rep.passed
 
 
 def _radial(t, xi):                  # Re psi <= 0, but psi(-xi) = psi(xi)
@@ -409,6 +456,10 @@ def test_g_operator_gates():
     with pytest.raises(ValueError):
         g_operator_check(POWER2, builtin_symbol("heat_osc", gamma=2.0),
                          _smooth_f, 2.0)
+    with pytest.raises(ValueError):       # no report without a forcing
+        g_operator_check(POWER2, HEAT, [], 2.0)
+    with pytest.raises(ValueError):
+        g_operator_check(POWER2, HEAT, _smooth_f, 2.0, levels=())
 
 
 CONST1 = builtin_symbol("constant", c=1.0)
@@ -461,6 +512,25 @@ def test_g_operator_closed_form_with_mean_mode():
         + 0.5 * (1.0 - np.exp(-2.0 * t)) * np.cos(2.0 * x)
     lhs = (np.sum(gf ** 4) * (2.0 * np.pi / n) / n_t) ** 0.25
     assert rep.lhs == pytest.approx(lhs, rel=1e-12)
+
+
+def _nan_on_one_cell(t, x, theta):
+    vals = battery.lp_forcing()(t, x, theta)
+    return vals * np.nan if t < 0.05 else vals
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_g_operator_fails_on_a_nan_forcing(first):
+    # a NaN ratio is the level's ratio, whichever place its forcing has,
+    # and the report's lhs and rhs are that forcing's
+    forcings = battery.g_operator_forcings()
+    forcings = ([_nan_on_one_cell] + forcings if first
+                else forcings + [_nan_on_one_cell])
+    rep = g_operator_check(POWER2, HEAT, forcings, 2.0,
+                           levels=((32, 12), (64, 24)))
+    assert not rep.passed
+    assert not np.isfinite(rep.lhs) and not np.isfinite(rep.ratio)
+    assert all(not np.isfinite(r) for _, r in rep.refinement_trace)
 
 
 def test_g_operator_stable():
