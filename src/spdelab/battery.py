@@ -7,6 +7,8 @@ claim the tests make.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import rng as _rng
@@ -33,18 +35,14 @@ from .symbols import (
 
 def step_battery(J=2):
     """Four step functions on [0, 1] with distinct support/coordinate patterns."""
-    e1 = np.zeros(J)
-    e1[0] = 1.0
-    e2 = np.zeros(J)
-    e2[min(1, J - 1)] = 1.0
-    out = [
+    e1, e2 = np.eye(J)[[0, min(1, J - 1)]]
+    return [
         StepFunction(np.array([0.0, 1.0]), e1[None, :]),
         StepFunction(np.array([0.0, 0.5, 1.0]), np.stack([e1, -e1])),
         StepFunction(np.array([0.0, 1 / 3, 2 / 3, 1.0]),
                      np.stack([e1 + e2, 2.0 * e2, -0.5 * e1])),
         StepFunction(np.array([0.25, 0.75]), 1.5 * e2[None, :]),
     ]
-    return out
 
 
 def kernel_battery():
@@ -60,10 +58,7 @@ def elementary_battery(J=2, m=2, T=1.0):
     3. two terms with orthogonal supports and curved shapes,
     4. two polynomial terms sharing their direction set.
     """
-    e1 = np.zeros(J)
-    e1[0] = 1.0
-    e2 = np.zeros(J)
-    e2[min(1, J - 1)] = 1.0
+    e1, e2 = np.eye(J)[[0, min(1, J - 1)]]
     phi_full = StepFunction(np.array([0.0, T]), e1[None, :])
     phi_early = StepFunction(np.array([0.0, T / 2]), e1[None, :])
     phi_late = StepFunction(np.array([T / 2, T]), e2[None, :])
@@ -115,27 +110,35 @@ def bump_profile(box=2.0 * np.pi, width_frac=1.0 / 16.0):
     return profile
 
 
-def lp_forcing(a=0.0, b=1.0, box=2.0 * np.pi, m=1):
-    """f(t, x, theta) -> (n_theta, m, n_pts): bump x smooth time window x theta.
+def _separable(t, x, theta, time, space, m):
+    """time(t) x space(x), written into the real part of every theta and
+    component slot of one complex (n_t, n_theta, m, n_pts) array."""
+    out = np.zeros((len(t), np.size(theta), m, len(x)), dtype=complex)
+    np.multiply(time(np.asarray(t, dtype=float))[:, None, None, None],
+                space(x), out=out.real)
+    return out
 
-    The time factor is cos^2 shaped, supported on the middle half of [a, b],
-    so the integrand vanishes at both endpoints of the window.
+
+def lp_forcing(a=0.0, b=1.0, box=2.0 * np.pi, m=1):
+    """f(t, x, theta) -> (n_t, n_theta, m, n_pts): bump x smooth time window x theta.
+
+    One call takes the (n_t,) times, computes the bump once and returns one
+    complex array.  The time factor is cos^2 shaped, supported on the middle
+    half of [a, b], so the integrand vanishes at both endpoints of the window.
     """
     space = bump_profile(box)
 
     def window(t):
-        c = 0.5 * (a + b)
-        half = 0.25 * (b - a)
-        u = (t - c) / half
-        return float(np.cos(0.5 * np.pi * u) ** 2) if abs(u) < 1.0 else 0.0
+        u = (t - 0.5 * (a + b)) / (0.25 * (b - a))
+        # libm pow, as for a NumPy scalar; an array's ** 2 is x * x, an ulp off at times
+        return np.where(np.abs(u) < 1.0,
+                        np.float_power(np.cos(0.5 * np.pi * u), 2), 0.0)
 
     def f(t, x, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        sp = space(x)
-        tw = window(float(t))
+        out = _separable(t, x, theta, window, space, m)
         th = 1.0 + 0.5 * np.cos(2.0 * np.pi * theta)
-        vals = th[:, None, None] * (tw * sp)[None, None, :]
-        return np.broadcast_to(vals, (theta.size, m, sp.size)).copy()
+        np.multiply(out.real, th[:, None, None], out=out.real)
+        return out
 
     return f
 
@@ -145,37 +148,31 @@ def lp_forcing_mixed(a=0.0, b=1.0, box=2.0 * np.pi, m=1):
 
     A product forcing a(theta) F(t, x) cancels out of the square-function
     ratio, so the theta-grid form collapses to the scalar one on it.  This
-    mixture keeps the theta integral load-bearing.
+    mixture keeps the theta integral load-bearing.  Called as lp_forcing.
     """
     base = lp_forcing(a=a, b=b, box=box, m=m)
     bump2 = bump_profile(box=box, width_frac=1.0 / 10.0)
 
     def f(t, x, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        u = np.clip((float(t) - a) / (b - a), 0.0, 1.0)
-        win2 = np.sin(np.pi * u) ** 2
-        sp2 = bump2(np.mod(x + box / 4.0, box))
+        out = base(t, x, theta)
+        u = np.clip((np.asarray(t, dtype=float) - a) / (b - a), 0.0, 1.0)
+        sp2 = np.float_power(np.sin(np.pi * u), 2)[:, None] \
+            * bump2(np.mod(x + box / 4.0, box))                    # (n_t, n_pts)
         th2 = 1.0 - 0.5 * np.sin(2.0 * np.pi * theta)
-        return base(t, x, theta) + th2[:, None, None] * (win2 * sp2)[None, None, :]
+        np.add(out.real, sp2[:, None, None, :] * th2[:, None, None], out=out.real)
+        return out
 
     return f
 
 
 def g_operator_forcings(a=0.0, b=1.0, box=2.0 * np.pi, m=1):
-    """Three forcing profiles with different time textures for the G check."""
-    base = lp_forcing(a=a, b=b, box=box, m=m)
+    """Three forcing profiles with different time textures for the G check,
+    each called as lp_forcing."""
     space = bump_profile(box, width_frac=1.0 / 10.0)
-
-    def constant(t, x, theta):
-        sp = space(x)
-        return np.broadcast_to(sp[None, None, :], (1, m, sp.size)).copy()
-
-    def rotating(t, x, theta):
-        sp = space(x)
-        val = np.cos(2.0 * np.pi * (t - a) / (b - a)) * sp
-        return np.broadcast_to(val[None, None, :], (1, m, sp.size)).copy()
-
-    return [base, constant, rotating]
+    return [lp_forcing(a=a, b=b, box=box, m=m),
+            partial(_separable, time=np.ones_like, space=space, m=m),
+            partial(_separable, space=space, m=m,
+                    time=lambda t: np.cos(2.0 * np.pi * (t - a) / (b - a)))]
 
 
 def multiplier_battery(d=1):

@@ -122,7 +122,10 @@ PARAMS = {
             "list", [64, 128, 256], least=1, each=_count(None))},
     "verify-lp": {
         **_OPERATOR, "q_exp": _NUM2, "r_exp": _NUM2, "n_theta": _count(1),
-        "forcing": Key("string", "product", choices=("product", "mixed"))},
+        "forcing": Key("string", "product", choices=("product", "mixed")),
+        # the lhs sums over cells s < t: n_t >= 2 (n is a power of two >= 4)
+        "levels": _LEVELS._replace(
+            each=_LEVELS.each._replace(each=_count(None, least=2)))},
     "verify-bessel": {
         "phi": Key(_SYMBOL, _POWER), "grid": _grid(64), "m": _count(1),
         "alpha": Key("number", 2.0, least=0), "count": _count(16),

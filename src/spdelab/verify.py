@@ -166,17 +166,14 @@ def _theta_grid(n_theta):
     return pts, 1.0 / n_theta
 
 
-def _sample_time_slices(f_fn, mids, X, theta):
-    """Stack f(t_c, x, theta) -> (n_cells, n_theta, m, n_points)."""
-    rows = []
-    for t in mids:
-        v = np.asarray(f_fn(t, X, theta), dtype=complex)
-        if v.ndim == 1:
-            v = v[None, None, :]
-        elif v.ndim == 2:
-            v = v[:, None, :]
-        rows.append(v)
-    return np.stack(rows)
+def _sample_time_slices(f_fn, mids, grid, theta):
+    """f_fn(mids, x, theta) on the grid's points x, the forcing at every cell
+    midpoint in one call: complex (n_cells, n_theta, m, n_points)."""
+    fv = np.asarray(f_fn(mids, grid.x_grid(), theta), dtype=complex)
+    if fv.ndim != 4 or fv.shape[:2] + fv.shape[3:] != (len(mids), len(theta),
+                                                       grid.n_points):
+        raise ValueError(f"forcing shape {fv.shape} is not (n_t, n_theta, m, n_points)")
+    return fv
 
 
 def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
@@ -190,6 +187,9 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
     rhs: int_t [ int (int ||f||^p dx)^{r/p} dtheta ]^{p/r}.
     Midpoint rule in t and s (s strictly below t), counting measure with
     weight 1/n_theta in theta; n_theta = 1 collapses to the scalar form.
+    f_fn(t, x, theta) is called once per level, with the (n_t,) cell
+    midpoints, the (n_points, d) grid and the (n_theta,) nodes, and returns
+    (n_t, n_theta, m, n_points), else ValueError.
 
     The multipliers must be Hermitian on the grid (spectral.check_hermitian
     on psi at the midpoints and on Re phi, so phi must be even), else
@@ -217,10 +217,9 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
         edges = np.linspace(a, b, int(n_t) + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         dt = (b - a) / n_t
-        X = grid.x_grid()
         check_hermitian(psi, check_class_s_sign(psi, mids, grid), grid)
         check_hermitian(phi, np.real(symbol_on_grid(phi, 0.0, grid)), grid)
-        fv = _sample_time_slices(f_fn, mids, X, theta)
+        fv = _sample_time_slices(f_fn, mids, grid, theta)
         fv = real_components(fv, 2, not np.any(fv.imag))
         f_hat = spatial_rfft(fv, grid)
         phim = np.real(symbol_on_grid(phi, 0.0, grid.half))
@@ -251,10 +250,10 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
                 # a reduction over rows adds them one by one, in order of s
                 inner = np.sum(np.vstack((inner, terms)), axis=0)
             lhs += dt * float(np.sum(inner ** (p / q_exp))) * grid.cell_volume
+        xn = _lp_power(fv, grid, p, comp_axes=2)                       # (n_t, th)
         rhs = 0.0
-        for f_cell in fv:
-            xn = _lp_power(f_cell, grid, p, comp_axes=1)                # (th,)
-            rhs += dt * float(np.sum(w_th * xn ** (r_exp / p))) ** (p / r_exp)
+        for cell in np.sum(w_th * xn ** (r_exp / p), axis=1):   # in order of t
+            rhs += dt * float(cell) ** (p / r_exp)
         trace.append((float(n), float(ratio_of(lhs, rhs))))
     return RatioReport.make(
         name or "littlewood-paley", lhs, [rhs], refinement_trace=trace,
@@ -325,9 +324,10 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
     exactly, including psi = 0 modes, where w(h) = phi h.  One step per
     time cell replaces the sum over the earlier cells; each (G f)_k
     overwrites f_k's spectrum, and one inverse transform per forcing per
-    level brings them all back.  Needs p >= 2.  Each level's ratio is that
-    of its worst forcing, the largest ratio or a non-finite one; the report
-    takes the last level's worst forcing's lhs and rhs.
+    level brings them all back.  Each forcing is called once per level, as
+    in lp_inequality_check, with theta = [0.5].  Needs p >= 2.  Each level's
+    ratio is that of its worst forcing, the largest ratio or a non-finite
+    one; the report takes the last level's worst forcing's lhs and rhs.
     """
     if not p >= 2.0:
         raise HypothesisViolationError(f"G check needs p >= 2; got p={p}")
@@ -345,7 +345,6 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
         edges = np.linspace(a, b, int(n_t) + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         dt = (b - a) / n_t
-        X = grid.x_grid()
         check_class_s_sign(psi, mids, grid)
         phim = np.real(symbol_on_grid(phi, 0.0, grid))
         psim = symbol_on_grid(psi, 0.0, grid)
@@ -354,7 +353,7 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
         own = _phi_exp_integral(0.5 * dt, phim, psim)
         level_ratio = 0.0
         for f_fn in f_fns:
-            fv = _sample_time_slices(f_fn, mids, X, np.array([0.5]))[:, 0]
+            fv = _sample_time_slices(f_fn, mids, grid, np.array([0.5]))[:, 0]
             f_hat = spatial_fft(fv, grid)
             F = np.zeros_like(f_hat[0])                             # F_{k-1}
             for k in range(n_t):

@@ -18,7 +18,7 @@ from spdelab.malliavin import ElementaryProcess, JointDesign
 from spdelab.solver import _quad_grid
 from spdelab.spectral import (GridSpec, spatial_fft, symbol_cumulative_integrals,
                               symbol_on_grid)
-from spdelab.verify import _sample_time_slices, _theta_grid
+from spdelab.verify import _theta_grid
 
 # ---------------------------------------------------------------------------
 # covariance kernels
@@ -365,6 +365,13 @@ def running_skorohod_whole_arrays(design, delta, Fv, dv):
 # own exact cell integral and its own inverse transform.
 
 
+def forcing_per_cell(f_fn, mids, X, theta):
+    """A forcing cell by cell, one call per midpoint with a one-element time
+    array, stacked: complex (n_cells, n_theta, m, n_points)."""
+    return np.stack([np.asarray(f_fn(mids[i:i + 1], X, theta), dtype=complex)[0]
+                     for i in range(len(mids))])
+
+
 def lp_square_function_pairs(phi, psi, f_fn, p, q_exp, r_exp, levels,
                              a=0.0, b=1.0, box=2 * np.pi, n_theta=1):
     """[(lhs, rhs)] per level of the square-function check, pair by pair."""
@@ -376,7 +383,7 @@ def lp_square_function_pairs(phi, psi, f_fn, p, q_exp, r_exp, levels,
         edges = np.linspace(a, b, int(n_t) + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         dt = (b - a) / n_t
-        fv = _sample_time_slices(f_fn, mids, grid.x_grid(), theta)
+        fv = forcing_per_cell(f_fn, mids, grid.x_grid(), theta)
         f_hat = spatial_fft(fv, grid)
         phim = np.real(symbol_on_grid(phi, 0.0, grid))
         cums = symbol_cumulative_integrals(psi, mids, grid)
@@ -419,8 +426,8 @@ def g_operator_pairs(phi, psi, f_fns, p, levels, a=0.0, b=1.0,
         psim_safe = np.where(small, 1.0, psim)
         row = []
         for f_fn in f_fns:
-            fv = _sample_time_slices(f_fn, mids, grid.x_grid(),
-                                     np.array([0.5]))[:, 0]
+            fv = forcing_per_cell(f_fn, mids, grid.x_grid(),
+                                  np.array([0.5]))[:, 0]
             f_hat = spatial_fft(fv, grid)
             lhs_p = 0.0
             rhs_p = 0.0

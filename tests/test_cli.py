@@ -186,6 +186,22 @@ def test_lp_odd_phi_exits_2(tmp_path, capsys):
         "psi": {"name": "heat", "gamma": 1.0}})
 
 
+@pytest.mark.parametrize("levels", [[[8, 1]], [[8, 4], [16, 1]]])
+def test_lp_level_with_one_time_cell_exits_2(tmp_path, capsys, levels):
+    # no pair of cells s < t: the lhs was an empty sum, and the check ran
+    # to PASS with lhs 0 and ratio 0
+    _assert_rejected(tmp_path, capsys, "verify-lp", {"levels": levels})
+
+
+def test_goperator_runs_on_one_time_cell(tmp_path):
+    # its own-cell term w(dt/2) f_k is there with one cell
+    cfg = _write_cfg(tmp_path, "g.json", {"params": {"levels": [[8, 1]]}})
+    assert cli.main(["verify-goperator", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify-goperator.json").read_text())
+    assert report["report"]["lhs"] > 0
+
+
 @pytest.mark.parametrize("command,params", [
     ("simulate", {"n_t": 2.5}),
     ("simulate", {"n_samples": True}),

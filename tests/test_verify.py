@@ -236,7 +236,8 @@ def test_maximal_standard_errors_match_seed_spread():
 
 
 def _smooth_f(t, x, theta):
-    return np.sin(x[:, 0]) * np.exp(-t) + 0.3 * np.cos(2.0 * x[:, 0])
+    vals = np.sin(x[:, 0]) * np.exp(-t)[:, None] + 0.3 * np.cos(2.0 * x[:, 0])
+    return vals[:, None, None, :]                      # (n_t, 1, 1, n_pts)
 
 
 LP_LEVELS = ((32, 16), (64, 32))
@@ -312,7 +313,8 @@ def _banded(forcing, lo=0.4, hi=0.6):
     cells make two runs."""
     def f(t, x, theta):
         vals = forcing(t, x, theta)
-        return 0.0 * vals if lo < t < hi else vals
+        band = (lo < t) & (t < hi)
+        return np.where(band[:, None, None, None], 0.0 * vals, vals)
     return f
 
 
@@ -368,8 +370,9 @@ def test_lp_batches_transforms(monkeypatch):
 
 def test_lp_zero_forcing_is_a_trivial_pass(monkeypatch):
     calls = _counted_irfft(monkeypatch)
-    rep = lp_inequality_check(POWER2, HEAT, lambda t, x, th: np.zeros(len(x)),
-                              2.0, 2.0, 2.0, levels=LP_LEVELS)
+    rep = lp_inequality_check(
+        POWER2, HEAT, lambda t, x, th: np.zeros((len(t), len(th), 1, len(x))),
+        2.0, 2.0, 2.0, levels=LP_LEVELS)
     assert rep.lhs == 0.0 and rep.rhs_components == [0.0]
     assert rep.ratio == 0.0 and rep.passed
     assert not calls
@@ -380,12 +383,88 @@ def test_lp_nan_cell_outside_the_window_fails():
     base = battery.lp_forcing()
 
     def f(t, x, theta):
-        return base(t, x, theta) * (np.nan if t < 0.04 else 1.0)
+        return base(t, x, theta) * np.where(t < 0.04, np.nan,
+                                            1.0)[:, None, None, None]
 
     rep = lp_inequality_check(POWER2, HEAT, f, 2.0, 2.0, 2.0,
                               levels=((32, 16),))
     assert not np.isfinite(rep.lhs)
     assert not rep.passed
+
+
+OPERATOR_LEVELS = ((128, 64), (256, 128), (512, 256))  # the benchmark's
+
+
+def test_operator_checks_call_each_forcing_once_per_level():
+    # they called it once per time cell: 448 times in the square-function
+    # check at these levels and 1,344 in the G check
+    sizes = []
+
+    def counted(forcing):
+        return lambda t, x, th: sizes.append(np.size(t)) or forcing(t, x, th)
+
+    n_ts = [n_t for _, n_t in OPERATOR_LEVELS]
+    lp_inequality_check(POWER2, HEAT, counted(battery.lp_forcing()), 2.0, 2.0,
+                        2.0, levels=OPERATOR_LEVELS)
+    assert sizes == n_ts
+    sizes.clear()
+    g_operator_check(POWER2, HEAT, [counted(f) for f in
+                                    battery.g_operator_forcings()], 2.0,
+                     levels=OPERATOR_LEVELS)
+    assert sizes == [n_t for n_t in n_ts for _ in range(3)]
+
+
+@pytest.mark.parametrize("forcing", [battery.lp_forcing(),
+                                     *battery.g_operator_forcings()[1:]],
+                         ids=["product", "constant", "rotating"])
+def test_top_level_forcing_peak_is_below_one_and_a_half_arrays(forcing):
+    # the per-cell rows and their np.stack held the array twice
+    n, n_t = OPERATOR_LEVELS[-1]
+    mids = (np.arange(n_t) + 0.5) / n_t
+    grid = GridSpec(d=1, n=n, L=2.0 * np.pi)
+    grid.x_grid()                              # cached, as in the checks
+    fv, peak = oracles.traced_peak(verify._sample_time_slices, forcing, mids,
+                                   grid, np.array([0.5]))
+    assert fv.shape == (n_t, 1, 1, n) and fv.dtype == complex
+    assert peak <= 1.5 * fv.nbytes
+
+
+FORCING_MAKERS = {
+    "product": lambda **kw: [battery.lp_forcing(**kw)],
+    "mixed": lambda **kw: [battery.lp_forcing_mixed(**kw)],
+    "g": battery.g_operator_forcings,
+}
+
+
+@pytest.mark.parametrize("kind,m,n_theta,d,window", [
+    ("product", 1, 1, 1, (0.0, 1.0)),
+    ("product", 2, 4, 1, (0.0, 1.0)),
+    ("product", 1, 1, 2, (0.3, 1.7)),
+    ("mixed", 1, 1, 1, (0.0, 1.0)),
+    ("mixed", 2, 4, 2, (0.0, 1.0)),
+    ("mixed", 2, 4, 1, (0.3, 1.7)),
+    ("g", 1, 1, 1, (0.0, 1.0)),
+    ("g", 2, 1, 2, (0.3, 1.7)),
+])
+def test_one_call_forcing_equals_per_cell_oracle(kind, m, n_theta, d, window):
+    # 13 cells: the window's support edges, a quarter of the way in from
+    # a and b, fall inside a cell
+    a, b = window
+    edges = np.linspace(a, b, 14)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    x = GridSpec(d=d, n=16, L=2.0 * np.pi).x_grid()
+    theta = verify._theta_grid(n_theta)[0]
+    for forcing in FORCING_MAKERS[kind](a=a, b=b, m=m):
+        vals = forcing(mids, x, theta)
+        cells = oracles.forcing_per_cell(forcing, mids, x, theta)
+        assert vals.shape == cells.shape == (13, n_theta, m, len(x))
+        assert vals.dtype == complex and vals.tobytes() == cells.tobytes()
+
+
+def test_forcing_of_the_wrong_shape_raises():
+    with pytest.raises(ValueError, match="n_theta, m, n_points"):
+        lp_inequality_check(POWER2, HEAT, lambda t, x, th: np.zeros(len(x)),
+                            2.0, 2.0, 2.0, levels=LP_LEVELS)
 
 
 def _radial(t, xi):                  # Re psi <= 0, but psi(-xi) = psi(xi)
@@ -503,9 +582,9 @@ def test_g_operator_closed_form_with_mean_mode():
     # + (1 - e^{-2t})/2 cos 2x for phi = 1, psi = -|xi|, exact at midpoints
     n, n_t = 32, 16
     rep = g_operator_check(
-        CONST1, HEAT1,
-        lambda t, x, th: 1.0 + np.cos(x[:, 0]) + np.cos(2.0 * x[:, 0]), 4.0,
-        levels=((n, n_t),))
+        CONST1, HEAT1, lambda t, x, th: np.broadcast_to(
+            1.0 + np.cos(x[:, 0]) + np.cos(2.0 * x[:, 0]), (len(t), 1, 1, len(x))),
+        4.0, levels=((n, n_t),))
     x = np.arange(n) * 2.0 * np.pi / n
     t = (np.arange(n_t)[:, None] + 0.5) / n_t
     gf = t + (1.0 - np.exp(-t)) * np.cos(x) \
@@ -516,7 +595,7 @@ def test_g_operator_closed_form_with_mean_mode():
 
 def _nan_on_one_cell(t, x, theta):
     vals = battery.lp_forcing()(t, x, theta)
-    return vals * np.nan if t < 0.05 else vals
+    return np.where((t < 0.05)[:, None, None, None], vals * np.nan, vals)
 
 
 @pytest.mark.parametrize("first", [True, False])
