@@ -156,10 +156,11 @@ def lp_forcing_mixed(a=0.0, b=1.0, box=2.0 * np.pi, m=1):
     def f(t, x, theta):
         out = base(t, x, theta)
         u = np.clip((np.asarray(t, dtype=float) - a) / (b - a), 0.0, 1.0)
-        sp2 = np.float_power(np.sin(np.pi * u), 2)[:, None] \
-            * bump2(np.mod(x + box / 4.0, box))                    # (n_t, n_pts)
-        th2 = 1.0 - 0.5 * np.sin(2.0 * np.pi * theta)
-        np.add(out.real, sp2[:, None, None, :] * th2[:, None, None], out=out.real)
+        space2 = bump2(np.mod(x + box / 4.0, box))
+        th2 = (1.0 - 0.5 * np.sin(2.0 * np.pi * theta))[:, None, None]
+        # row by row: no (n_t, n_pts) temporary beside the output
+        for row, sin2 in zip(out.real, np.float_power(np.sin(np.pi * u), 2)):
+            row += sin2 * space2 * th2
         return out
 
     return f

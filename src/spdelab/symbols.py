@@ -351,6 +351,36 @@ def _cumulative_stable(per_level_sup):
                           _STABILITY_FLOOR)
 
 
+def _scan(m: SymbolSpec, alpha, points, weights):
+    """Sum over the node axis of weights * |d^alpha m| at points (..., nodes,
+    d), from one fd_partial call.  np.nan_to_num reads a NaN derivative as
+    inf, and an inf as the largest float, before the weights multiply."""
+    der = fd_partial(lambda p: m.eval(0.0, p), points.reshape(-1, m.d), alpha)
+    der = np.nan_to_num(np.abs(der), nan=np.inf).reshape(points.shape[:-1])
+    return np.sum(der * weights, axis=-1)
+
+
+def _first_max(vals, alpha, points, worst, worst_loc):
+    """(worst, worst_loc) after the scan vals at points: its first largest
+    value, at that point set's first node, if strictly above worst."""
+    i = int(np.argmax(vals))
+    if vals.flat[i] > worst:
+        at = points.reshape(vals.size, -1, points.shape[-1])[i, 0]
+        return float(vals.flat[i]), (alpha, at)
+    return worst, worst_loc
+
+
+def _report(name, worst, worst_loc, tracks, samples, **details):
+    """Passed iff worst is finite and at most CAP and every running sup over
+    the dyadic levels in tracks is stable."""
+    stable = all(_cumulative_stable(t) for t in tracks)
+    return MultiplierReport(
+        condition_name=name, worst_constant=worst,
+        worst_location=(worst_loc[0], worst_loc[1].tolist()),
+        passed=bool(np.isfinite(worst) and worst <= CAP and stable),
+        samples_used=samples, details={"stable": bool(stable), **details})
+
+
 # ---------------------------------------------------------------------------
 # checkers
 
@@ -361,39 +391,21 @@ def check_mihlin(m: SymbolSpec):
     Passed iff the constant is finite, at most CAP, and the running sup
     over increasing dyadic levels has stabilized (growth over the last
     four levels at most 10%). Unbounded symbols like xi_1 or log(1+|xi|)
-    keep growing level over level and fail.
+    keep growing level over level and fail.  Each alpha is one scan of the
+    dyadic points, one node each, weighted |xi|^{|alpha|}.
     """
-    _, pts = dyadic_samples(m.d)
-    n_lev, n_dir, d = pts.shape
+    pts = dyadic_samples(m.d)[1][:, :, None, :]          # (n_lev, n_dir, 1, d)
+    r = _radius(pts)
     depth = m.d // 2 + 1
-
-    def f(p):
-        return m.eval(0.0, p)
-
-    flat = pts.reshape(-1, d)
-    r = _radius(flat)
-    worst = -np.inf
-    worst_loc = ((0,) * d, flat[0])
-    per_level = np.zeros(n_lev)
+    worst, worst_loc = -np.inf, None
+    per_level = np.zeros(len(pts))
     with np.errstate(over="ignore", invalid="ignore"):
-        for alpha in _multi_indices(d, depth):
-            scaled = np.abs(fd_partial(f, flat, alpha)) * r ** sum(alpha)
-            scaled = np.nan_to_num(scaled, nan=np.inf).reshape(n_lev, n_dir)
-            lev_sup = scaled.max(axis=1)
-            per_level = np.maximum(per_level, lev_sup)
-            i = int(np.argmax(scaled))
-            if scaled.flat[i] > worst:
-                worst = float(scaled.flat[i])
-                worst_loc = (alpha, flat[i])
-
-    stable = _cumulative_stable(per_level)
-    passed = bool(np.isfinite(worst) and worst <= CAP and stable)
-    return MultiplierReport(
-        condition_name="mihlin", worst_constant=worst,
-        worst_location=(worst_loc[0], worst_loc[1].tolist()),
-        passed=passed, samples_used=flat.shape[0],
-        details={"stable": bool(stable), "depth": depth,
-                 "per_level_sup": per_level.tolist()})
+        for alpha in _multi_indices(m.d, depth):
+            scaled = _scan(m, alpha, pts, r ** sum(alpha))
+            per_level = np.maximum(per_level, scaled.max(axis=1))
+            worst, worst_loc = _first_max(scaled, alpha, pts, worst, worst_loc)
+    return _report("mihlin", worst, worst_loc, [per_level], r.size,
+                   depth=depth, per_level_sup=per_level.tolist())
 
 
 def check_marcinkiewicz(m: SymbolSpec):
@@ -404,67 +416,45 @@ def check_marcinkiewicz(m: SymbolSpec):
     patterns), with the remaining coordinates frozen at dyadic values, and
     takes the sup. Boundedness of m itself is scanned as well. The
     verdict combines finiteness, the cap, and running-sup stability over
-    dyadic levels.
+    dyadic levels.  Each (S, rectangle) is one scan over every frozen
+    value x sign pattern x Gauss-Legendre node; boundedness is the alpha = 0
+    scan of the dyadic points.
     """
     d = m.d
-    # level k is the rectangle side (2^k, 2^{k+1}]
+    # level k is the rectangle side (2^k, 2^{k+1}]: its nodes and weights
     levels = np.arange(DYADIC_LO, DYADIC_HI, dtype=int)
     gl_x, gl_w = np.polynomial.legendre.leggauss(_RECT_NODES)
+    lo, hi = 2.0 ** levels[:, None], 2.0 ** (levels[:, None] + 1)
+    nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * gl_x            # (n_levels, nodes)
+    node_wts = 0.5 * (hi - lo) * gl_w
+    frozen = 2.0 ** np.arange(DYADIC_LO, DYADIC_HI + 1, 4, dtype=float)
+    frozen = np.concatenate([frozen, -frozen])
+    subsets = [S for k in range(1, d + 1) for S in itertools.combinations(range(d), k)]
 
-    def f(p):
-        return m.eval(0.0, p)
-
-    # boundedness scan on dyadic points
-    radii, pts = dyadic_samples(d)
-    flat = pts.reshape(-1, d)
+    pts = dyadic_samples(d)[1][:, :, None, :]
+    zero = (0,) * d
     with np.errstate(over="ignore", invalid="ignore"):
-        mvals = np.abs(np.asarray(f(flat)))
-    sup_per_level = np.nan_to_num(mvals, nan=np.inf).reshape(len(radii), -1).max(axis=1)
-    worst = float(np.max(sup_per_level))
-    worst_loc = ((0,) * d, flat[int(np.argmax(mvals))])
-    level_tracks = [sup_per_level]
-
-    subsets = [s for k in range(1, d + 1) for s in itertools.combinations(range(d), k)]
-    fixed_vals = 2.0 ** np.arange(DYADIC_LO, DYADIC_HI + 1, 4, dtype=float)
-    fixed_vals = np.concatenate([fixed_vals, -fixed_vals])
-    with np.errstate(over="ignore", invalid="ignore"):
+        sup = _scan(m, zero, pts, 1.0)
+        worst, worst_loc = _first_max(sup, zero, pts, -np.inf, None)
+        tracks, samples = [sup.max(axis=1)], sup.size
         for S in subsets:
-            alpha = tuple(1 if i in S else 0 for i in range(d))
+            alpha = tuple(int(i in S) for i in range(d))
             free = [i for i in range(d) if i not in S]
+            fixed = np.array(list(itertools.product(frozen, repeat=len(free))))
+            signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(S))))
+            grid = np.indices((_RECT_NODES,) * len(S)).reshape(len(S), -1)
             track = np.zeros(len(levels))
-            for ks in itertools.product(levels, repeat=len(S)):
-                # tensor quadrature nodes on the rectangle, every sign pattern
-                axes_nodes, axes_wts = [], []
-                for k in ks:
-                    a, b = 2.0 ** k, 2.0 ** (k + 1)
-                    axes_nodes.append(0.5 * (b + a) + 0.5 * (b - a) * gl_x)
-                    axes_wts.append(0.5 * (b - a) * gl_w)
-                mesh = np.meshgrid(*axes_nodes, indexing="ij")
-                wmesh = np.meshgrid(*axes_wts, indexing="ij")
-                base = np.stack([g.ravel() for g in mesh], -1)
-                wts = np.prod(np.stack([w.ravel() for w in wmesh], -1), axis=-1)
-                fixed_choices = (itertools.product(fixed_vals, repeat=len(free))
-                                 if free else [()])
-                for fixed in fixed_choices:
-                    for signs in itertools.product((1.0, -1.0), repeat=len(S)):
-                        p = np.zeros((base.shape[0], d))
-                        for col, i in enumerate(S):
-                            p[:, i] = signs[col] * base[:, col]
-                        for col, i in enumerate(free):
-                            p[:, i] = fixed[col]
-                        der = np.abs(fd_partial(f, p, alpha))
-                        integ = float(np.sum(np.nan_to_num(der, nan=np.inf) * wts))
-                        li = int(max(ks) - DYADIC_LO)
-                        track[li] = max(track[li], integ)
-                        if integ > worst:
-                            worst, worst_loc = integ, (alpha, p[0])
-            level_tracks.append(track)
-
-    stable = all(_cumulative_stable(t) for t in level_tracks)
-    passed = bool(np.isfinite(worst) and worst <= CAP and stable)
-    return MultiplierReport(
-        condition_name="marcinkiewicz", worst_constant=worst,
-        worst_location=(worst_loc[0], np.asarray(worst_loc[1]).tolist()),
-        passed=passed, samples_used=int(sum(len(t) for t in level_tracks)),
-        details={"stable": bool(stable),
-                 "per_level_sup": [t.tolist() for t in level_tracks]})
+            for ks in itertools.product(range(len(levels)), repeat=len(S)):
+                at = (np.array(ks)[:, None], grid)     # the rectangle's tensor nodes
+                wts = np.prod(node_wts[at], axis=0)
+                # (frozen values, sign patterns, nodes, d)
+                p = np.empty((len(fixed), len(signs), grid.shape[1], d))
+                p[..., list(S)] = signs[:, None, :] * nodes[at].T
+                p[..., free] = fixed[:, None, None, :]
+                integ = _scan(m, alpha, p, wts)
+                samples += p.size // d
+                track[max(ks)] = max(track[max(ks)], integ.max())
+                worst, worst_loc = _first_max(integ, alpha, p, worst, worst_loc)
+            tracks.append(track)
+    return _report("marcinkiewicz", worst, worst_loc, tracks, samples,
+                   per_level_sup=[t.tolist() for t in tracks])

@@ -189,7 +189,8 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
     weight 1/n_theta in theta; n_theta = 1 collapses to the scalar form.
     f_fn(t, x, theta) is called once per level, with the (n_t,) cell
     midpoints, the (n_points, d) grid and the (n_theta,) nodes, and returns
-    (n_t, n_theta, m, n_points), else ValueError.
+    (n_t, n_theta, m, n_points), else ValueError.  Every level needs n_t >= 2
+    cells, checked before any level runs, else HypothesisViolationError.
 
     The multipliers must be Hermitian on the grid (spectral.check_hermitian
     on psi at the midpoints and on Re phi, so phi must be even), else
@@ -208,6 +209,8 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
     _require_exponents(p, q_exp, r_exp)
     if r_exp < 1.0:    # r has a conjugate exponent only from 1 on
         raise HypothesisViolationError(f"need r >= 1; got r={r_exp}")
+    if any(n_t < 2 for _, n_t in levels):    # no pair s < t: lhs is 0
+        raise HypothesisViolationError(f"every level needs n_t >= 2; got {levels}")
     wpow = q_exp * phi.gamma / psi.gamma - 1.0
     theta, w_th = _theta_grid(n_theta)
     trace = []

@@ -6,6 +6,7 @@ or brute-force simulation with a separate seed), so agreement is evidence
 rather than tautology.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -15,9 +16,13 @@ from spdelab import rng
 from spdelab.covariance import cholesky_psd, cross_increments, increment_gram
 from spdelab.gaussian import TIME_TOL, StepFunction
 from spdelab.malliavin import ElementaryProcess, JointDesign
+from spdelab.reports import MultiplierReport
 from spdelab.solver import _quad_grid
 from spdelab.spectral import (GridSpec, spatial_fft, symbol_cumulative_integrals,
                               symbol_on_grid)
+from spdelab.symbols import (CAP, DYADIC_HI, DYADIC_LO, _RECT_NODES,
+                             _cumulative_stable, _multi_indices, _radius,
+                             dyadic_samples, fd_partial)
 from spdelab.verify import _theta_grid
 
 # ---------------------------------------------------------------------------
@@ -496,6 +501,112 @@ def wiener_quadratic_variance(n_samples, seed):
     z = gen.standard_normal(n_samples)
     x = (z * z - 1.0) ** 2
     return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(n_samples))
+
+
+# ---------------------------------------------------------------------------
+# multiplier conditions, one fd_partial call per point set
+#
+# The library scans every frozen value, sign pattern and node of a
+# rectangle in one call; here each (frozen value, sign pattern) gets its own
+# call and its own column-by-column point assembly.
+
+
+def mihlin_loops(m):
+    """check_mihlin with the points flattened and scaled after the call."""
+    _, pts = dyadic_samples(m.d)
+    n_lev, n_dir, d = pts.shape
+    depth = m.d // 2 + 1
+
+    def f(p):
+        return m.eval(0.0, p)
+
+    flat = pts.reshape(-1, d)
+    r = _radius(flat)
+    worst = -np.inf
+    worst_loc = ((0,) * d, flat[0])
+    per_level = np.zeros(n_lev)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for alpha in _multi_indices(d, depth):
+            scaled = np.abs(fd_partial(f, flat, alpha)) * r ** sum(alpha)
+            scaled = np.nan_to_num(scaled, nan=np.inf).reshape(n_lev, n_dir)
+            per_level = np.maximum(per_level, scaled.max(axis=1))
+            i = int(np.argmax(scaled))
+            if scaled.flat[i] > worst:
+                worst = float(scaled.flat[i])
+                worst_loc = (alpha, flat[i])
+    stable = _cumulative_stable(per_level)
+    return MultiplierReport(
+        condition_name="mihlin", worst_constant=worst,
+        worst_location=(worst_loc[0], worst_loc[1].tolist()),
+        passed=bool(np.isfinite(worst) and worst <= CAP and stable),
+        samples_used=flat.shape[0],
+        details={"stable": bool(stable), "depth": depth,
+                 "per_level_sup": per_level.tolist()})
+
+
+def marcinkiewicz_loops(m):
+    """check_marcinkiewicz with one call per rectangle, frozen value and sign
+    pattern; samples_used counts every point evaluated."""
+    d = m.d
+    levels = np.arange(DYADIC_LO, DYADIC_HI, dtype=int)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(_RECT_NODES)
+
+    def f(p):
+        return m.eval(0.0, p)
+
+    radii, pts = dyadic_samples(d)
+    flat = pts.reshape(-1, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mvals = np.abs(np.asarray(f(flat)))
+    sup_per_level = np.nan_to_num(mvals, nan=np.inf).reshape(len(radii), -1).max(axis=1)
+    worst = float(np.max(sup_per_level))
+    worst_loc = ((0,) * d, flat[int(np.argmax(mvals))])
+    level_tracks = [sup_per_level]
+    samples = flat.shape[0]
+
+    subsets = [s for k in range(1, d + 1) for s in itertools.combinations(range(d), k)]
+    fixed_vals = 2.0 ** np.arange(DYADIC_LO, DYADIC_HI + 1, 4, dtype=float)
+    fixed_vals = np.concatenate([fixed_vals, -fixed_vals])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for S in subsets:
+            alpha = tuple(1 if i in S else 0 for i in range(d))
+            free = [i for i in range(d) if i not in S]
+            track = np.zeros(len(levels))
+            for ks in itertools.product(levels, repeat=len(S)):
+                axes_nodes, axes_wts = [], []
+                for k in ks:
+                    a, b = 2.0 ** k, 2.0 ** (k + 1)
+                    axes_nodes.append(0.5 * (b + a) + 0.5 * (b - a) * gl_x)
+                    axes_wts.append(0.5 * (b - a) * gl_w)
+                mesh = np.meshgrid(*axes_nodes, indexing="ij")
+                wmesh = np.meshgrid(*axes_wts, indexing="ij")
+                base = np.stack([g.ravel() for g in mesh], -1)
+                wts = np.prod(np.stack([w.ravel() for w in wmesh], -1), axis=-1)
+                fixed_choices = (itertools.product(fixed_vals, repeat=len(free))
+                                 if free else [()])
+                for fixed in fixed_choices:
+                    for signs in itertools.product((1.0, -1.0), repeat=len(S)):
+                        p = np.zeros((base.shape[0], d))
+                        for col, i in enumerate(S):
+                            p[:, i] = signs[col] * base[:, col]
+                        for col, i in enumerate(free):
+                            p[:, i] = fixed[col]
+                        samples += p.shape[0]
+                        der = np.abs(fd_partial(f, p, alpha))
+                        integ = float(np.sum(np.nan_to_num(der, nan=np.inf) * wts))
+                        li = int(max(ks) - DYADIC_LO)
+                        track[li] = max(track[li], integ)
+                        if integ > worst:
+                            worst, worst_loc = integ, (alpha, p[0])
+            level_tracks.append(track)
+    stable = all(_cumulative_stable(t) for t in level_tracks)
+    return MultiplierReport(
+        condition_name="marcinkiewicz", worst_constant=worst,
+        worst_location=(worst_loc[0], np.asarray(worst_loc[1]).tolist()),
+        passed=bool(np.isfinite(worst) and worst <= CAP and stable),
+        samples_used=samples,
+        details={"stable": bool(stable),
+                 "per_level_sup": [t.tolist() for t in level_tracks]})
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The unitary DFT lives in ``spectral`` (``spatial_fft``, its real-to-complex
 pair ``spatial_rfft``/``spatial_irfft``, and the unnormalized
 ``multiplier_kernel``); rectangle increments of R live in
 ``covariance.cross_increments``; a symbol and its time primitive are
-evaluated on the grid only by ``spectral._on_grid``.  A new copy elsewhere
+evaluated on the grid only by ``spectral._on_grid``, and finite-difference
+partials only by ``symbols._scan``.  A new copy elsewhere
 fails here.  Every definition is reached from somewhere: a function or
 class that nothing else in the package names is deleted, unless it is one
 of the few that only the tests call (``TEST_ONLY``; ``__all__`` exempts
@@ -68,6 +69,21 @@ def test_symbol_eval_only_in_symbol_on_grid():
         ("eval", "symbol_on_grid"), ("primitive", "symbol_cumulative_integrals")]
     passed = re.findall(r"\b_on_grid\(\w+\.(eval|primitive)\b", text)
     assert len(passed) == len(hits)
+
+
+def test_fd_partial_only_in_the_scan_evaluator():
+    # the multiplier checkers build point sets and reduce what
+    # symbols._scan returns; a loop of its own fd_partial calls, as the
+    # rectangle scan had over its frozen values and sign patterns, fails
+    # here, and so does a call through another name
+    trees = {name: ast.parse(text) for name, text in SOURCES.items()}
+    users = sorted((name, top.name) for name, tree in trees.items()
+                   for top in tree.body if isinstance(top, ast.FunctionDef)
+                   for node in ast.walk(top)
+                   if isinstance(node, ast.Name) and node.id == "fd_partial")
+    assert users == [("symbols.py", "_scan")]
+    assert [node for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.alias) and node.name == "fd_partial"] == []
 
 
 # definitions with no caller in the package that the tests use: the exact

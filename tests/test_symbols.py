@@ -1,13 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 import oracles
+from spdelab import battery, symbols
 from spdelab.symbols import (
     SymbolSpec,
     builtin_symbol,
     check_marcinkiewicz,
     check_mihlin,
     coordinate_symbol,
+    fd_partial,
     log_symbol,
     m1_symbol,
     m2_symbol,
@@ -82,3 +86,78 @@ def test_oscillating_heat_time_profile():
     # its exact time integral drives the evolution tests
     assert oracles.int_one_plus_sin_sq(0.9) == pytest.approx(
         1.5 * 0.9 - 0.25 * np.sin(1.8))
+
+
+def _sqrt_first(d):
+    """m(xi) = sqrt(xi_1): NaN wherever xi_1 < 0, so every scan meets NaN
+    derivatives, read as inf, and ties among them."""
+    return SymbolSpec(eval=lambda t, xi: np.sqrt(xi[..., 0]), gamma=1.0,
+                      kappa=1.0, mu=1.0, n_depth=4, d=d, name="sqrt")
+
+
+def _battery_symbols():
+    """Each multiplier_battery symbol at d = 1, 2 and 3 once (the rectangle
+    and failing cases are the same at every d), and the NaN symbol."""
+    cases = {}
+    for d in (1, 2, 3):
+        for group in battery.multiplier_battery(d=d):
+            cases.update({f"{name}-d{sym.d}": sym for name, sym in group})
+    cases.update({f"sqrt-d{d}": _sqrt_first(d) for d in (1, 2)})
+    return cases
+
+
+BATTERY_SYMBOLS = _battery_symbols()
+
+
+def _bits(report):
+    # json repr is exact for floats and tells inf, -0.0 and 0.0 apart
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("case", sorted(BATTERY_SYMBOLS))
+def test_mihlin_equals_loop_oracle(case):
+    sym = BATTERY_SYMBOLS[case]
+    assert _bits(check_mihlin(sym)) == _bits(oracles.mihlin_loops(sym))
+
+
+# the rectangle scan at d = 3 makes 4,096 rectangles of 13,824 points for
+# the full subset, some 20 s per symbol; multiplier_battery's rectangle
+# case is 2-D, so the d = 3 symbols run only the Mihlin comparison
+@pytest.mark.parametrize("case", sorted(c for c, sym in BATTERY_SYMBOLS.items()
+                                        if sym.d <= 2))
+def test_marcinkiewicz_equals_loop_oracle(case):
+    sym = BATTERY_SYMBOLS[case]
+    assert _bits(check_marcinkiewicz(sym)) == \
+        _bits(oracles.marcinkiewicz_loops(sym))
+
+
+def test_nan_derivatives_read_as_inf_and_fail():
+    # the first NaN point wins the tie: later ones are not strictly above
+    for check in (check_mihlin, check_marcinkiewicz):
+        rep = check(_sqrt_first(2))
+        assert rep.worst_constant == np.inf and not rep.passed
+        assert rep.worst_location[1][0] < 0
+
+
+def test_marcinkiewicz_one_fd_partial_call_per_rectangle(monkeypatch):
+    # one call for the boundedness scan and one per (subset, rectangle),
+    # 1 + 2 * 16 + 16^2 = 289 at d = 2; a call per frozen value and sign
+    # pattern made 1,664
+    calls = []
+
+    def counted(fun, xi, alpha):
+        calls.append(alpha)
+        return fd_partial(fun, xi, alpha)
+    monkeypatch.setattr(symbols, "fd_partial", counted)
+    n_rect = symbols.DYADIC_HI - symbols.DYADIC_LO
+    assert check_marcinkiewicz(product_power_symbol((1.0, 1.0))).passed
+    assert len(calls) <= 1 + 2 * n_rect + n_rect ** 2 == 289
+
+
+def test_samples_used_counts_the_sampled_frequencies():
+    # Mihlin: 17 radii x 8 directions.  Marcinkiewicz adds the rectangle
+    # nodes: 2 axes x 16 sides x 10 frozen values x 2 signs x 12 nodes, and
+    # 16^2 rectangles x 4 sign patterns x 12^2 nodes
+    sym = product_power_symbol((1.0, 1.0))
+    assert check_mihlin(sym).samples_used == 136
+    assert check_marcinkiewicz(sym).samples_used == 136 + 7_680 + 147_456

@@ -414,9 +414,24 @@ def test_operator_checks_call_each_forcing_once_per_level():
     assert sizes == [n_t for n_t in n_ts for _ in range(3)]
 
 
+@pytest.mark.parametrize("levels", [((8, 1),), ((8, 4), (16, 1))])
+def test_lp_level_with_one_time_cell_raises_before_any_level(levels):
+    # no pair of cells s < t: the lhs was an empty sum, 0, and the check ran
+    # to PASS; now every level is checked before the first one runs
+    calls = []
+
+    def counted(t, x, th):
+        calls.append(np.size(t))
+        return battery.lp_forcing()(t, x, th)
+    with pytest.raises(HypothesisViolationError):
+        lp_inequality_check(POWER2, HEAT, counted, 2.0, 2.0, 2.0, levels=levels)
+    assert calls == []
+
+
 @pytest.mark.parametrize("forcing", [battery.lp_forcing(),
-                                     *battery.g_operator_forcings()[1:]],
-                         ids=["product", "constant", "rotating"])
+                                     *battery.g_operator_forcings()[1:],
+                                     battery.lp_forcing_mixed()],
+                         ids=["product", "constant", "rotating", "mixed"])
 def test_top_level_forcing_peak_is_below_one_and_a_half_arrays(forcing):
     # the per-cell rows and their np.stack held the array twice
     n, n_t = OPERATOR_LEVELS[-1]
