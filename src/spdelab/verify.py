@@ -32,9 +32,21 @@ _ENVELOPE_FD_FRAC = 0.01
 _ENVELOPE_INTERIOR = 0.5
 
 
+def _sum_pow(x, axis, e, w=1.0):
+    """(sum over `axis` of w x)^e of a scratch x >= 0, skipping w = 1, e = 1 and
+    one-term sums (views), bit for bit: a one-term sum changes only -0.0."""
+    if w != 1.0:
+        x *= w
+    one_term = all(x.shape[ax] == 1 for ax in np.ravel(axis))
+    x = np.squeeze(x, axis) if one_term else np.sum(x, axis)
+    if e != 1.0:
+        x **= e
+    return x
+
+
 def _lp_power(vals, grid, p, comp_axes):
-    """Riemann sum of |v(x)|^p over the trailing grid axis, |.| over comp_axes."""
-    return np.sum(np.sum(np.abs(vals) ** 2, axis=comp_axes) ** (p / 2.0),
+    """Riemann sum of |v(x)|^p on the last axis, |.| over comp_axes (_sum_pow)."""
+    return np.sum(_sum_pow(np.abs(vals) ** 2, comp_axes, p / 2.0),
                   axis=-1) * grid.cell_volume
 
 
@@ -189,8 +201,9 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
     weight 1/n_theta in theta; n_theta = 1 collapses to the scalar form.
     f_fn(t, x, theta) is called once per level, with the (n_t,) cell
     midpoints, the (n_points, d) grid and the (n_theta,) nodes, and returns
-    (n_t, n_theta, m, n_points), else ValueError.  Every level needs n_t >= 2
-    cells, checked before any level runs, else HypothesisViolationError.
+    (n_t, n_theta, m, n_points), else ValueError, as is b <= a, no level or
+    n_theta < 1.  Every level needs n_t >= 2 cells, else
+    HypothesisViolationError; both are checked before any level runs.
 
     The multipliers must be Hermitian on the grid (spectral.check_hermitian
     on psi at the midpoints and on Re phi, so phi must be even), else
@@ -205,7 +218,10 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
     The blocks bound the transient arrays, which would otherwise grow with
     n_t times the field size.  For a time-independent psi the multiplier
     depends only on the lag between the cells, so one row per lag is built.
+    Blocks square in place and skip their exact identity links (_sum_pow).
     """
+    if not (b > a and len(levels) and n_theta >= 1):
+        raise ValueError("need a < b, a level and n_theta >= 1")
     _require_exponents(p, q_exp, r_exp)
     if r_exp < 1.0:    # r has a conjugate exponent only from 1 on
         raise HypothesisViolationError(f"need r >= 1; got r={r_exp}")
@@ -246,16 +262,15 @@ def lp_inequality_check(phi: SymbolSpec, psi: SymbolSpec, f_fn, p, q_exp,
                 else:
                     mult = cums[it - s]
                 lf = spatial_irfft(mult[:, None, None] * f_hat[s], grid)
-                hn2 = np.sum(lf * lf, axis=2)                # (block, th, n_pts)
-                th_int = np.sum(w_th * hn2 ** (r_exp / 2.0),
-                                axis=1) ** (q_exp / r_exp)
-                terms = (dt * (mids[it] - mids[s]) ** wpow)[:, None] * th_int
+                hn = _sum_pow(np.square(lf, out=lf), 2, r_exp / 2.0)
+                terms = _sum_pow(hn, 1, q_exp / r_exp, w_th)  # (block, n_pts)
+                terms *= (dt * (mids[it] - mids[s]) ** wpow)[:, None]
                 # a reduction over rows adds them one by one, in order of s
                 inner = np.sum(np.vstack((inner, terms)), axis=0)
-            lhs += dt * float(np.sum(inner ** (p / q_exp))) * grid.cell_volume
-        xn = _lp_power(fv, grid, p, comp_axes=2)                       # (n_t, th)
+            lhs += dt * float(np.sum(_sum_pow(inner, (), p / q_exp))) * grid.cell_volume
+        xn = _sum_pow(_lp_power(fv, grid, p, comp_axes=2), (), r_exp / p)
         rhs = 0.0
-        for cell in np.sum(w_th * xn ** (r_exp / p), axis=1):   # in order of t
+        for cell in _sum_pow(xn, 1, 1.0, w_th):                 # in order of t
             rhs += dt * float(cell) ** (p / r_exp)
         trace.append((float(n), float(ratio_of(lhs, rhs))))
     return RatioReport.make(
@@ -340,8 +355,8 @@ def g_operator_check(phi: SymbolSpec, psi: SymbolSpec, f_fns, p,
         raise ValueError("exact cell integration needs time-independent psi")
     if not isinstance(f_fns, (list, tuple)):
         f_fns = [f_fns]
-    if not f_fns or len(levels) == 0:
-        raise ValueError("the G check needs a forcing and a level")
+    if not (b > a and f_fns and len(levels)):
+        raise ValueError("the G check needs a < b, a forcing and a level")
     trace = []
     for n, n_t in levels:
         grid = GridSpec(d=phi.d, n=int(n), L=box)

@@ -16,14 +16,14 @@ from spdelab import rng
 from spdelab.covariance import cholesky_psd, cross_increments, increment_gram
 from spdelab.gaussian import TIME_TOL, StepFunction
 from spdelab.malliavin import ElementaryProcess, JointDesign
-from spdelab.reports import MultiplierReport
-from spdelab.solver import _quad_grid
-from spdelab.spectral import (GridSpec, spatial_fft, symbol_cumulative_integrals,
-                              symbol_on_grid)
+from spdelab.reports import MultiplierReport, ratio_of
+from spdelab.solver import _quad_grid, real_components
+from spdelab.spectral import (GridSpec, spatial_fft, spatial_irfft, spatial_rfft,
+                              symbol_cumulative_integrals, symbol_on_grid)
 from spdelab.symbols import (CAP, DYADIC_HI, DYADIC_LO, _RECT_NODES,
                              _cumulative_stable, _multi_indices, _radius,
                              dyadic_samples, fd_partial)
-from spdelab.verify import _theta_grid
+from spdelab.verify import _LP_BLOCK, _theta_grid
 
 # ---------------------------------------------------------------------------
 # covariance kernels
@@ -456,6 +456,71 @@ def g_operator_pairs(phi, psi, f_fns, p, levels, a=0.0, b=1.0,
             row.append((lhs_p ** (1.0 / p), rhs_p ** (1.0 / p)))
         out.append(row)
     return out
+
+
+# ---------------------------------------------------------------------------
+# square function and L^p power, every reduction link applied
+#
+# The library skips the links that are exact identities (a sum over a
+# length-1 axis, a power of 1, a weight of 1.0) and squares in place; here
+# each link is its own expression and its own pass, so the two agree bit
+# for bit.
+
+
+def lp_power_every_link(vals, grid, p, comp_axes):
+    """Riemann sum of |v(x)|^p over the trailing grid axis, |.| over
+    comp_axes, as one expression."""
+    return np.sum(np.sum(np.abs(vals) ** 2, axis=comp_axes) ** (p / 2.0),
+                  axis=-1) * grid.cell_volume
+
+
+def lp_square_function_every_link(phi, psi, f_fn, p, q_exp, r_exp, levels,
+                                  a=0.0, b=1.0, box=2 * np.pi, n_theta=1):
+    """(lhs, rhs, refinement trace) of the square-function check: the same
+    blocked half-spectrum loop and the same reduction order as the library,
+    with every link applied."""
+    wpow = q_exp * phi.gamma / psi.gamma - 1.0
+    theta, w_th = _theta_grid(n_theta)
+    trace = []
+    lhs = rhs = 0.0
+    for n, n_t in levels:
+        grid = GridSpec(d=phi.d, n=int(n), L=box)
+        edges = np.linspace(a, b, int(n_t) + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        dt = (b - a) / n_t
+        fv = np.asarray(f_fn(mids, grid.x_grid(), theta), dtype=complex)
+        fv = real_components(fv, 2, not np.any(fv.imag))
+        f_hat = spatial_rfft(fv, grid)
+        phim = np.real(symbol_on_grid(phi, 0.0, grid.half))
+        cums = symbol_cumulative_integrals(psi, mids, grid.half)
+        if not psi.time_dependent:
+            np.exp(cums, out=cums)
+            cums *= phim
+        rows = max(1, _LP_BLOCK // f_hat[0].size)
+        live = np.flatnonzero(np.any(f_hat.reshape(n_t, -1) != 0, axis=1))
+        lhs = 0.0
+        for it in range(1, n_t):
+            inner = np.zeros(grid.n_points)
+            below = live[:np.searchsorted(live, it)]
+            for lo in range(0, len(below), rows):
+                s = below[lo:lo + rows]
+                if psi.time_dependent:
+                    mult = phim * np.exp(cums[it] - cums[s])
+                else:
+                    mult = cums[it - s]
+                lf = spatial_irfft(mult[:, None, None] * f_hat[s], grid)
+                hn2 = np.sum(lf * lf, axis=2)
+                th_int = np.sum(w_th * hn2 ** (r_exp / 2.0),
+                                axis=1) ** (q_exp / r_exp)
+                terms = (dt * (mids[it] - mids[s]) ** wpow)[:, None] * th_int
+                inner = np.sum(np.vstack((inner, terms)), axis=0)
+            lhs += dt * float(np.sum(inner ** (p / q_exp))) * grid.cell_volume
+        xn = lp_power_every_link(fv, grid, p, comp_axes=2)
+        rhs = 0.0
+        for cell in np.sum(w_th * xn ** (r_exp / p), axis=1):
+            rhs += dt * float(cell) ** (p / r_exp)
+        trace.append((float(n), float(ratio_of(lhs, rhs))))
+    return lhs, rhs, trace
 
 
 # ---------------------------------------------------------------------------

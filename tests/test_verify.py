@@ -395,6 +395,59 @@ def test_lp_nan_cell_outside_the_window_fails():
 OPERATOR_LEVELS = ((128, 64), (256, 128), (512, 256))  # the benchmark's
 
 
+def _nan_before(forcing, t0=0.04):
+    """A forcing with NaN cells for t < t0, where the window makes it zero."""
+    def f(t, x, theta):
+        return forcing(t, x, theta) * np.where(t < t0, np.nan,
+                                               1.0)[:, None, None, None]
+    return f
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("phi,psi,forcing,p,q,r,n_theta,levels", [
+    # the eight cases of test_lp_matches_pair_oracle
+    *test_lp_matches_pair_oracle.pytestmark[0].args[1],
+    (POWER2, HEAT, battery.lp_forcing(), 2.0, 2.0, 2.0, 1, OPERATOR_LEVELS),
+    (POWER2, HEAT, _nan_before(battery.lp_forcing()), 2.0, 2.0, 2.0, 1,
+     ((32, 16),)),
+])
+def test_lp_bits_match_every_link_oracle(phi, psi, forcing, p, q, r, n_theta,
+                                         levels):
+    # the skipped identity links keep every bit; bytes compare NaN too
+    rep = lp_inequality_check(phi, psi, forcing, p, q, r, levels=levels,
+                              n_theta=n_theta)
+    lhs, rhs, trace = oracles.lp_square_function_every_link(
+        phi, psi, forcing, p, q, r, levels, n_theta=n_theta)
+    assert _bits(rep.lhs, *rep.rhs_components) == _bits(lhs, rhs)
+    assert _bits(*np.ravel(rep.refinement_trace)) == _bits(*np.ravel(trace))
+
+
+@pytest.mark.parametrize("check,kwargs", [
+    ("lp", {"a": 1.0, "b": 0.0}),     # lhs -1.6e24 and PASS
+    ("lp", {"a": 0.5, "b": 0.5}),
+    ("lp", {"levels": ()}),           # lhs 0 and PASS
+    ("lp", {"n_theta": 0}),           # ZeroDivisionError
+    ("g", {"a": 1.0, "b": 0.0}),      # TypeError from a complex norm
+    ("g", {"a": 0.5, "b": 0.5}),
+])
+def test_operator_checks_reject_a_bad_window_before_any_level(check, kwargs):
+    calls = []
+
+    def counted(t, x, th):
+        calls.append(np.size(t))
+        return battery.lp_forcing()(t, x, th)
+    kwargs = {"levels": ((16, 4),), **kwargs}
+    with pytest.raises(ValueError):
+        if check == "lp":
+            lp_inequality_check(POWER2, HEAT, counted, 2.0, 2.0, 2.0, **kwargs)
+        else:
+            g_operator_check(POWER2, HEAT, [counted], 2.0, **kwargs)
+    assert calls == []
+
+
 def test_operator_checks_call_each_forcing_once_per_level():
     # they called it once per time cell: 448 times in the square-function
     # check at these levels and 1,344 in the G check
@@ -517,6 +570,31 @@ def test_lp_power_riemann():
     assert verify._lp_power(ones[:1], grid, 2.0, 0) == pytest.approx(2 * np.pi)
     assert verify._lp_power(ones, grid, 3.0, 0) == pytest.approx(
         2 ** 1.5 * 2 * np.pi)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("shape,comp_axes", [
+    ((3, 1, 64), 1), ((3, 2, 64), 1), ((3, 1, 64), (0, 1)),
+    ((2, 1, 1, 64), (1, 2)), ((2, 3, 1, 64), (1, 2))])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_lp_power_bits_match_every_link_oracle(dtype, shape, comp_axes, p):
+    grid = GridSpec(d=1, n=64, L=2 * np.pi)
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal(shape).astype(dtype)
+    if dtype is complex:
+        vals += 1j * rng.standard_normal(shape)
+    specials = [np.nan, -np.nan, np.inf, -np.inf, -0.0]
+    if dtype is complex:
+        specials += [complex(-0.0, -0.0), complex(np.inf, np.nan),
+                     complex(-np.nan, 1.0)]
+    odd = vals.copy()
+    odd.flat[rng.choice(vals.size, len(specials), replace=False)] = specials
+    for v in (vals, odd):          # the specials leave few finite sums
+        before = v.tobytes()
+        got = verify._lp_power(v, grid, p, comp_axes)
+        assert got.tobytes() == oracles.lp_power_every_link(
+            v, grid, p, comp_axes).tobytes()
+        assert v.tobytes() == before         # the input is not overwritten
 
 
 def test_bessel_alpha_zero_is_exactly_half():
